@@ -5,6 +5,11 @@ outcome, ml and run-all.  All randomness flows from seeds in the config
 (flags override file values), so identical configuration reproduces
 byte-identical report bundles.
 
+One table, COMMANDS, names the function behind every command; `run-all`
+runs the stage functions in order on one shared Run, and a subcommand runs
+one of them on a fresh Run.  A value a stage needs and no earlier stage
+made is read from its hand-off file, so both paths run the same code.
+
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numeric failure.
 """
 
@@ -13,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,42 +31,44 @@ from . import synth as synth_mod
 from . import varprep
 from .config import RunConfig
 from .errors import ConfigError, DataError, IcuStudyError, NumericError
-from .group import (
-    COVARIATE_INDICES,
-    PatientKey,
-    StudyGroup,
-    fnum,
-    read_studygroup_csv,
-    write_studygroup_csv,
-)
+from .group import COVARIATE_INDICES, KEY_COLUMNS, StudyGroup, fnum, key_cells
+from .group import read_strata_csv, read_studygroup_csv, write_strata_csv, write_studygroup_csv
 from .regress import ModelSpec, coefficient_p_values, fit_logistic, stepwise_select
 from .stats import evidence_band
 
 ALL_STAGES = ("cohort", "varprep", "propensity", "outcome", "ml")
+#: ml subcommand -> the parts of the ml stage it runs; run-all runs them all
+ML_SUBCOMMANDS = {
+    "kmeans": ("kmeans",),
+    "gp-classify": ("classify",),
+    "gp-regress": ("regress",),
+    "simulate": ("simulate",),
+    "run": ("kmeans", "classify", "regress", "simulate"),
+}
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def _cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return fnum(value)
+    return value  # csv writes None as an empty cell
+
+
+def _write_table(path: Path, header: list, rows) -> None:
+    """A report CSV: floats through fnum, booleans as 0/1, None as empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return fnum(value)
-    return str(value)
+EXIT_CODES = {ConfigError: 2, DataError: 3, NumericError: 4}
 
 
-def _load_config(args) -> RunConfig:
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    for key in ("seed", "out", "extracts"):
-        value = getattr(args, key, None)
-        if value is not None:
-            config.set_option({"out": "out_dir", "extracts": "extracts_dir"}.get(key, key), str(value))
-    return config
+def _category(exc: IcuStudyError) -> type:
+    """ConfigError or NumericError, and DataError for any other error."""
+    return next((k for k in (ConfigError, NumericError) if isinstance(exc, k)), DataError)
 
 
 def _require_dir(path: str) -> Path:
@@ -70,574 +78,370 @@ def _require_dir(path: str) -> Path:
     return p
 
 
+# --- shared state and the input resolver ---------------------------------------
+
+
+@dataclass
+class Run:
+    """What the stages share: the config, the output directory, the
+    command-line arguments, and the inputs resolved or made so far."""
+
+    config: RunConfig
+    out: Path
+    flags: dict = field(default_factory=dict)
+    survivors: list | None = None
+    group: StudyGroup | None = None
+    model: ModelSpec | None = None
+    strata: prop_mod.Stratification | None = None
+
+
+def _survivor_records(run: Run, path: Path) -> list:
+    with open(path, newline="") as fh:
+        wanted = {tuple(int(r[c]) for c in KEY_COLUMNS) for r in csv.DictReader(fh)}
+    records = cohort_mod.load_extracts(Path(run.config.extracts_dir))
+    return [r for r in records if None not in r.ident and r.ident in wanted]
+
+
+#: input -> (file in the output directory, reader of (run, path)).  The
+#: flag of the same name, where a command has one, points elsewhere.
+INPUTS = {
+    "survivors": ("survivors.csv", _survivor_records),
+    "group": ("studygroup.csv", lambda run, path: read_studygroup_csv(path)),
+    "model": ("model.txt", lambda run, path: ModelSpec.from_text(path.read_text().strip())),
+    "strata": (
+        "strata.csv",
+        lambda run, path: prop_mod.Stratification(*read_strata_csv(path, _input(run, "group"))),
+    ),
+}
+
+
+def _input(run: Run, name: str, required: bool = True):
+    """The value an earlier stage left in `run`, else read from its file;
+    a missing file is a data error (or None when not `required`)."""
+    value = getattr(run, name)
+    if value is None:
+        filename, reader = INPUTS[name]
+        path = Path(run.flags.get(name) or run.out / filename)
+        if not path.is_file():
+            if not required:
+                return None
+            raise DataError(f"{name} file not found: {path}")
+        value = reader(run, path)
+        setattr(run, name, value)
+    return value
+
+
 # --- stages -----------------------------------------------------------------
 
 
-def stage_synth(config: RunConfig, out_dir: Path) -> None:
+def stage_synth(run: Run) -> None:
     spec = synth_mod.SynthSpec(
-        n=config.synth_n,
-        seed=config.seed,
-        prevalence_target=config.synth_prevalence,
+        n=run.config.synth_n,
+        seed=run.config.seed,
+        prevalence_target=run.config.synth_prevalence,
         attrition={kind: 2 for kind in synth_mod.ATTRITION_KINDS},
     )
-    synth_mod.synth_generate(spec, out_dir)
+    synth_mod.synth_generate(spec, run.out)
 
 
-def stage_cohort(config: RunConfig, out_dir: Path, pipeline_path: str | None = None):
-    extracts = _require_dir(config.extracts_dir)
-    records = cohort_mod.load_extracts(extracts)
-    text = Path(pipeline_path).read_text() if pipeline_path else cohort_mod.DEFAULT_PIPELINE
-    steps = cohort_mod.parse_pipeline(text)
-    survivors, trace = cohort_mod.run_filter_pipeline(records, steps)
-    cohort_mod.write_trace_csv(trace, out_dir / "trace.csv")
-    _write_csv(
-        out_dir / "survivors.csv",
-        ["subject_id", "hadm_id", "icustay_id"],
-        [[r.subject_id, r.hadm_id, r.icustay_id] for r in survivors],
+def stage_cohort(run: Run) -> None:
+    records = cohort_mod.load_extracts(_require_dir(run.config.extracts_dir))
+    pipeline = run.flags.get("pipeline")
+    text = Path(pipeline).read_text() if pipeline else cohort_mod.DEFAULT_PIPELINE
+    survivors, trace = cohort_mod.run_filter_pipeline(records, cohort_mod.parse_pipeline(text))
+    for path in (run.out / "trace.csv", run.flags.get("trace_out")):
+        if path:
+            cohort_mod.write_trace_csv(trace, path)
+    _write_table(run.out / "survivors.csv", KEY_COLUMNS, [list(r.ident) for r in survivors])
+    run.survivors = survivors
+
+
+def stage_varprep(run: Run) -> None:
+    _require_dir(run.config.extracts_dir)  # a missing extracts dir is a config error first
+    config = run.config
+    options = varprep.AssemblyOptions(config.t1_default, t2=config.t2_day, t3=config.t3_day)
+    group, rejections = varprep.assemble_study_group(_input(run, "survivors"), options)
+    write_studygroup_csv(group, run.out / "studygroup.csv")
+    _write_table(
+        run.out / "rejections.csv",
+        [*KEY_COLUMNS, "reason"],
+        [key_cells(r.key) + [r.reason] for r in rejections],
     )
-    return survivors, trace
+    run.group = group
 
 
-def _read_survivor_keys(path: Path) -> set:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return {
-            (int(row["subject_id"]), int(row["hadm_id"]), int(row["icustay_id"]))
-            for row in reader
-        }
-
-
-def stage_varprep(config: RunConfig, out_dir: Path, survivors=None) -> StudyGroup:
-    extracts = _require_dir(config.extracts_dir)
-    if survivors is None:
-        survivors_path = out_dir / "survivors.csv"
-        if not survivors_path.exists():
-            raise DataError(f"survivors file not found: {survivors_path}")
-        wanted = _read_survivor_keys(survivors_path)
-        records = [
-            r
-            for r in cohort_mod.load_extracts(extracts)
-            if None not in r.ident and r.ident in wanted
-        ]
-    else:
-        records = survivors
-    options = varprep.AssemblyOptions(
-        t1_default=config.t1_default, t2=config.t2_day, t3=config.t3_day
+def _write_strata(run: Run, strat) -> None:
+    group = _input(run, "group")
+    write_strata_csv(group, strat.scores, strat.assignment, run.out / "strata.csv")
+    _write_table(
+        run.out / "quintile_table.csv",
+        ["quintile", "score_low", "score_high", "n_treated", "n_untreated",
+         "deaths_pct_treated", "deaths_pct_untreated", "mean_los_treated", "mean_los_untreated"],
+        [astuple(r) for r in prop_mod.strata_outcome_table(group, strat)],
     )
-    group, rejections = varprep.assemble_study_group(records, options)
-    write_studygroup_csv(group, out_dir / "studygroup.csv")
-    _write_csv(
-        out_dir / "rejections.csv",
-        ["subject_id", "hadm_id", "icustay_id", "reason"],
-        [[r.key.subject_id, r.key.hadm_id, r.key.icustay_id, r.reason] for r in rejections],
+    run.strata = strat
+
+
+def propensity_fit(run: Run) -> None:
+    group = _input(run, "group")
+    y = (group.col(1) > 0).astype(float)
+    spec = stepwise_select(group, list(COVARIATE_INDICES), y, p_enter=run.config.p_enter)
+    fit = fit_logistic(group, spec, y)
+    (run.out / "model.txt").write_text(spec.to_text() + "\n")
+    pvals = [r.p_value for r in coefficient_p_values(fit)]
+    bands = [evidence_band(p) for p in pvals]
+    _write_table(
+        run.out / "propensity_fit.csv",
+        ["term", "coef", "se", "p_value", "band"],
+        zip(spec.term_names(), fit.coefficients, fit.standard_errors, pvals, bands),
     )
-    return group
+    run.model = spec
 
 
-def _write_fit_csv(path: Path, spec: ModelSpec, fit) -> None:
-    pvals = coefficient_p_values(fit)
-    rows = [
-        [name, fnum(coef), fnum(se), fnum(r.p_value), evidence_band(r.p_value)]
-        for name, coef, se, r in zip(
-            spec.term_names(), fit.coefficients, fit.standard_errors, pvals
-        )
-    ]
-    _write_csv(path, ["term", "coef", "se", "p_value", "band"], rows)
+def propensity_stratify(run: Run) -> None:
+    group, spec = _input(run, "group"), _input(run, "model")
+    _, strat = prop_mod.fit_and_stratify(group, spec, run.config.n_strata)
+    _write_strata(run, strat)
 
 
-def _write_strata_csv(path: Path, group: StudyGroup, strat) -> None:
-    rows = [
-        [k.subject_id, k.hadm_id, k.icustay_id, fnum(score), int(q)]
-        for k, score, q in zip(group.keys, strat.scores, strat.assignment)
-    ]
-    _write_csv(path, ["subject_id", "hadm_id", "icustay_id", "score", "quintile"], rows)
-
-
-def _write_quintile_table(path: Path, group: StudyGroup, strat) -> None:
-    rows = [
-        [
-            r.quintile,
-            fnum(r.score_low),
-            fnum(r.score_high),
-            r.n_treated,
-            r.n_untreated,
-            _cell(r.mortality_pct_treated),
-            _cell(r.mortality_pct_untreated),
-            _cell(r.mean_los_treated),
-            _cell(r.mean_los_untreated),
-        ]
-        for r in prop_mod.strata_outcome_table(group, strat)
-    ]
-    _write_csv(
-        path,
-        [
-            "quintile",
-            "score_low",
-            "score_high",
-            "n_treated",
-            "n_untreated",
-            "deaths_pct_treated",
-            "deaths_pct_untreated",
-            "mean_los_treated",
-            "mean_los_untreated",
-        ],
-        rows,
-    )
-
-
-def _write_balance_csv(path: Path, report) -> None:
-    rows = [
-        [
-            f"x{c.index}",
-            fnum(c.f_pre),
-            fnum(c.f_primary),
-            fnum(c.f_secondary),
-            "; ".join(c.warnings),
-        ]
-        for c in report.covariates
-    ]
-    _write_csv(
-        path,
+def propensity_balance(run: Run, name: str = "balance") -> None:
+    report = prop_mod.assess_balance(_input(run, "group"), _input(run, "strata"))
+    _write_table(
+        run.out / f"{name}.csv",
         ["covariate", "f_pre", "f_primary_main_effect", "f_secondary_interaction", "warnings"],
-        rows,
-    )
-
-
-def _write_balance_summary(path: Path, report) -> None:
-    rows = []
-    for label, summary in (
-        ("f_pre", report.summary_pre),
-        ("f_primary_main_effect", report.summary_primary),
-        ("f_secondary_interaction", report.summary_secondary),
-    ):
-        rows.append([label] + [fnum(v) for v in summary.as_tuple()])
-    _write_csv(path, ["column", "min", "q1", "median", "q3", "max"], rows)
-
-
-def _read_strata_csv(path: Path, group: StudyGroup):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        by_key = {
-            PatientKey(int(r["subject_id"]), int(r["hadm_id"]), int(r["icustay_id"])): (
-                float(r["score"]),
-                int(r["quintile"]),
-            )
-            for r in reader
-        }
-    missing = [k for k in group.keys if k not in by_key]
-    if missing:
-        raise DataError(f"strata file does not cover patient {missing[0]}")
-    scores = np.array([by_key[k][0] for k in group.keys])
-    assignment = np.array([by_key[k][1] for k in group.keys], dtype=int)
-    ranges = []
-    for q in sorted(set(assignment)):
-        block = scores[assignment == q]
-        ranges.append((float(block.min()), float(block.max())))
-    return prop_mod.Stratification(scores=scores, assignment=assignment, ranges=ranges)
-
-
-def propensity_fit(config: RunConfig, out_dir: Path, group: StudyGroup) -> ModelSpec:
-    y = (group.col(1) > 0).astype(float)
-    spec = stepwise_select(group, list(COVARIATE_INDICES), y, p_enter=config.p_enter)
-    fit = fit_logistic(group, spec, y)
-    (out_dir / "model.txt").write_text(spec.to_text() + "\n")
-    _write_fit_csv(out_dir / "propensity_fit.csv", spec, fit)
-    return spec
-
-
-def propensity_stratify(config: RunConfig, out_dir: Path, group: StudyGroup, spec: ModelSpec):
-    y = (group.col(1) > 0).astype(float)
-    fit = fit_logistic(group, spec, y)
-    scores = prop_mod.propensity_scores(fit, group, spec)
-    strat = prop_mod.stratify_quintiles(scores, group.keys, config.n_strata)
-    _write_strata_csv(out_dir / "strata.csv", group, strat)
-    _write_quintile_table(out_dir / "quintile_table.csv", group, strat)
-    return strat
-
-
-def propensity_balance(out_dir: Path, group: StudyGroup, strat, name: str = "balance"):
-    report = prop_mod.assess_balance(group, strat)
-    _write_balance_csv(out_dir / f"{name}.csv", report)
-    _write_balance_summary(out_dir / f"{name}_summary.csv", report)
-    return report
-
-
-def propensity_refine(config: RunConfig, out_dir: Path, group: StudyGroup, spec: ModelSpec, strat):
-    refined_spec, refined_strat, log_entries = prop_mod.refine_model(
-        group, spec, strat, fraction=config.refine_fraction, max_passes=config.refine_passes
-    )
-    (out_dir / "model_refined.txt").write_text(refined_spec.to_text() + "\n")
-    _write_csv(
-        out_dir / "refinement_log.csv",
-        ["variable", "form", "f_before", "f_after", "accepted"],
         [
-            [f"x{a.variable}", a.form, fnum(a.f_before), fnum(a.f_after), int(a.accepted)]
-            for a in log_entries
+            [f"x{c.index}", c.f_pre, c.f_primary, c.f_secondary, "; ".join(c.warnings)]
+            for c in report.covariates
         ],
     )
-    return refined_spec, refined_strat
+    _write_table(
+        run.out / f"{name}_summary.csv",
+        ["column", "min", "q1", "median", "q3", "max"],
+        [
+            ["f_pre", *report.summary_pre.as_tuple()],
+            ["f_primary_main_effect", *report.summary_primary.as_tuple()],
+            ["f_secondary_interaction", *report.summary_secondary.as_tuple()],
+        ],
+    )
 
 
-def stage_propensity(config: RunConfig, out_dir: Path, group: StudyGroup | None = None):
-    """Full propensity stage: fit, stratify, assess, refine, re-emit."""
-    if group is None:
-        group = read_studygroup_csv(out_dir / "studygroup.csv")
-    spec = propensity_fit(config, out_dir, group)
-    strat = propensity_stratify(config, out_dir, group, spec)
-    propensity_balance(out_dir, group, strat, name="balance_initial")
-    refined_spec, refined_strat = propensity_refine(config, out_dir, group, spec, strat)
-    propensity_balance(out_dir, group, refined_strat, name="balance")
-    _write_strata_csv(out_dir / "strata.csv", group, refined_strat)
-    _write_quintile_table(out_dir / "quintile_table.csv", group, refined_strat)
-    return refined_strat
+def propensity_refine(run: Run) -> None:
+    """Refine the model, then rewrite strata.csv and quintile_table.csv
+    for the refined stratification.  Without a strata file, refinement
+    starts from the model's own stratification."""
+    config = run.config
+    refined_spec, refined_strat, log_entries = prop_mod.refine_model(
+        _input(run, "group"), _input(run, "model"), _input(run, "strata", required=False),
+        fraction=config.refine_fraction, max_passes=config.refine_passes, n_strata=config.n_strata,
+    )
+    (run.out / "model_refined.txt").write_text(refined_spec.to_text() + "\n")
+    _write_table(
+        run.out / "refinement_log.csv",
+        ["variable", "form", "f_before", "f_after", "accepted"],
+        [[f"x{a.variable}", a.form, a.f_before, a.f_after, a.accepted] for a in log_entries],
+    )
+    _write_strata(run, refined_strat)
 
 
-def stage_outcome(config: RunConfig, out_dir: Path, group=None, strat=None) -> None:
-    if group is None:
-        group = read_studygroup_csv(out_dir / "studygroup.csv")
-    if strat is None:
-        strata_path = out_dir / "strata.csv"
-        if not strata_path.exists():
-            raise DataError(f"strata file not found: {strata_path}")
-        strat = _read_strata_csv(strata_path, group)
+def stage_propensity(run: Run) -> None:
+    """Full propensity stage: fit, stratify, assess, refine, re-assess."""
+    propensity_fit(run)
+    propensity_stratify(run)
+    propensity_balance(run, "balance_initial")
+    propensity_refine(run)
+    propensity_balance(run)
+
+
+def stage_outcome(run: Run) -> None:
+    group, strat = _input(run, "group"), _input(run, "strata")
     scores = strat.scores
-
-    reports = []
-    rep_a_mort, rep_a_los = outcome_mod.fit_model_a(group, scores)
-    reports.extend([rep_a_mort, rep_a_los])
-    rep_b = outcome_mod.fit_model_b(group, scores)
-    reports.append(rep_b)
-    split = outcome_mod.split_by_median(group, outcome_mod.SAPS_INDEX, scores)
+    reports = [*outcome_mod.fit_model_a(group, scores), outcome_mod.fit_model_b(group, scores)]
     subset_rows = []
+    split = outcome_mod.split_by_median(group, outcome_mod.SAPS_INDEX, scores)
     for result in outcome_mod.fit_model_c(split):
         if result.report is not None:
             reports.append(result.report)
         else:
             subset_rows.append([result.subset, result.error])
-
-    model_rows = []
-    for report in reports:
-        for term in report.terms:
-            model_rows.append(
-                [report.model_id, term.name, fnum(term.beta), fnum(term.p_value), term.band]
-            )
-    _write_csv(out_dir / "outcome_models.csv", ["model", "term", "beta", "p", "band"], model_rows)
+    _write_table(
+        run.out / "outcome_models.csv",
+        ["model", "term", "beta", "p", "band"],
+        [[r.model_id, t.name, t.beta, t.p_value, t.band] for r in reports for t in r.terms],
+    )
     if subset_rows:
-        _write_csv(out_dir / "outcome_errors.csv", ["model", "error"], subset_rows)
+        _write_table(run.out / "outcome_errors.csv", ["model", "error"], subset_rows)
 
-    test_rows = []
+    test_rows, variant = [], run.config.t_test_variant
     for kind in ("mortality", "los"):
-        tests = outcome_mod.stratified_outcome_tests(
-            group, strat, kind, t_variant=config.t_test_variant
-        )
-        for qt in tests:
+        for qt in outcome_mod.stratified_outcome_tests(group, strat, kind, t_variant=variant):
             if qt.testable:
-                test_rows.append(
-                    [
-                        kind,
-                        qt.quintile,
-                        1,
-                        fnum(qt.result.statistic),
-                        fnum(qt.result.p_value),
-                        evidence_band(qt.result.p_value),
-                        "",
-                    ]
-                )
+                stat, p = qt.result.statistic, qt.result.p_value
+                test_rows.append([kind, qt.quintile, 1, stat, p, evidence_band(p), ""])
             else:
                 test_rows.append([kind, qt.quintile, 0, "", "", "", qt.untestable_reason])
-    _write_csv(
-        out_dir / "stratified_tests.csv",
+    _write_table(
+        run.out / "stratified_tests.csv",
         ["outcome", "quintile", "testable", "statistic", "p", "band", "reason"],
         test_rows,
     )
 
 
 GP_FEATURE_INDICES = (1, 2, 3, 5, 10, 15)  # plus propensity score and x1*x5
+GP_OPTIONS = ("population_size", "generations", "max_depth", "init_depth",
+              "tournament_size", "p_reproduction", "p_crossover", "p_mutation")
+CLASS_METRICS = ("success_rate", "tp", "tn", "fp", "fn", "sensitivity_paper",
+                 "specificity_paper", "sensitivity_std", "specificity_std")
 
 
-def _ml_features(group: StudyGroup, scores: np.ndarray) -> np.ndarray:
-    cols = [group.col(i) for i in GP_FEATURE_INDICES]
-    cols.append(np.asarray(scores))
-    cols.append(group.col(1) * group.col(5))
-    return np.column_stack(cols)
-
-
-ML_PARTS = ("kmeans", "classify", "regress", "simulate")
-
-
-def stage_ml(config: RunConfig, out_dir: Path, group=None, strat=None, parts=ML_PARTS) -> None:
-    if group is None:
-        group = read_studygroup_csv(out_dir / "studygroup.csv")
-    if strat is None:
-        strat = _read_strata_csv(out_dir / "strata.csv", group)
-    scores = strat.scores
+def stage_ml(run: Run) -> None:
+    """The parts the ml subcommand names; all of them under run-all."""
+    config = run.config
+    parts = ML_SUBCOMMANDS[run.flags.get("subcommand", "run")]
+    group, strat = _input(run, "group"), _input(run, "strata")
 
     if "kmeans" in parts:
         cluster_features = evoml.standardize_columns(
             np.column_stack([group.col(i) for i in (2, 3, 5, 10, 15)])
         )
         km = evoml.kmeans_cluster(cluster_features, config.kmeans_k, seed=config.seed)
-        _write_csv(
-            out_dir / "clusters.csv",
-            ["subject_id", "hadm_id", "icustay_id", "cluster"],
-            [
-                [k.subject_id, k.hadm_id, k.icustay_id, int(c) + 1]
-                for k, c in zip(group.keys, km.assignment)
-            ],
+        _write_table(
+            run.out / "clusters.csv",
+            [*KEY_COLUMNS, "cluster"],
+            [key_cells(k) + [int(c) + 1] for k, c in zip(group.keys, km.assignment)],
         )
 
     tasks = [t for t in ("classify", "regress") if t in parts or "simulate" in parts]
     if not tasks:
         return
-    features = _ml_features(group, scores)
+    features = np.column_stack(
+        [group.col(i) for i in GP_FEATURE_INDICES] + [strat.scores, group.col(1) * group.col(5)]
+    )
     gp_config = evoml.GpConfig(
-        population_size=config.gp_population_size,
-        generations=config.gp_generations,
-        max_depth=config.gp_max_depth,
-        init_depth=config.gp_init_depth,
-        tournament_size=config.gp_tournament_size,
-        p_reproduction=config.gp_p_reproduction,
-        p_crossover=config.gp_p_crossover,
-        p_mutation=config.gp_p_mutation,
-        seed=config.seed,
+        seed=config.seed, **{name: getattr(config, f"gp_{name}") for name in GP_OPTIONS}
     )
     train_idx, test_idx = evoml.split_train_test(group.n, config.seed)
 
-    run_rows = []
-    metric_rows = []
-    cf_rows = []
+    run_rows, metric_rows, cf_rows = [], [], []
     for task in tasks:
         target = group.col(57) if task == "classify" else group.col(58)
-        run = evoml.gp_evolve(gp_config, features[train_idx], target[train_idx], task)
-        for generation, fitness in enumerate(run.trace):
-            run_rows.append([task, generation, fnum(fitness)])
-        for split_name, idx in (("train", train_idx), ("test", test_idx), ("full", None)):
-            rows_x = features if idx is None else features[idx]
-            labels = target if idx is None else target[idx]
+        gp_run = evoml.gp_evolve(gp_config, features[train_idx], target[train_idx], task)
+        run_rows += [[task, gen, fitness] for gen, fitness in enumerate(gp_run.trace)]
+        for split_name, idx in (("train", train_idx), ("test", test_idx), ("full", slice(None))):
+            rows_x, labels = features[idx], target[idx]
             if task == "classify":
-                m = evoml.classification_metrics(run.best, rows_x, labels)
-                for metric, value in (
-                    ("success_rate", m.success_rate),
-                    ("tp", m.tp),
-                    ("tn", m.tn),
-                    ("fp", m.fp),
-                    ("fn", m.fn),
-                    ("sensitivity_paper", m.sensitivity_paper),
-                    ("specificity_paper", m.specificity_paper),
-                    ("sensitivity_std", m.sensitivity_std),
-                    ("specificity_std", m.specificity_std),
-                ):
-                    metric_rows.append([task, split_name, metric, _cell(value)])
+                m = evoml.classification_metrics(gp_run.best, rows_x, labels)
+                metric_rows += [[task, split_name, k, getattr(m, k)] for k in CLASS_METRICS]
             else:
-                out = evoml.eval_tree_batch(run.best, rows_x)
-                metric_rows.append(
-                    [task, split_name, "mae", fnum(float(np.mean(np.abs(out - labels))))]
-                )
+                out = evoml.eval_tree_batch(gp_run.best, rows_x)
+                metric_rows.append([task, split_name, "mae", float(np.mean(np.abs(out - labels)))])
         if "simulate" in parts:
-            cf = evoml.simulate_counterfactual(run.best, features, 0, task)
-            metric_rows.append([task, "full", "counterfactual_rate_treated", fnum(cf.rate_treated)])
-            metric_rows.append([task, "full", "counterfactual_rate_untreated", fnum(cf.rate_untreated)])
-            for key, plus, minus in zip(group.keys, cf.outcome_treated, cf.outcome_untreated):
-                cf_rows.append(
-                    [key.subject_id, key.hadm_id, key.icustay_id, task, fnum(plus), fnum(minus)]
-                )
+            cf = evoml.simulate_counterfactual(gp_run.best, features, 0, task)
+            metric_rows.append([task, "full", "counterfactual_rate_treated", cf.rate_treated])
+            metric_rows.append([task, "full", "counterfactual_rate_untreated", cf.rate_untreated])
+            cf_rows += [
+                key_cells(key) + [task, plus, minus]
+                for key, plus, minus in zip(group.keys, cf.outcome_treated, cf.outcome_untreated)
+            ]
 
-    if run_rows:
-        _write_csv(out_dir / "gp_run.csv", ["task", "generation", "best_fitness"], run_rows)
-        _write_csv(out_dir / "gp_metrics.csv", ["task", "split", "metric", "value"], metric_rows)
+    _write_table(run.out / "gp_run.csv", ["task", "generation", "best_fitness"], run_rows)
+    _write_table(run.out / "gp_metrics.csv", ["task", "split", "metric", "value"], metric_rows)
     if "simulate" in parts:
-        _write_csv(
-            out_dir / "counterfactual.csv",
-            ["subject_id", "hadm_id", "icustay_id", "task", "outcome_treated", "outcome_untreated"],
+        _write_table(
+            run.out / "counterfactual.csv",
+            [*KEY_COLUMNS, "task", "outcome_treated", "outcome_untreated"],
             cf_rows,
         )
 
 
-def run_all(config: RunConfig, stages) -> None:
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    survivors = None
-    group = None
-    strat = None
-    stage = "pipeline"
-    try:
-        if "cohort" in stages:
-            stage = "cohort"
-            survivors, _ = stage_cohort(config, out_dir)
-        if "varprep" in stages:
-            stage = "varprep"
-            group = stage_varprep(config, out_dir, survivors)
-        if "propensity" in stages:
-            stage = "propensity"
-            strat = stage_propensity(config, out_dir, group)
-        if "outcome" in stages:
-            stage = "outcome"
-            stage_outcome(config, out_dir, group, strat)
-        if "ml" in stages:
-            stage = "ml"
-            stage_ml(config, out_dir, group, strat)
-    except IcuStudyError as exc:
-        # re-raise in the same category with the failing stage named
-        if isinstance(exc, ConfigError):
-            raise ConfigError(f"stage {stage}: {exc}") from exc
-        if isinstance(exc, NumericError):
-            raise NumericError(f"stage {stage}: {exc}") from exc
-        raise DataError(f"stage {stage}: {exc}") from exc
+def run_all(run: Run) -> None:
+    """The stages named by the `stages` flag (default all), in workflow
+    order, on one Run; a failure is re-raised in its category with the
+    stage named."""
+    wanted = [s.strip() for s in run.flags.get("stages", ",".join(ALL_STAGES)).split(",")]
+    unknown = [s for s in wanted if s and s not in ALL_STAGES]
+    if unknown:
+        raise ConfigError(f"unknown stages: {', '.join(unknown)}")
+    for stage in (s for s in ALL_STAGES if s in wanted):
+        try:
+            globals()[f"stage_{stage}"](run)
+        except IcuStudyError as exc:
+            raise _category(exc)(f"stage {stage}: {exc}") from exc
 
 
-# --- argument parsing -------------------------------------------------------------
+# --- the command table and argument parsing ---------------------------------------
 
+#: flag -> argparse options; every command takes the first four.  A flag
+#: whose destination is a config option overrides the config file.
+FLAGS = {
+    "--config": {"help": "flat key = value config file"},
+    "--seed": {"type": int},
+    "--out": {"dest": "out_dir", "help": "output directory"},
+    "--extracts": {"dest": "extracts_dir", "help": "extracts directory"},
+    "--pipeline": {"help": "pipeline definition file"},
+    "--trace-out": {"help": "write the attrition trace here"},
+    "--group": {"help": "studygroup.csv path"},
+    "--model": {"help": "model spec text file"},
+    "--strata": {"help": "strata.csv path"},
+    "--max-passes": {"dest": "refine_passes", "type": int},
+    "--stages": {
+        "default": ",".join(ALL_STAGES),
+        "help": "comma-separated subset of: " + ",".join(ALL_STAGES),
+    },
+}
+COMMON_FLAGS = ("--config", "--seed", "--out", "--extracts")
 
-def _add_common(parser):
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--extracts", default=None, help="extracts directory")
+#: command -> (help, extra flags, {subcommand: function name}), None standing
+#: for "no subcommand".  Functions are named rather than held so that a
+#: wrapper installed on this module's attribute is what runs.
+COMMANDS = {
+    "synth": ("generate a seeded synthetic cohort", (), {None: "stage_synth"}),
+    "cohort": ("cohort extraction pipeline", ("--pipeline", "--trace-out"), {"run": "stage_cohort"}),
+    "varprep": ("assemble the study group", (), {"run": "stage_varprep"}),
+    "propensity": (
+        "propensity scoring and balance",
+        ("--group", "--model", "--strata", "--max-passes"),
+        {sub: f"propensity_{sub}" for sub in ("fit", "stratify", "balance", "refine")},
+    ),
+    "outcome": ("adjusted outcome models and tests", ("--group", "--strata"), {"run": "stage_outcome"}),
+    "ml": ("clustering, GP models and simulation", (), dict.fromkeys(ML_SUBCOMMANDS, "stage_ml")),
+    "run-all": ("execute every stage in order", ("--stages",), {None: "run_all"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="icustudy")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a seeded synthetic cohort")
-    _add_common(p)
-
-    p = sub.add_parser("cohort", help="cohort extraction pipeline")
-    cohort_sub = p.add_subparsers(dest="subcommand", required=True)
-    run = cohort_sub.add_parser("run")
-    _add_common(run)
-    run.add_argument("--pipeline", default=None, help="pipeline definition file")
-    run.add_argument("--trace-out", default=None, help="write the attrition trace here")
-
-    p = sub.add_parser("varprep", help="assemble the study group")
-    varprep_sub = p.add_subparsers(dest="subcommand", required=True)
-    run = varprep_sub.add_parser("run")
-    _add_common(run)
-
-    p = sub.add_parser("propensity", help="propensity scoring and balance")
-    prop_sub = p.add_subparsers(dest="subcommand", required=True)
-    for name in ("fit", "stratify", "balance", "refine"):
-        sp = prop_sub.add_parser(name)
-        _add_common(sp)
-        sp.add_argument("--group", default=None, help="studygroup.csv path")
-        sp.add_argument("--model", default=None, help="model spec text file")
-        sp.add_argument("--strata", default=None, help="strata.csv path")
-        sp.add_argument("--max-passes", type=int, default=None)
-
-    p = sub.add_parser("outcome", help="adjusted outcome models and tests")
-    out_sub = p.add_subparsers(dest="subcommand", required=True)
-    run = out_sub.add_parser("run")
-    _add_common(run)
-    run.add_argument("--group", default=None)
-    run.add_argument("--strata", default=None)
-
-    p = sub.add_parser("ml", help="clustering, GP models and simulation")
-    ml_sub = p.add_subparsers(dest="subcommand", required=True)
-    for name in ("kmeans", "gp-classify", "gp-regress", "simulate", "run"):
-        sp = ml_sub.add_parser(name)
-        _add_common(sp)
-
-    p = sub.add_parser("run-all", help="execute every stage in order")
-    _add_common(p)
-    p.add_argument(
-        "--stages",
-        default=",".join(ALL_STAGES),
-        help="comma-separated subset of: " + ",".join(ALL_STAGES),
-    )
+    for command, (help_text, flags, subcommands) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        leaves = [p]
+        if None not in subcommands:
+            nested = p.add_subparsers(dest="subcommand", required=True)
+            leaves = [nested.add_parser(name) for name in subcommands]
+        for leaf in leaves:
+            for flag in COMMON_FLAGS + flags:
+                leaf.add_argument(flag, **FLAGS[flag])
     return parser
 
 
-def _dispatch(args) -> None:
-    config = _load_config(args)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.command == "synth":
-        stage_synth(config, out_dir)
-        return
-    if args.command == "cohort":
-        _, trace = stage_cohort(config, out_dir, args.pipeline)
-        if args.trace_out:
-            cohort_mod.write_trace_csv(trace, args.trace_out)
-        return
-    if args.command == "varprep":
-        stage_varprep(config, out_dir)
-        return
-    if args.command == "propensity":
-        group_path = Path(args.group) if args.group else out_dir / "studygroup.csv"
-        group = read_studygroup_csv(group_path)
-        if args.max_passes is not None:
-            config.refine_passes = args.max_passes
-
-        def _spec_from(path_arg, default_name):
-            path = Path(path_arg) if path_arg else out_dir / default_name
-            if not path.exists():
-                raise DataError(f"model file not found: {path}")
-            return ModelSpec.from_text(path.read_text().strip())
-
-        if args.subcommand == "fit":
-            propensity_fit(config, out_dir, group)
-        elif args.subcommand == "stratify":
-            propensity_stratify(config, out_dir, group, _spec_from(args.model, "model.txt"))
-        elif args.subcommand == "balance":
-            strata_path = Path(args.strata) if args.strata else out_dir / "strata.csv"
-            if not strata_path.exists():
-                raise DataError(f"strata file not found: {strata_path}")
-            strat = _read_strata_csv(strata_path, group)
-            propensity_balance(out_dir, group, strat)
-        else:  # refine
-            spec = _spec_from(args.model, "model.txt")
-            strata_path = Path(args.strata) if args.strata else out_dir / "strata.csv"
-            strat = _read_strata_csv(strata_path, group) if strata_path.exists() else None
-            _, refined_strat = propensity_refine(config, out_dir, group, spec, strat)
-            _write_strata_csv(out_dir / "strata.csv", group, refined_strat)
-            _write_quintile_table(out_dir / "quintile_table.csv", group, refined_strat)
-        return
-    if args.command == "outcome":
-        group_path = Path(args.group) if args.group else out_dir / "studygroup.csv"
-        group = read_studygroup_csv(group_path)
-        strat = None
-        if args.strata:
-            strat = _read_strata_csv(Path(args.strata), group)
-        stage_outcome(config, out_dir, group, strat)
-        return
-    if args.command == "ml":
-        parts = {
-            "kmeans": ("kmeans",),
-            "gp-classify": ("classify",),
-            "gp-regress": ("regress",),
-            "simulate": ("simulate",),
-            "run": ML_PARTS,
-        }[args.subcommand]
-        stage_ml(config, out_dir, parts=parts)
-        return
-    if args.command == "run-all":
-        stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
-        unknown = [s for s in stages if s not in ALL_STAGES]
-        if unknown:
-            raise ConfigError(f"unknown stages: {', '.join(unknown)}")
-        run_all(config, stages)
-        return
-    raise ConfigError(f"unknown command {args.command!r}")
+def _load_config(args) -> RunConfig:
+    config = RunConfig.from_file(args.config) if args.config else RunConfig()
+    for option in config.option_names():
+        value = getattr(args, option, None)
+        if value is not None:
+            config.set_option(option, str(value))
+    return config
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _dispatch(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        config = _load_config(args)
+        run = Run(config, Path(config.out_dir), vars(args))
+        run.out.mkdir(parents=True, exist_ok=True)
+        globals()[COMMANDS[args.command][2][getattr(args, "subcommand", None)]](run)
     except IcuStudyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return EXIT_CODES[_category(exc)]
     return 0
 
 

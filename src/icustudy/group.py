@@ -144,8 +144,12 @@ class StudyGroup:
 
 
 # --- CSV form ---------------------------------------------------------------
+#
+# studygroup.csv and strata.csv hand values from one stage to the next, so
+# they are written with repr, which reads back bit for bit; reports use fnum.
 
 KEY_COLUMNS = ("subject_id", "hadm_id", "icustay_id")
+STRATA_COLUMNS = KEY_COLUMNS + ("score", "quintile")
 
 
 def fnum(value: float) -> str:
@@ -153,15 +157,18 @@ def fnum(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def key_cells(key: PatientKey) -> list:
+    """The key triple as the first cells of a CSV row."""
+    return [key.subject_id, key.hadm_id, key.icustay_id]
+
+
 def write_studygroup_csv(group: StudyGroup, path: str | Path) -> None:
     header = list(KEY_COLUMNS) + [f"x{i}" for i in range(1, N_VARIABLES + 1)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for key, row in zip(group.keys, group.x):
-            writer.writerow(
-                [key.subject_id, key.hadm_id, key.icustay_id] + [fnum(v) for v in row]
-            )
+        for key, row in zip(group.keys, group.x.tolist()):
+            writer.writerow(key_cells(key) + [repr(v) for v in row])
 
 
 def read_studygroup_csv(path: str | Path) -> StudyGroup:
@@ -181,3 +188,27 @@ def read_studygroup_csv(path: str | Path) -> StudyGroup:
             rows.append([float(v) for v in line[3:]])
     x = np.array(rows, dtype=float) if rows else np.empty((0, N_VARIABLES))
     return StudyGroup(keys, x)
+
+
+def write_strata_csv(group: StudyGroup, scores, assignment, path: str | Path) -> None:
+    """One row per patient: key, propensity score and stratum label 1..K."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STRATA_COLUMNS)
+        for key, score, q in zip(group.keys, scores.tolist(), assignment):
+            writer.writerow(key_cells(key) + [repr(score), int(q)])
+
+
+def read_strata_csv(path: str | Path, group: StudyGroup):
+    """strata.csv as (scores, stratum labels) in the order of `group`."""
+    with open(path, newline="") as fh:
+        by_key = {
+            PatientKey(*(int(r[c]) for c in KEY_COLUMNS)): (float(r["score"]), int(r["quintile"]))
+            for r in csv.DictReader(fh)
+        }
+    missing = [k for k in group.keys if k not in by_key]
+    if missing:
+        raise DataError(f"strata file does not cover patient {missing[0]}")
+    scores = np.array([by_key[k][0] for k in group.keys])
+    assignment = np.array([by_key[k][1] for k in group.keys], dtype=int)
+    return scores, assignment

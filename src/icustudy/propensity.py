@@ -33,11 +33,16 @@ SCORE_CLAMP = 1e-12
 class Stratification:
     scores: np.ndarray          # fitted probability per patient, group order
     assignment: np.ndarray      # quintile 1..K per patient, group order
-    ranges: list                # per-quintile (low, high) observed score bounds
+
+    @property
+    def ranges(self) -> list:
+        """Per-quintile (low, high) observed score bounds."""
+        blocks = (self.scores[self.assignment == q] for q in np.unique(self.assignment))
+        return [(float(b.min()), float(b.max())) for b in blocks]
 
     @property
     def n_strata(self) -> int:
-        return len(self.ranges)
+        return len(np.unique(self.assignment))
 
 
 @dataclass
@@ -110,15 +115,11 @@ def stratify_quintiles(scores: np.ndarray, keys, n_strata: int = N_STRATA) -> St
     for q in range(n_strata - rem, n_strata):
         sizes[q] += 1
     assignment = np.zeros(n, dtype=int)
-    ranges = []
     pos = 0
     for q, size in enumerate(sizes, start=1):
-        block = order[pos : pos + size]
-        assignment[block] = q
-        block_scores = scores[block]
-        ranges.append((float(block_scores.min()), float(block_scores.max())))
+        assignment[order[pos : pos + size]] = q
         pos += size
-    return Stratification(scores=scores, assignment=assignment, ranges=ranges)
+    return Stratification(scores, assignment)
 
 
 def assess_balance(group: StudyGroup, strat: Stratification) -> BalanceReport:
@@ -164,13 +165,14 @@ def _covariate_f_primary(group: StudyGroup, strat: Stratification, index: int) -
     return res.f_primary
 
 
-def _fit_and_stratify(group: StudyGroup, spec: ModelSpec):
+def fit_and_stratify(group: StudyGroup, spec: ModelSpec, n_strata: int = N_STRATA):
+    """Fit the propensity model `spec` and stratify its scores."""
     y = (group.col(1) > 0).astype(float)
     fit = fit_logistic(group, spec, y)
     if not fit.converged:
         raise NotConverged(f"propensity fit for {spec.to_text()!r} did not converge")
     scores = propensity_scores(fit, group, spec)
-    return fit, stratify_quintiles(scores, group.keys)
+    return fit, stratify_quintiles(scores, group.keys, n_strata)
 
 
 def refine_model(
@@ -179,6 +181,7 @@ def refine_model(
     strat: Stratification | None = None,
     fraction: float = 0.25,
     max_passes: int = 1,
+    n_strata: int = N_STRATA,
 ):
     """One-pass (optionally iterated) balance-driven model refinement.
 
@@ -186,10 +189,11 @@ def refine_model(
     F-ratio are tried in order; for each, the main effect, then its square,
     then interactions with in-model main effects are added, keeping the
     first form that strictly lowers that covariate's own primary F under
-    the re-fitted, re-stratified model.  Every attempt is logged.
+    the re-fitted, re-stratified model (into `n_strata` strata).  Every
+    attempt is logged.
     """
     if strat is None:
-        _, strat = _fit_and_stratify(group, spec)
+        _, strat = fit_and_stratify(group, spec, n_strata)
     attempts: list[RefinementAttempt] = []
     current_spec = spec
     current_strat = strat
@@ -221,7 +225,7 @@ def refine_model(
                 f_before = _covariate_f_primary(group, current_strat, var)
                 try:
                     trial_spec = current_spec.with_term(term)
-                    _, trial_strat = _fit_and_stratify(group, trial_spec)
+                    _, trial_strat = fit_and_stratify(group, trial_spec, n_strata)
                 except (RankDeficient, NotConverged, np.linalg.LinAlgError) as exc:
                     log.warning("refinement: x%d %s skipped (%s)", var, form_name, exc)
                     attempts.append(
@@ -262,9 +266,8 @@ def strata_outcome_table(group: StudyGroup, strat: Stratification) -> list:
     los = group.col(58)
     treated = group.treated
     rows = []
-    for q in range(1, strat.n_strata + 1):
+    for q, (low, high) in enumerate(strat.ranges, start=1):
         in_q = strat.assignment == q
-        low, high = strat.ranges[q - 1]
         stats_by_arm = []
         for arm_mask in (in_q & treated, in_q & ~treated):
             count = int(arm_mask.sum())

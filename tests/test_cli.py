@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from icustudy.cli import main
+import icustudy
+from icustudy.cli import ALL_STAGES, main
 from icustudy.config import RunConfig
 from icustudy.errors import ConfigError
 
@@ -261,3 +266,49 @@ def test_ml_subcommands_write_their_files(fixture_dirs, tmp_path):
     with open(out / "counterfactual.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {row["task"] for row in rows} == {"classify", "regress"}
+
+
+@pytest.mark.parametrize(
+    "argv, present",
+    [
+        (["propensity", "fit"], ()),
+        (["outcome", "run"], ()),
+        (["run-all", "--stages", "propensity"], ()),
+        (["run-all", "--stages", "ml"], ()),
+        (["ml", "kmeans"], ("studygroup.csv",)),
+    ],
+    ids=["propensity-fit", "outcome-run", "run-all-propensity", "run-all-ml", "ml-kmeans"],
+)
+def test_missing_input_is_data_error(fixture_dirs, tmp_path, capsys, argv, present):
+    root, config = fixture_dirs
+    for name in present:
+        (tmp_path / name).write_bytes((root / "out" / name).read_bytes())
+    assert main(argv + ["--config", str(config), "--out", str(tmp_path)]) == 3
+    assert "file not found" in capsys.readouterr().err
+
+
+def test_stage_by_stage_bundle_equals_run_all(fixture_dirs, tmp_path):
+    """Each stage in its own process, handing off through the CSVs only."""
+    root, config = fixture_dirs
+    src = str(Path(icustudy.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    for stage in ALL_STAGES:
+        argv = ["run-all", "--config", str(config), "--out", str(tmp_path), "--stages", stage]
+        subprocess.run([sys.executable, "-m", "icustudy.cli", *argv], env=env, check=True)
+    for name in EXPECTED_REPORTS:
+        assert (tmp_path / name).read_bytes() == (root / "out" / name).read_bytes(), name
+
+
+def test_refinement_keeps_configured_strata_count(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "extracts_dir = {0}/extracts\nout_dir = {0}/out\nseed = 3\nsynth_n = 300\n"
+        "n_strata = 4\n".format(tmp_path)
+    )
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "extracts")]) == 0
+    assert main(["run-all", "--config", str(config)]) == 0
+    with open(tmp_path / "out" / "strata.csv", newline="") as fh:
+        assert {int(row["quintile"]) for row in csv.DictReader(fh)} == {1, 2, 3, 4}
+    with open(tmp_path / "out" / "quintile_table.csv", newline="") as fh:
+        assert [int(row["quintile"]) for row in csv.DictReader(fh)] == [1, 2, 3, 4]
