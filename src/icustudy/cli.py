@@ -297,7 +297,7 @@ def stage_ml(run: Run) -> None:
     """The parts the ml subcommand names; all of them under run-all."""
     config = run.config
     parts = ML_SUBCOMMANDS[run.flags.get("subcommand", "run")]
-    group, strat = _input(run, "group"), _input(run, "strata")
+    group = _input(run, "group")
 
     if "kmeans" in parts:
         cluster_features = evoml.standardize_columns(
@@ -313,6 +313,7 @@ def stage_ml(run: Run) -> None:
     tasks = [t for t in ("classify", "regress") if t in parts or "simulate" in parts]
     if not tasks:
         return
+    strat = _input(run, "strata")
     features = np.column_stack(
         [group.col(i) for i in GP_FEATURE_INDICES] + [strat.scores, group.col(1) * group.col(5)]
     )

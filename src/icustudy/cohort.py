@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DataError,
@@ -62,6 +63,9 @@ _HEADING_RE = re.compile(r"^[ \t]*[A-Z][A-Z0-9 /\-]{2,}:", re.MULTILINE)
 @dataclass(frozen=True)
 class DrugLexicon:
     entries: frozenset
+    #: any entry with no letter or digit (``str.isalnum``) on either side;
+    #: ``[^\W_]`` is exactly the characters ``isalnum`` accepts
+    pattern: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
@@ -69,21 +73,16 @@ class DrugLexicon:
         for entry in self.entries:
             if entry != entry.strip() or entry != entry.lower():
                 raise DataError(f"lexicon entries must be trimmed lowercase: {entry!r}")
+        alternatives = "|".join(map(re.escape, sorted(self.entries)))
+        pattern = re.compile(rf"(?<![^\W_])(?:{alternatives})(?![^\W_])")
+        object.__setattr__(self, "pattern", pattern)
 
-    @staticmethod
-    def default() -> "DrugLexicon":
-        return DrugLexicon(DEFAULT_DIURETIC_LEXICON)
+
+DEFAULT_LEXICON = DrugLexicon(DEFAULT_DIURETIC_LEXICON)
 
 
 def _mentions_drug(text: str, lexicon: DrugLexicon) -> bool:
-    lowered = text.lower()
-    for entry in lexicon.entries:
-        for m in re.finditer(re.escape(entry), lowered):
-            before = lowered[m.start() - 1] if m.start() > 0 else " "
-            after = lowered[m.end()] if m.end() < len(lowered) else " "
-            if not before.isalnum() and not after.isalnum():
-                return True
-    return False
+    return lexicon.pattern.search(text.lower()) is not None
 
 
 def detect_naive(
@@ -101,7 +100,7 @@ def detect_naive(
     """
     if not summary:
         return True
-    lexicon = lexicon or DrugLexicon.default()
+    lexicon = lexicon or DEFAULT_LEXICON
     headings = tuple(headings) if headings is not None else DEFAULT_PREADMISSION_HEADINGS
 
     upper = summary.upper()
@@ -443,221 +442,139 @@ def write_trace_csv(trace: FilterTrace, path: str | Path) -> None:
 
 TIMELINE_EXTRACTS = ("saps", "sofa", "creatinine", "bp", "bp_mean", "fluids_in", "fluids_out")
 
-#: extract file -> (key component, required columns)
+ELIX_BINARY_FIELDS = (
+    "chf", "arrhythmia", "valvular", "hypertension", "diabetes_unc", "diabetes_comp",
+    "renal_failure", "liver_disease", "obesity",
+)
+
+
+class ExtractSchema(NamedTuple):
+    key: str  # the id component the file is keyed and sorted by
+    columns: tuple  # payload columns, read as floats unless attached as "text"
+    attrs: tuple  # the Record.attrs names it fills
+    attach: str  # how a patient's joined rows attach, see _attach
+    mandatory: bool = False  # joining no row fails the has_mandatory step
+
+
+#: every extract joined onto the id triples of ids.csv, in join order
 EXTRACT_SCHEMAS = {
-    "ids": ("subject_id", ("subject_id", "hadm_id", "icustay_id")),
-    "demographics": ("icustay_id", ("icustay_id", "age", "gender")),
-    "race": ("hadm_id", ("hadm_id", "value")),
-    "elixhauser": ("hadm_id", ("hadm_id", "value")),
-    "elixhauser_binary": (
-        "hadm_id",
-        (
-            "hadm_id",
-            "chf",
-            "arrhythmia",
-            "valvular",
-            "hypertension",
-            "diabetes_unc",
-            "diabetes_comp",
-            "renal_failure",
-            "liver_disease",
-            "obesity",
-        ),
+    "demographics": ExtractSchema(
+        "icustay_id", ("age", "gender"), ("age", "gender"), "first", True
     ),
-    "vasopressors": ("icustay_id", ("icustay_id", "value")),
-    "ventilation": ("icustay_id", ("icustay_id", "value")),
-    "mortality": ("icustay_id", ("icustay_id", "value")),
-    "los": ("icustay_id", ("icustay_id", "value")),
-    "diuretics": ("icustay_id", ("icustay_id", "first_dose_hours")),
-    "summaries": ("hadm_id", ("hadm_id", "text")),
-    "sepsis": ("icustay_id", ("icustay_id",)),
-    "cmo": ("icustay_id", ("icustay_id",)),
-    **{name: ("icustay_id", ("icustay_id", "offset_hours", "value")) for name in TIMELINE_EXTRACTS},
+    **{
+        name: ExtractSchema("hadm_id", ("value",), (name,), "first", True)
+        for name in ("race", "elixhauser")
+    },
+    "elixhauser_binary": ExtractSchema(
+        "hadm_id", ELIX_BINARY_FIELDS, ("elixhauser_binary",), "tuple", True
+    ),
+    **{
+        name: ExtractSchema("icustay_id", ("value",), (name,), "first", True)
+        for name in ("vasopressors", "ventilation", "mortality", "los")
+    },
+    "diuretics": ExtractSchema(
+        "icustay_id", ("first_dose_hours",), ("first_dose_hours",), "first"
+    ),
+    "summaries": ExtractSchema("hadm_id", ("text",), ("summary",), "text"),
+    "sepsis": ExtractSchema("icustay_id", (), ("sepsis",), "flag"),
+    "cmo": ExtractSchema("icustay_id", (), ("cmo",), "flag"),
+    **{
+        name: ExtractSchema("icustay_id", ("offset_hours", "value"), (name,), "rows", True)
+        for name in TIMELINE_EXTRACTS
+    },
 }
 
-ELIX_BINARY_FIELDS = EXTRACT_SCHEMAS["elixhauser_binary"][1][1:]
 
-#: extracts that must hold data for a patient to clear the missing-data filter
-DEFAULT_MANDATORY_EXTRACTS = (
-    "demographics",
-    "race",
-    "elixhauser",
-    "elixhauser_binary",
-    "vasopressors",
-    "ventilation",
-    "mortality",
-    "los",
-) + TIMELINE_EXTRACTS
-
-
-def _read_extract(directory: Path, name: str) -> list:
+def _read_extract(directory: Path, name: str, columns: Sequence[str]) -> Iterator[list]:
+    """The cells of `columns`, in that order, of each row of `name`.csv."""
     path = directory / f"{name}.csv"
     if not path.exists():
         raise DataError(f"missing extract file: {path}")
-    key_col, required = EXTRACT_SCHEMAS[name]
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
-        return list(reader)
+        at = [header.index(c) for c in columns]
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            try:
+                cells = [row[i] for i in at]
+            except IndexError:
+                raise DataError(f"{path}: line {reader.line_num} is short of cells") from None
+            yield cells
 
 
 def _int_or_none(raw: str) -> int | None:
-    raw = (raw or "").strip()
+    raw = raw.strip()
     return int(raw) if raw else None
 
 
-def load_extracts(
-    directory: str | Path,
-    lexicon: DrugLexicon | None = None,
-    headings: Sequence[str] | None = None,
-    mandatory_extracts: Sequence[str] = DEFAULT_MANDATORY_EXTRACTS,
-) -> list:
-    """Read every extract file and join them onto the id triples.
+def _attach(rec: Record, schema: ExtractSchema, rows: list | None) -> None:
+    how, attrs = schema.attach, schema.attrs
+    if how == "rows":  # every (offset, value) row
+        rec.attrs[attrs[0]] = rows or []
+    elif how == "flag":  # presence
+        rec.attrs[attrs[0]] = bool(rows)
+    elif how == "tuple":  # the first row's values as one tuple
+        rec.attrs[attrs[0]] = rows[0] if rows else None
+    else:  # "first", "text": the first row spread over the attrs
+        rec.attrs.update(zip(attrs, rows[0] if rows else [None] * len(attrs)))
+
+
+def load_extracts(directory: str | Path) -> list:
+    """Read ids.csv and join every extract of EXTRACT_SCHEMAS onto its triples.
 
     Returns records with attributes filled: demographics, flags, outcome
     values, timeline sample lists, the naive decision and the
     missing-mandatory marker used by the final pipeline step.
     """
     directory = Path(directory)
-    raw_ids = _read_extract(directory, "ids")
-    records = []
-    subject_counts: dict = {}
-    for row in raw_ids:
-        rec = Record(
-            subject_id=_int_or_none(row["subject_id"]),
-            hadm_id=_int_or_none(row["hadm_id"]),
-            icustay_id=_int_or_none(row["icustay_id"]),
-        )
-        records.append(rec)
-        if rec.subject_id is not None:
-            subject_counts[rec.subject_id] = subject_counts.get(rec.subject_id, 0) + 1
+    records = [
+        Record(*map(_int_or_none, row)) for row in _read_extract(directory, "ids", _COMPONENTS)
+    ]
+    admissions = Counter(r.subject_id for r in records if r.subject_id is not None)
     for rec in records:
-        rec.attrs["n_admissions"] = (
-            subject_counts.get(rec.subject_id, 1) if rec.subject_id is not None else 1
-        )
+        rec.attrs["n_admissions"] = admissions.get(rec.subject_id, 1)
 
-    joinable = [r for r in records if r.icustay_id is not None]
-    joinable.sort(key=lambda r: r.icustay_id)
-    by_hadm = [r for r in records if r.hadm_id is not None]
-    by_hadm.sort(key=lambda r: r.hadm_id)
+    # joins run before id validation, so 1 stands in for an absent component
+    keyed = [
+        (rec, PatientKey(rec.subject_id or 1, rec.hadm_id or 1, rec.icustay_id or 1))
+        for rec in records
+        if rec.hadm_id is not None or rec.icustay_id is not None
+    ]
+    sides = {}  # component -> (records with it, ascending; their join keys)
+    for component in {schema.key for schema in EXTRACT_SCHEMAS.values()}:
+        side = [pair for pair in keyed if getattr(pair[0], component) is not None]
+        side.sort(key=lambda pair: getattr(pair[0], component))
+        sides[component] = ([rec for rec, _ in side], [key for _, key in side])
 
-    def join_onto(records_sorted, name, payload_of, attach):
-        # variable files must arrive sorted by their key component; a
+    for name, schema in EXTRACT_SCHEMAS.items():
+        # extract files must arrive sorted by their key component; a
         # re-sort here would mask corrupt extracts
-        component = EXTRACT_SCHEMAS[name][0]
-        rows = _read_extract(directory, name)
         values = []
-        for row in rows:
-            key = _int_or_none(row[component])
-            if key is None:
-                continue
-            values.append((key, payload_of(row)))
+        for key, *cells in _read_extract(directory, name, (schema.key, *schema.columns)):
+            key = _int_or_none(key)
+            if key is not None:
+                payload = tuple(cells) if schema.attach == "text" else tuple(map(float, cells))
+                values.append((key, payload))
+        side, keys = sides[schema.key]
         try:
-            result = sorted_merge_join(
-                [_pseudo_key(r, component) for r in records_sorted], values, component
-            )
+            result = sorted_merge_join(keys, values, schema.key)
         except UnsortedInput as exc:
             raise UnsortedInput(f"{name}.csv", exc.index) from exc
-        for rec, (_, group) in zip(records_sorted, result.groups):
-            attach(rec, group)
+        for rec, (_, rows) in zip(side, result.groups):
+            _attach(rec, schema, rows)
 
-    def _scalar(field_name, cast=float):
-        return lambda row: cast(row[field_name])
-
-    join_onto(
-        joinable,
-        "demographics",
-        lambda row: (float(row["age"]), float(row["gender"])),
-        lambda rec, g: rec.attrs.update(
-            {"age": g[0][0], "gender": g[0][1]} if g else {"age": None, "gender": None}
-        ),
-    )
-    join_onto(
-        by_hadm,
-        "race",
-        _scalar("value"),
-        lambda rec, g: rec.attrs.update({"race": g[0] if g else None}),
-    )
-    join_onto(
-        by_hadm,
-        "elixhauser",
-        _scalar("value"),
-        lambda rec, g: rec.attrs.update({"elixhauser": g[0] if g else None}),
-    )
-    join_onto(
-        by_hadm,
-        "elixhauser_binary",
-        lambda row: tuple(float(row[f]) for f in ELIX_BINARY_FIELDS),
-        lambda rec, g: rec.attrs.update({"elixhauser_binary": g[0] if g else None}),
-    )
-    for flag in ("vasopressors", "ventilation", "mortality", "los"):
-        join_onto(
-            joinable,
-            flag,
-            _scalar("value"),
-            (lambda name: lambda rec, g: rec.attrs.update({name: g[0] if g else None}))(flag),
-        )
-    join_onto(
-        joinable,
-        "diuretics",
-        _scalar("first_dose_hours"),
-        lambda rec, g: rec.attrs.update({"first_dose_hours": g[0] if g else None}),
-    )
-    join_onto(
-        by_hadm,
-        "summaries",
-        lambda row: row["text"],
-        lambda rec, g: rec.attrs.update({"summary": g[0] if g else None}),
-    )
-    for flag_name in ("sepsis", "cmo"):
-        join_onto(
-            joinable,
-            flag_name,
-            lambda row: True,
-            (lambda name: lambda rec, g: rec.attrs.update({name: bool(g)}))(flag_name),
-        )
-    for series in TIMELINE_EXTRACTS:
-        join_onto(
-            joinable,
-            series,
-            lambda row: (float(row["offset_hours"]), float(row["value"])),
-            (lambda name: lambda rec, g: rec.attrs.update({name: g or []}))(series),
-        )
-
+    mandatory = [(name, s.attrs[0]) for name, s in EXTRACT_SCHEMAS.items() if s.mandatory]
     for rec in records:
-        spans = [
-            max((off for off, _ in rec.attrs.get(series) or []), default=None)
-            for series in TIMELINE_EXTRACTS
-        ]
-        spans = [s for s in spans if s is not None]
-        rec.attrs["max_offset_hours"] = max(spans) if spans else None
-        summary = rec.attrs.get("summary")
-        rec.attrs["naive"] = detect_naive(summary or "", lexicon, headings)
-        missing = _first_missing_extract(rec, mandatory_extracts)
-        rec.attrs["missing_mandatory"] = missing
+        offsets = [off for name in TIMELINE_EXTRACTS for off, _ in rec.attrs.get(name) or []]
+        rec.attrs["max_offset_hours"] = max(offsets, default=None)
+        rec.attrs["naive"] = detect_naive(rec.attrs.get("summary") or "")
+        # an extract joined no row when its first attr is absent, None or empty
+        rec.attrs["missing_mandatory"] = next(
+            (name for name, attr in mandatory if rec.attrs.get(attr) in (None, [])), None
+        )
     return records
-
-
-def _first_missing_extract(rec: Record, mandatory: Sequence[str]) -> str | None:
-    for name in mandatory:
-        if name == "demographics":
-            if rec.attrs.get("age") is None or rec.attrs.get("gender") is None:
-                return name
-        elif name in TIMELINE_EXTRACTS:
-            if not rec.attrs.get(name):
-                return name
-        elif rec.attrs.get(name) is None:
-            return name
-    return None
-
-
-def _pseudo_key(rec: Record, component: str) -> PatientKey:
-    # joins run before id validation; substitute 1 for absent components
-    return PatientKey(
-        rec.subject_id or 1,
-        rec.hadm_id or 1,
-        rec.icustay_id or 1,
-    )

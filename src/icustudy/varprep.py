@@ -12,6 +12,7 @@ and T3; "average" variables are arithmetic means over the days present in
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,7 @@ class TimelineSeries:
 
 def daily_median(series: TimelineSeries) -> dict:
     """Day -> median of that day's samples; days without samples are absent."""
-    return {day: float(np.median(vals)) for day, vals in series.by_day().items()}
+    return {day: statistics.median(vals) for day, vals in series.by_day().items()}
 
 
 def daily_sum(series: TimelineSeries) -> dict:

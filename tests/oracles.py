@@ -7,6 +7,7 @@ transcriptions, no shared code with the library under test.
 from __future__ import annotations
 
 import math
+import re
 
 
 # --- order statistics -----------------------------------------------------------
@@ -199,3 +200,19 @@ def nested_loop_join(ids, values, component):
         matches = [payload for vk, payload in values if vk == k]
         out.append((key, matches if matches else None))
     return out
+
+
+# --- lexicon search -----------------------------------------------------------------
+
+
+def mentions_drug_oracle(text, lexicon):
+    """One regex search per lexicon entry, each hit checked for a
+    non-alphanumeric character (or the text's edge) on both sides."""
+    lowered = text.lower()
+    for entry in lexicon.entries:
+        for m in re.finditer(re.escape(entry), lowered):
+            before = lowered[m.start() - 1] if m.start() > 0 else " "
+            after = lowered[m.end()] if m.end() < len(lowered) else " "
+            if not before.isalnum() and not after.isalnum():
+                return True
+    return False

@@ -275,9 +275,9 @@ def test_ml_subcommands_write_their_files(fixture_dirs, tmp_path):
         (["outcome", "run"], ()),
         (["run-all", "--stages", "propensity"], ()),
         (["run-all", "--stages", "ml"], ()),
-        (["ml", "kmeans"], ("studygroup.csv",)),
+        (["ml", "gp-classify"], ("studygroup.csv",)),
     ],
-    ids=["propensity-fit", "outcome-run", "run-all-propensity", "run-all-ml", "ml-kmeans"],
+    ids=["propensity-fit", "outcome-run", "run-all-propensity", "run-all-ml", "ml-gp-classify"],
 )
 def test_missing_input_is_data_error(fixture_dirs, tmp_path, capsys, argv, present):
     root, config = fixture_dirs
@@ -285,6 +285,13 @@ def test_missing_input_is_data_error(fixture_dirs, tmp_path, capsys, argv, prese
         (tmp_path / name).write_bytes((root / "out" / name).read_bytes())
     assert main(argv + ["--config", str(config), "--out", str(tmp_path)]) == 3
     assert "file not found" in capsys.readouterr().err
+
+
+def test_kmeans_needs_no_strata(fixture_dirs, tmp_path):
+    root, config = fixture_dirs
+    (tmp_path / "studygroup.csv").write_bytes((root / "out" / "studygroup.csv").read_bytes())
+    assert main(["ml", "kmeans", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "clusters.csv").read_bytes() == (root / "out" / "clusters.csv").read_bytes()
 
 
 def test_stage_by_stage_bundle_equals_run_all(fixture_dirs, tmp_path):

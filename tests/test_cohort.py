@@ -1,14 +1,22 @@
+import csv
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icustudy import cohort
 from icustudy.cohort import (
+    DEFAULT_DIURETIC_LEXICON,
+    DEFAULT_LEXICON,
     DEFAULT_PIPELINE,
+    EXTRACT_SCHEMAS,
     DrugLexicon,
     FilterStep,
     Record,
     detect_naive,
+    load_extracts,
     parse_pipeline,
     run_filter_pipeline,
     sorted_merge_join,
@@ -20,8 +28,9 @@ from icustudy.errors import (
     UnsortedInput,
 )
 from icustudy.group import PatientKey
+from icustudy.synth import ATTRITION_KINDS, SynthSpec, synth_generate
 
-from oracles import nested_loop_join
+from oracles import mentions_drug_oracle, nested_loop_join
 
 
 def _keys(ids):
@@ -151,6 +160,41 @@ def test_lexicon_rejects_bad_entries():
         DrugLexicon(frozenset({" Lasix "}))
 
 
+_ENTRIES = sorted(DEFAULT_DIURETIC_LEXICON)
+
+# lexicon entries (two-word "aquazide h" among them), their capitals and
+# fragments, next to separators, digits and characters whose case mapping
+# or isalnum status is unusual
+_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(_ENTRIES),
+        st.sampled_from(_ENTRIES).map(str.upper),
+        st.sampled_from(["_", "-", "(", " ", "é", "²", "½", "İ", "ß", "ol", "h", "s"]),
+        st.text(alphabet="0123456789", min_size=1, max_size=2),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=_TEXT, entries=st.sets(st.sampled_from(_ENTRIES), min_size=1))
+def test_lexicon_pattern_agrees_with_per_entry_search(text, entries):
+    for lexicon in (DEFAULT_LEXICON, DrugLexicon(frozenset(entries))):
+        assert cohort._mentions_drug(text, lexicon) == mentions_drug_oracle(text, lexicon)
+
+
+def test_detect_naive_agrees_with_per_entry_search_on_synthetic_summaries(
+    synth_extracts, monkeypatch
+):
+    root, _ = synth_extracts
+    with open(root / "summaries.csv", newline="") as fh:
+        texts = [row["text"] for row in csv.DictReader(fh)]
+    got = [detect_naive(text) for text in texts]
+    monkeypatch.setattr(cohort, "_mentions_drug", mentions_drug_oracle)
+    assert got == [detect_naive(text) for text in texts]
+    assert True in got and False in got
+
+
 # --- filter pipeline -----------------------------------------------------------
 
 
@@ -254,6 +298,65 @@ def test_load_extracts_rejects_unsorted_variable_file(tmp_path):
         load_extracts(tmp_path)
     assert excinfo.value.name == "saps.csv"
     assert excinfo.value.index >= 0
+
+
+# --- extract validation ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def synth_extracts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("extracts")
+    synth_generate(SynthSpec(n=30, seed=1, attrition={k: 1 for k in ATTRITION_KINDS}), root)
+    return root, load_extracts(root)
+
+
+def _columns(name):
+    if name == "ids":
+        return ("subject_id", "hadm_id", "icustay_id")
+    return (EXTRACT_SCHEMAS[name].key, *EXTRACT_SCHEMAS[name].columns)
+
+
+@pytest.mark.parametrize("name", ["ids", *EXTRACT_SCHEMAS])
+def test_load_extracts_names_a_missing_file(synth_extracts, tmp_path, name):
+    shutil.copytree(synth_extracts[0], tmp_path, dirs_exist_ok=True)
+    (tmp_path / f"{name}.csv").unlink()
+    with pytest.raises(DataError, match=rf"missing extract file: .*[/\\]{name}\.csv$"):
+        load_extracts(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["ids", *EXTRACT_SCHEMAS])
+def test_load_extracts_names_a_dropped_column(synth_extracts, tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    for column in _columns(name):
+        shutil.copytree(synth_extracts[0], tmp_path, dirs_exist_ok=True)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        at = rows[0].index(column)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(row[:at] + row[at + 1 :] for row in rows)
+        with pytest.raises(DataError, match=rf"{name}\.csv: missing columns \['{column}'\]"):
+            load_extracts(tmp_path)
+
+
+@pytest.mark.parametrize("name", list(EXTRACT_SCHEMAS))
+def test_load_extracts_skips_rows_without_a_key(synth_extracts, tmp_path, name):
+    root, records = synth_extracts
+    shutil.copytree(root, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / f"{name}.csv"
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh))
+    key = EXTRACT_SCHEMAS[name].key
+    with open(path, "a", newline="") as fh:
+        csv.writer(fh).writerow(["" if column == key else "n/a" for column in header])
+    assert load_extracts(tmp_path) == records
+
+
+def test_load_extracts_rejects_a_short_row(synth_extracts, tmp_path):
+    shutil.copytree(synth_extracts[0], tmp_path, dirs_exist_ok=True)
+    with open(tmp_path / "saps.csv", "a", newline="") as fh:
+        fh.write("5\r\n")
+    with pytest.raises(DataError, match=r"saps\.csv: line \d+ is short of cells"):
+        load_extracts(tmp_path)
 
 
 def test_parse_pipeline_requires_contiguous_indices():
