@@ -31,7 +31,7 @@ from . import synth as synth_mod
 from . import varprep
 from .config import RunConfig
 from .errors import ConfigError, DataError, IcuStudyError, NumericError
-from .group import COVARIATE_INDICES, KEY_COLUMNS, StudyGroup, fnum, key_cells
+from .group import COVARIATE_INDICES, KEY_COLUMNS, StudyGroup, fnum, key_cells, read_csv_rows, row_key
 from .group import read_strata_csv, read_studygroup_csv, write_strata_csv, write_studygroup_csv
 from .regress import ModelSpec, coefficient_p_values, fit_logistic, stepwise_select
 from .stats import evidence_band
@@ -96,8 +96,7 @@ class Run:
 
 
 def _survivor_records(run: Run, path: Path) -> list:
-    with open(path, newline="") as fh:
-        wanted = {tuple(int(r[c]) for c in KEY_COLUMNS) for r in csv.DictReader(fh)}
+    wanted = set(read_csv_rows(path, KEY_COLUMNS, row_key))
     records = cohort_mod.load_extracts(Path(run.config.extracts_dir))
     return [r for r in records if None not in r.ident and r.ident in wanted]
 

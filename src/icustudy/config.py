@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .stats import T_TEST_VARIANTS
 
 
 @dataclass
@@ -40,15 +41,9 @@ class RunConfig:
     synth_n: int = 300
     synth_prevalence: float = 0.12
 
-    _INT = ("seed", "t1_default", "t2_day", "t3_day", "refine_passes", "n_strata",
-            "kmeans_k", "gp_population_size", "gp_generations", "gp_max_depth",
-            "gp_init_depth", "gp_tournament_size", "synth_n")
-    _FLOAT = ("p_enter", "refine_fraction", "gp_p_reproduction", "gp_p_crossover",
-              "gp_p_mutation", "synth_prevalence")
-
     @classmethod
     def option_names(cls) -> list:
-        return [f.name for f in fields(cls) if not f.name.startswith("_")]
+        return [f.name for f in fields(cls)]
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -79,12 +74,11 @@ class RunConfig:
         if key not in self.option_names():
             raise ConfigError(f"unknown option {key!r}")
         try:
-            if key in RunConfig._INT:
-                parsed: object = int(value)
-            elif key in RunConfig._FLOAT:
-                parsed = float(value)
-            else:
-                parsed = value
+            parsed = type(getattr(RunConfig, key))(value)  # int, float or str, as the default
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from None
+        if key == "n_strata" and parsed < 2:
+            raise ConfigError(f"n_strata must be at least 2, got {parsed}")
+        if key == "t_test_variant" and parsed not in T_TEST_VARIANTS:
+            raise ConfigError(f"t_test_variant must be one of {T_TEST_VARIANTS}, got {parsed!r}")
         setattr(self, key, parsed)

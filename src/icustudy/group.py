@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,15 +60,6 @@ class PatientKey:
 
     def __str__(self):
         return f"{self.subject_id}/{self.hadm_id}/{self.icustay_id}"
-
-
-@dataclass
-class StudyRow:
-    key: PatientKey
-    x: np.ndarray  # shape (58,)
-
-    def value(self, index: int) -> float:
-        return float(self.x[index - 1])
 
 
 class StudyGroup:
@@ -126,21 +117,10 @@ class StudyGroup:
     def n_untreated(self) -> int:
         return self.n - self.n_treated
 
-    def rows(self) -> Iterable[StudyRow]:
-        for key, row in zip(self.keys, self.x):
-            yield StudyRow(key, row)
-
     def subset(self, mask: np.ndarray) -> "StudyGroup":
         mask = np.asarray(mask, dtype=bool)
         keys = [k for k, keep in zip(self.keys, mask) if keep]
         return StudyGroup(keys, self.x[mask], validate=False)
-
-    @staticmethod
-    def from_rows(rows: Sequence[StudyRow]) -> "StudyGroup":
-        rows = sorted(rows, key=lambda r: r.key)
-        keys = [r.key for r in rows]
-        x = np.vstack([r.x for r in rows]) if rows else np.empty((0, N_VARIABLES))
-        return StudyGroup(keys, x)
 
 
 # --- CSV form ---------------------------------------------------------------
@@ -183,9 +163,14 @@ def read_studygroup_csv(path: str | Path) -> StudyGroup:
         if header != expected:
             raise DataError(f"{path}: unexpected header (want key columns plus x1..x{N_VARIABLES})")
         keys, rows = [], []
-        for line in reader:
-            keys.append(PatientKey(int(line[0]), int(line[1]), int(line[2])))
-            rows.append([float(v) for v in line[3:]])
+        try:
+            for line in reader:
+                if len(line) != len(expected):
+                    raise ValueError(f"{len(line)} cells, want {len(expected)}")
+                keys.append(PatientKey(int(line[0]), int(line[1]), int(line[2])))
+                rows.append([float(v) for v in line[3:]])
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     x = np.array(rows, dtype=float) if rows else np.empty((0, N_VARIABLES))
     return StudyGroup(keys, x)
 
@@ -199,13 +184,32 @@ def write_strata_csv(group: StudyGroup, scores, assignment, path: str | Path) ->
             writer.writerow(key_cells(key) + [repr(score), int(q)])
 
 
+def read_csv_rows(path: str | Path, columns: Sequence[str], parse) -> list:
+    """parse(row) for each row, as a dict, of a CSV file holding `columns`;
+    a missing column, a short row or a cell `parse` rejects is a DataError
+    naming the file (and the line)."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing}")
+        try:
+            return [parse(row) for row in reader]
+        except (TypeError, ValueError, DataError) as exc:  # a short row leaves None cells
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def row_key(row: dict) -> tuple:
+    """The key triple of a CSV row read as a dict, as ints."""
+    return tuple(int(row[c]) for c in KEY_COLUMNS)
+
+
 def read_strata_csv(path: str | Path, group: StudyGroup):
     """strata.csv as (scores, stratum labels) in the order of `group`."""
-    with open(path, newline="") as fh:
-        by_key = {
-            PatientKey(*(int(r[c]) for c in KEY_COLUMNS)): (float(r["score"]), int(r["quintile"]))
-            for r in csv.DictReader(fh)
-        }
+    by_key = dict(read_csv_rows(
+        path, STRATA_COLUMNS,
+        lambda r: (PatientKey(*row_key(r)), (float(r["score"]), int(r["quintile"]))),
+    ))
     missing = [k for k in group.keys if k not in by_key]
     if missing:
         raise DataError(f"strata file does not cover patient {missing[0]}")

@@ -61,12 +61,6 @@ class BalanceReport:
     summary_primary: FiveNumber
     summary_secondary: FiveNumber
 
-    def f_primary_of(self, index: int) -> float:
-        for c in self.covariates:
-            if c.index == index:
-                return c.f_primary
-        raise KeyError(index)
-
 
 @dataclass
 class RefinementAttempt:

@@ -423,7 +423,6 @@ def stepwise_select(
     candidates: Sequence[int],
     outcome: np.ndarray,
     p_enter: float = 0.05,
-    include_squares: bool = True,
 ) -> ModelSpec:
     """Two-phase forward selection for a logistic model.
 
@@ -439,9 +438,7 @@ def stepwise_select(
     spec = _forward_pass(group, outcome, spec, [main(i) for i in candidates], p_enter)
     survivors = spec.main_indices()
     if survivors:
-        phase2 = []
-        if include_squares:
-            phase2.extend(square(i) for i in survivors)
+        phase2 = [square(i) for i in survivors]
         phase2.extend(
             interaction(a, b)
             for idx, a in enumerate(survivors)

@@ -305,8 +305,11 @@ def chi_squared_2x2(counts, yates: bool = False) -> TestResult:
     return TestResult(stat, chi2_tail(stat, 1), (1,))
 
 
+T_TEST_VARIANTS = ("welch", "student")
+
+
 def t_test_two_sample(a, b, variant: str = "welch") -> TestResult:
-    """Two-sided two-sample t test; `variant` in {"welch", "student"}."""
+    """Two-sided two-sample t test; `variant` in T_TEST_VARIANTS."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:

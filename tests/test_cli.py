@@ -319,3 +319,52 @@ def test_refinement_keeps_configured_strata_count(tmp_path):
         assert {int(row["quintile"]) for row in csv.DictReader(fh)} == {1, 2, 3, 4}
     with open(tmp_path / "out" / "quintile_table.csv", newline="") as fh:
         assert [int(row["quintile"]) for row in csv.DictReader(fh)] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("n_strata = 0", "n_strata must be at least 2, got 0"),
+        ("n_strata = 1", "n_strata must be at least 2, got 1"),
+        ("t_test_variant = welsh", "t_test_variant must be one of ('welch', 'student'), got 'welsh'"),
+    ],
+)
+def test_bad_config_value_is_config_error(fixture_dirs, tmp_path, capsys, line, message):
+    root, config = fixture_dirs
+    bad = tmp_path / "run.cfg"
+    bad.write_text(config.read_text() + line + "\n")
+    argv = ["run-all", "--config", str(bad), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "stratified_tests.csv").exists()
+
+
+def _corrupt_cell(cells):
+    cells[-1] = "1.5x"
+
+
+def _drop_cell(cells):
+    del cells[-1]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_cell, _drop_cell], ids=["non-numeric", "short-row"])
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("studygroup.csv", ["propensity", "fit"]),
+        ("strata.csv", ["outcome", "run"]),
+        ("survivors.csv", ["varprep", "run"]),
+    ],
+    ids=["studygroup", "strata", "survivors"],
+)
+def test_corrupt_handoff_file_is_data_error(fixture_dirs, tmp_path, capsys, name, argv, corrupt):
+    root, config = fixture_dirs
+    for present in ("studygroup.csv", "strata.csv", "survivors.csv"):
+        (tmp_path / present).write_bytes((root / "out" / present).read_bytes())
+    with open(tmp_path / name, newline="") as fh:
+        rows = list(csv.reader(fh))
+    corrupt(rows[2])
+    with open(tmp_path / name, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(argv + ["--config", str(config), "--out", str(tmp_path)]) == 3
+    assert f"{tmp_path / name}: line 3: " in capsys.readouterr().err

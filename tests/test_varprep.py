@@ -7,7 +7,6 @@ from icustudy.cohort import Record
 from icustudy.errors import DataError, MissingDay, ZeroDenominator
 from icustudy.varprep import (
     AssemblyOptions,
-    TimelineSeries,
     assemble_study_group,
     daily_median,
     daily_sum,
@@ -20,21 +19,18 @@ from icustudy.varprep import (
 
 
 def test_daily_median_ignores_outlier():
-    series = TimelineSeries([(1, 2.0), (2, 4.0), (3, 100.0)])
-    assert daily_median(series) == {1: 4.0}
+    assert daily_median([(1, 2.0), (2, 4.0), (3, 100.0)]) == {1: 4.0}
 
 
 def test_daily_median_even_count_midpoint():
-    series = TimelineSeries([(25, 1.0), (26, 3.0)])
-    assert daily_median(series) == {2: 2.0}
+    assert daily_median([(25, 1.0), (26, 3.0)]) == {2: 2.0}
 
 
 def test_daily_median_matches_sort_oracle():
     rng = np.random.default_rng(3)
     offsets = rng.uniform(0, 7 * 24, size=500)
     values = rng.normal(size=500)
-    series = TimelineSeries(list(zip(offsets, values)))
-    got = daily_median(series)
+    got = daily_median(list(zip(offsets, values)))
     by_day = {}
     for off, val in zip(offsets, values):
         by_day.setdefault(int(off // 24) + 1, []).append(val)
@@ -47,24 +43,22 @@ def test_daily_median_matches_sort_oracle():
 
 def test_daily_median_idempotent_on_daily_series():
     daily_values = {d: float(d) * 1.5 for d in range(1, 8)}
-    series = TimelineSeries([(24.0 * (d - 1), v) for d, v in daily_values.items()])
-    assert daily_median(series) == daily_values
+    assert daily_median([(24.0 * (d - 1), v) for d, v in daily_values.items()]) == daily_values
 
 
 def test_daily_sum_basic():
-    series = TimelineSeries([(1, 0.5), (23, 0.5)])
-    assert daily_sum(series) == {1: 1.0}
+    assert daily_sum([(1, 0.5), (23, 0.5)]) == {1: 1.0}
 
 
 def test_daily_sum_empty():
-    assert daily_sum(TimelineSeries([])) == {}
+    assert daily_sum([]) == {}
 
 
 def test_daily_sum_matches_accumulation_oracle():
     rng = np.random.default_rng(5)
     offsets = rng.uniform(0, 5 * 24, size=300)
     values = rng.uniform(0, 2, size=300)
-    got = daily_sum(TimelineSeries(list(zip(offsets, values))))
+    got = daily_sum(list(zip(offsets, values)))
     want = {}
     for off, val in zip(offsets, values):
         day = int(off // 24) + 1
@@ -75,13 +69,20 @@ def test_daily_sum_matches_accumulation_oracle():
 
 
 def test_timeline_rejects_negative_offset():
-    with pytest.raises(DataError):
-        TimelineSeries([(-1.0, 2.0)])
+    for regularize in (daily_median, daily_sum):
+        with pytest.raises(DataError, match="offset must be finite and >= 0"):
+            regularize([(1.0, 2.0), (-1.0, 2.0)])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_timeline_rejects_non_finite_value(value):
+    for regularize in (daily_median, daily_sum):
+        with pytest.raises(DataError, match="value must be finite"):
+            regularize([(1.0, 2.0), (2.0, value)])
 
 
 def test_window_boundary_is_half_open():
-    series = TimelineSeries([(24.0, 9.0), (23.999, 1.0)])
-    assert daily_median(series) == {1: 1.0, 2: 9.0}
+    assert daily_median([(24.0, 9.0), (23.999, 1.0)]) == {1: 1.0, 2: 9.0}
 
 
 # --- fluids ratio -----------------------------------------------------------------
@@ -248,6 +249,70 @@ def test_assembly_binary_encoding_enforced():
     assert "gender" in rejections[0].reason
 
 
+@pytest.mark.parametrize(
+    "name, sample, reason",
+    [
+        ("saps", (30.0, float("nan")), "timeline value must be finite, got nan"),
+        ("bp_mean", (30.0, float("inf")), "timeline value must be finite, got inf"),
+        ("fluids_out", (float("nan"), 1.0), "timeline offset must be finite and >= 0, got nan"),
+        ("fluids_in", (float("inf"), 1.0), "timeline offset must be finite and >= 0, got inf"),
+    ],
+)
+def test_assembly_rejects_non_finite_timeline_sample(name, sample, reason):
+    rec = _full_record()
+    rec.attrs[name] = rec.attrs[name] + [sample]
+    group, rejections = assemble_study_group([rec])
+    assert group.n == 0
+    assert [r.reason for r in rejections] == [reason]
+
+
+def test_assembly_checks_gender_before_timelines():
+    rec = _full_record()
+    rec.attrs["gender"] = 0.0
+    rec.attrs["saps"] = rec.attrs["saps"] + [(30.0, float("nan"))]
+    _, rejections = assemble_study_group([rec])
+    assert [r.reason for r in rejections] == ["gender must be -1 or +1, got 0.0"]
+
+
+def test_assembly_checks_fluid_offsets_before_los():
+    rec = _full_record()
+    rec.attrs["los"] = -1.0
+    rec.attrs["fluids_in"] = [(-2.0, 1.0)] + rec.attrs["fluids_in"]
+    _, rejections = assemble_study_group([rec])
+    assert [r.reason for r in rejections] == ["timeline offset must be finite and >= 0, got -2.0"]
+
+
+def test_assembly_check_order_is_fixed():
+    # each fault alone, then every pair: the one earlier in this list names the rejection
+    faults = [
+        ("gender", 0.5),
+        ("race", 2.0),
+        ("saps", [(1.0, float("nan"))]),
+        ("bp_mean", [(-1.0, 70.0)]),
+        ("elixhauser_binary", [1.0] * 8 + [0.0]),
+        ("fluids_in", [(float("inf"), 1.0)]),
+        ("fluids_out", [(1.0, float("-inf"))]),
+        ("vasopressors", 0.0),
+        ("ventilation", 3.0),
+        ("mortality", 0.25),
+        ("los", -1.0),
+    ]
+    reasons = []
+    for name, value in faults:
+        rec = _full_record()
+        rec.attrs[name] = value
+        _, rejections = assemble_study_group([rec])
+        reasons.append(rejections[0].reason)
+    assert len(set(reasons)) == len(reasons)
+    for a in range(len(faults)):
+        for b in range(a + 1, len(faults)):
+            rec = _full_record()
+            for name, value in (faults[b], faults[a]):
+                rec.attrs[name] = value
+            _, rejections = assemble_study_group([rec])
+            assert rejections[0].reason == reasons[a], (faults[a][0], faults[b][0])
+
+
 def test_assembly_treated_t1_from_first_dose():
     rec = _full_record(treated=True, first_dose_day=2)
     daily = {d: float(d * 10) for d in range(1, 7)}
@@ -270,8 +335,10 @@ def test_assembly_sorted_by_key():
 @given(st.lists(st.tuples(st.floats(0, 167.9), st.floats(-50, 50)), min_size=1, max_size=40))
 @settings(max_examples=100)
 def test_daily_median_within_sample_range(samples):
-    series = TimelineSeries(samples)
-    daily = daily_median(series)
-    by_day = series.by_day()
+    daily = daily_median(samples)
+    by_day = {}
+    for off, val in samples:
+        by_day.setdefault(int(off // 24) + 1, []).append(val)
+    assert set(daily) == set(by_day)
     for day, value in daily.items():
         assert min(by_day[day]) <= value <= max(by_day[day])
