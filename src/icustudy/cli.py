@@ -160,12 +160,16 @@ def stage_varprep(run: Run) -> None:
     config = run.config
     options = varprep.AssemblyOptions(config.t1_default, t2=config.t2_day, t3=config.t3_day)
     group, rejections = varprep.assemble_study_group(_input(run, "survivors"), options)
-    write_studygroup_csv(group, run.out / "studygroup.csv")
     _write_table(
         run.out / "rejections.csv",
         [*KEY_COLUMNS, "reason"],
         [key_cells(r.key) + [r.reason] for r in rejections],
     )
+    if not group.n:
+        raise DataError(
+            f"the study group is empty: no survivor passed ({len(rejections)} rejected, see rejections.csv)"
+        )
+    write_studygroup_csv(group, run.out / "studygroup.csv")
     run.group = group
 
 

@@ -77,6 +77,8 @@ class RunConfig:
             parsed = type(getattr(RunConfig, key))(value)  # int, float or str, as the default
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from None
+        if key in ("t1_default", "t2_day", "t3_day") and parsed < 1:
+            raise ConfigError(f"{key} must be at least 1, got {parsed}")
         if key == "n_strata" and parsed < 2:
             raise ConfigError(f"n_strata must be at least 2, got {parsed}")
         if key == "t_test_variant" and parsed not in T_TEST_VARIANTS:

@@ -216,3 +216,58 @@ def mentions_drug_oracle(text, lexicon):
             if not before.isalnum() and not after.isalnum():
                 return True
     return False
+
+
+# --- stepwise selection -------------------------------------------------------------
+
+STEPWISE_TIE_TOL = 1e-9
+
+
+def forward_pass_oracle(group, y, spec, candidates, p_enter):
+    """One forward phase the per-candidate way: every trial design goes
+    through `fit_logistic` on its own.  Gains within
+    STEPWISE_TIE_TOL * max(1, |ll_current|) of the best are ties, won by
+    the earliest candidate (mains by index, then squares, then
+    interactions)."""
+    from icustudy.errors import RankDeficient
+    from icustudy.regress import fit_logistic
+    from icustudy.stats import chi2_tail
+
+    rank = {"main": 0, "square": 1, "interaction": 2}
+    current = spec
+    current_ll = fit_logistic(group, current, y).log_likelihood
+    remaining = sorted(candidates, key=lambda t: (rank[t.kind],) + t.indices())
+    while remaining:
+        gains = []
+        for term in list(remaining):
+            try:
+                fit = fit_logistic(group, current.with_term(term), y)
+            except RankDeficient:
+                remaining.remove(term)
+                continue
+            if fit.converged:
+                gains.append((fit.log_likelihood - current_ll, term, fit.log_likelihood))
+        if not gains:
+            break
+        best = max(g for g, _, _ in gains)
+        tol = STEPWISE_TIE_TOL * max(1.0, abs(current_ll))
+        gain, term, ll = next(g for g in gains if g[0] >= best - tol)
+        if chi2_tail(2.0 * max(gain, 0.0), 1) >= p_enter or gain <= 0.0:
+            break
+        current = current.with_term(term)
+        current_ll = ll
+        remaining.remove(term)
+    return current
+
+
+def stepwise_oracle(group, candidates, y, p_enter=0.05):
+    """Two-phase forward selection built on `forward_pass_oracle`."""
+    from icustudy.regress import ModelSpec, intercept, interaction, main, square
+
+    spec = forward_pass_oracle(group, y, ModelSpec([intercept()]), [main(i) for i in candidates], p_enter)
+    survivors = spec.main_indices()
+    if not survivors:
+        return spec
+    phase2 = [square(i) for i in survivors]
+    phase2 += [interaction(a, b) for k, a in enumerate(survivors) for b in survivors[k + 1 :]]
+    return forward_pass_oracle(group, y, spec, phase2, p_enter)

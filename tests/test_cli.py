@@ -327,6 +327,9 @@ def test_refinement_keeps_configured_strata_count(tmp_path):
         ("n_strata = 0", "n_strata must be at least 2, got 0"),
         ("n_strata = 1", "n_strata must be at least 2, got 1"),
         ("t_test_variant = welsh", "t_test_variant must be one of ('welch', 'student'), got 'welsh'"),
+        ("t1_default = 0", "t1_default must be at least 1, got 0"),
+        ("t2_day = 0", "t2_day must be at least 1, got 0"),
+        ("t3_day = -2", "t3_day must be at least 1, got -2"),
     ],
 )
 def test_bad_config_value_is_config_error(fixture_dirs, tmp_path, capsys, line, message):
@@ -368,3 +371,28 @@ def test_corrupt_handoff_file_is_data_error(fixture_dirs, tmp_path, capsys, name
         csv.writer(fh).writerows(rows)
     assert main(argv + ["--config", str(config), "--out", str(tmp_path)]) == 3
     assert f"{tmp_path / name}: line 3: " in capsys.readouterr().err
+
+
+def test_empty_study_group_is_data_error(fixture_dirs, tmp_path, capsys):
+    root, config = fixture_dirs
+    with open(root / "out" / "survivors.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    with open(tmp_path / "survivors.csv", "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+    assert main(["varprep", "run", "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert "the study group is empty" in capsys.readouterr().err
+    assert (tmp_path / "rejections.csv").exists()
+    assert not (tmp_path / "studygroup.csv").exists()
+
+
+def test_non_finite_studygroup_cell_is_data_error(fixture_dirs, tmp_path, capsys):
+    root, config = fixture_dirs
+    with open(root / "out" / "studygroup.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index("x41")
+    for row in rows[1:6]:
+        row[column] = "nan"
+    with open(tmp_path / "studygroup.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["propensity", "fit", "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert "design column x41 holds a non-finite value" in capsys.readouterr().err

@@ -1,11 +1,16 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from icustudy.errors import DataError, NotConverged, RankDeficient
+from icustudy.group import COVARIATE_INDICES
 from icustudy.regress import (
     ModelSpec,
+    _check_rank,
+    _rank_deficient,
+    _standardize,
     coefficient_p_values,
     fit_linear,
     fit_linear_design,
@@ -19,6 +24,7 @@ from icustudy.regress import (
 )
 
 from helpers import make_group
+from oracles import stepwise_oracle
 
 
 def _sigmoid(v):
@@ -106,6 +112,16 @@ def test_rank_deficient_names_column():
     with pytest.raises(RankDeficient) as excinfo:
         fit_logistic_design(design, y, ["1", "a", "double_a"])
     assert excinfo.value.column in ("a", "double_a")
+
+
+def test_non_finite_design_column_is_data_error():
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=40)
+    a[7] = np.nan
+    design = np.column_stack([np.ones(40), rng.normal(size=40), a])
+    y = (rng.random(40) < 0.5).astype(float)
+    with pytest.raises(DataError, match="design column x41 holds a non-finite value"):
+        fit_logistic_design(design, y, ["1", "x5", "x41"])
 
 
 def test_separation_flagged_not_raised():
@@ -327,3 +343,103 @@ def test_stepwise_accepted_entries_increase_likelihood():
         partial = partial.with_term(term)
         lls.append(fit_logistic(group, partial, y).log_likelihood)
     assert all(b > a for a, b in zip(lls, lls[1:]))
+
+
+# --- batched stepwise -------------------------------------------------------------------
+
+
+def test_standardized_columns_independent_of_design_width():
+    # the stepwise design cache relies on each standardized column depending
+    # on that column alone, bit for bit
+    rng = np.random.default_rng(17)
+    group = make_group(rng, 500)
+    terms = [intercept(), main(30), main(35), main(40), square(58), interaction(2, 58), main(16)]
+    z_all = _standardize(ModelSpec(terms).design_matrix(group))[0]
+    for keep in ([0, 3], [0, 1, 4], [0, 6, 5, 2]):
+        z = _standardize(ModelSpec([terms[k] for k in keep]).design_matrix(group))[0]
+        assert np.array_equal(z, z_all[:, keep])
+
+
+def test_rank_screen_agrees_with_pivoted_qr():
+    rng = np.random.default_rng(18)
+    n = 400
+    a, b = rng.normal(2.0, 1.0, n), rng.normal(1.0, 2.0, n)
+    binary = rng.choice([-1.0, 1.0], size=n)
+    group = make_group(rng, n, {30: a, 35: b, 40: a - b, 16: binary})
+    base = [intercept(), main(30), main(35), main(16)]
+    candidates = [main(40), main(5), square(16), square(30), interaction(30, 35), interaction(16, 30)]
+    z, mu, sigma = _standardize(ModelSpec(base + candidates).design_matrix(group))
+    norms = np.sqrt(n) * np.hypot(mu, sigma)
+    screened = _rank_deficient(z, norms, sigma, len(base), np.arange(len(base), z.shape[1]))
+    expected = []
+    for term in candidates:
+        spec = ModelSpec(base + [term])
+        try:
+            _check_rank(spec.design_matrix(group), spec.term_names())
+            expected.append(False)
+        except RankDeficient:
+            expected.append(True)
+    assert screened.tolist() == expected == [True, False, True, False, False, False]
+
+
+@pytest.mark.parametrize("n, seed", [(300, s) for s in range(10)] + [(1000, 5)])
+def test_stepwise_matches_per_candidate_oracle(n, seed):
+    from icustudy.synth import SynthSpec, synth_study_group
+
+    group = synth_study_group(SynthSpec(n=n, seed=seed, prevalence_target=0.12))
+    y = (group.col(1) > 0).astype(float)
+    spec = stepwise_select(group, list(COVARIATE_INDICES), y)
+    assert spec.to_text() == stepwise_oracle(group, list(COVARIATE_INDICES), y).to_text()
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [("MAX_ITER", 6), ("MAX_ITER", 7), ("CANDIDATE_BLOCK", 7), ("BLOCK_ELEMENTS", 500)],
+)
+def test_stepwise_matches_oracle_at_small_limits(monkeypatch, setting, value):
+    # fits stopped by the iteration limit, several candidate blocks per
+    # step and many row blocks per evaluation must not change a selection
+    from icustudy import regress
+    from icustudy.synth import SynthSpec, synth_study_group
+
+    monkeypatch.setattr(regress, setting, value)
+    for seed in (1, 2):
+        group = synth_study_group(SynthSpec(n=300, seed=seed, prevalence_target=0.12))
+        y = (group.col(1) > 0).astype(float)
+        spec = stepwise_select(group, list(COVARIATE_INDICES), y)
+        assert len(spec) > 1
+        assert spec.to_text() == stepwise_oracle(group, list(COVARIATE_INDICES), y).to_text()
+
+
+@pytest.mark.parametrize("first, second", [(30, 35), (35, 30)])
+@pytest.mark.parametrize("order", [1, -1])
+def test_stepwise_tie_goes_to_lower_index(first, second, order):
+    # x40 = x_first - x_second: once x40 is in the model, adding either
+    # partner spans the same design, so their gains tie up to rounding
+    chosen = []
+    for seed in range(6):
+        rng = np.random.default_rng(300 + seed)
+        n = 1500
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        y = (rng.random(n) < _sigmoid(1.5 * (a - b) + 0.6 * a)).astype(float)
+        group = make_group(rng, n, {first: a, second: b, 40: a - b})
+        spec = stepwise_select(group, [40, 30, 35][::order], y)
+        assert list(spec)[1] == main(40)
+        chosen.append(list(spec)[2])
+    assert chosen == [main(30)] * 6
+
+
+def test_stepwise_warns_once_per_pass(caplog):
+    from icustudy.synth import SynthSpec, synth_study_group
+
+    group = synth_study_group(SynthSpec(n=1000, seed=5, prevalence_target=0.12))
+    y = (group.col(1) > 0).astype(float)
+    with caplog.at_level(logging.DEBUG, logger="icustudy.regress"):
+        stepwise_select(group, list(COVARIATE_INDICES), y)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert 1 <= len(warnings) <= 2
+    assert warnings[-1] == (
+        "stepwise: skipped candidates: 3 as unconverged or separated (x42*x42, x32*x44, x34*x34); "
+        "2 as rank deficient (x24*x24, x46*x46)"
+    )
+    assert any("did not converge" in r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG)
