@@ -96,8 +96,9 @@ class Run:
 
 
 def _survivor_records(run: Run, path: Path) -> list:
+    """The survivors' records, joined with only the extracts the study row uses."""
     wanted = set(read_csv_rows(path, KEY_COLUMNS, row_key))
-    records = cohort_mod.load_extracts(Path(run.config.extracts_dir))
+    records = cohort_mod.load_extracts(Path(run.config.extracts_dir), study_only=True)
     return [r for r in records if None not in r.ident and r.ident in wanted]
 
 

@@ -14,8 +14,11 @@ import csv
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DataError,
@@ -454,6 +457,7 @@ class ExtractSchema(NamedTuple):
     attrs: tuple  # the Record.attrs names it fills
     attach: str  # how a patient's joined rows attach, see _attach
     mandatory: bool = False  # joining no row fails the has_mandatory step
+    study: bool = True  # the study row uses it, so `varprep run` reads it
 
 
 #: every extract joined onto the id triples of ids.csv, in join order
@@ -475,9 +479,9 @@ EXTRACT_SCHEMAS = {
     "diuretics": ExtractSchema(
         "icustay_id", ("first_dose_hours",), ("first_dose_hours",), "first"
     ),
-    "summaries": ExtractSchema("hadm_id", ("text",), ("summary",), "text"),
-    "sepsis": ExtractSchema("icustay_id", (), ("sepsis",), "flag"),
-    "cmo": ExtractSchema("icustay_id", (), ("cmo",), "flag"),
+    "summaries": ExtractSchema("hadm_id", ("text",), ("summary",), "text", study=False),
+    "sepsis": ExtractSchema("icustay_id", (), ("sepsis",), "flag", study=False),
+    "cmo": ExtractSchema("icustay_id", (), ("cmo",), "flag", study=False),
     **{
         name: ExtractSchema("icustay_id", ("offset_hours", "value"), (name,), "rows", True)
         for name in TIMELINE_EXTRACTS
@@ -485,8 +489,8 @@ EXTRACT_SCHEMAS = {
 }
 
 
-def _read_extract(directory: Path, name: str, columns: Sequence[str]) -> Iterator[list]:
-    """The cells of `columns`, in that order, of each row of `name`.csv."""
+def _read_extract(directory: Path, name: str, columns: Sequence[str]) -> list:
+    """The cells of `columns` of every row of `name`.csv, one list per column."""
     path = directory / f"{name}.csv"
     if not path.exists():
         raise DataError(f"missing extract file: {path}")
@@ -497,14 +501,21 @@ def _read_extract(directory: Path, name: str, columns: Sequence[str]) -> Iterato
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
         at = [header.index(c) for c in columns]
-        for row in reader:
-            if not row:  # a blank line
-                continue
-            try:
-                cells = [row[i] for i in at]
-            except IndexError:
-                raise DataError(f"{path}: line {reader.line_num} is short of cells") from None
-            yield cells
+        width = max(at) + 1
+        cells = [[] for _ in at]
+        # in chunks of fewer rows than CPython's young-generation threshold
+        # (700 allocations), so that the row lists die before a collection
+        # promotes them and later full collections rescan them
+        for chunk in iter(lambda: list(islice(reader, 512)), []):
+            rows = list(filter(None, chunk))  # blank lines are skipped
+            if min(map(len, rows), default=width) < width:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                line = next(reader.line_num for row in reader if 0 < len(row) < width)
+                raise DataError(f"{path}: line {line} is short of cells")
+            for column, i in zip(cells, at):
+                column += [row[i] for row in rows]
+    return cells
 
 
 def _int_or_none(raw: str) -> int | None:
@@ -512,28 +523,59 @@ def _int_or_none(raw: str) -> int | None:
     return int(raw) if raw else None
 
 
+def _key_runs(directory: Path, name: str, schema: ExtractSchema) -> list:
+    """(key, payload) for each distinct key of `name`.csv, in file order.
+
+    The key column must ascend over every row.  The payload is an (m, 2)
+    array view of the key's run of (offset, value) rows for a timeline,
+    else the run's first row as a tuple.
+    """
+    keys, *columns = _read_extract(directory, name, (schema.key, *schema.columns))
+    if not all(map(str.strip, keys)):  # rows without a key are skipped unparsed
+        keep = [i for i, key in enumerate(keys) if key.strip()]
+        keys, *columns = ([column[i] for i in keep] for column in (keys, *columns))
+    keys = np.array(keys, dtype=np.int64)
+    # extract files must arrive sorted by their key component; a re-sort
+    # here would mask corrupt extracts
+    step = np.diff(keys, prepend=keys[:1] - 1)
+    if (step < 0).any():
+        raise UnsortedInput(f"{name}.csv", int(np.argmax(step < 0)))
+    starts = np.flatnonzero(step)
+    table = np.array(columns, dtype=object if schema.attach == "text" else float)
+    table = table.reshape(len(columns), len(keys)).T
+    if schema.attach == "rows":
+        bounds = np.append(starts, len(keys)).tolist()
+        payloads = [table[a:b] for a, b in zip(bounds, bounds[1:])]
+    else:
+        payloads = map(tuple, table[starts].tolist())
+    return list(zip(keys[starts].tolist(), payloads))
+
+
 def _attach(rec: Record, schema: ExtractSchema, rows: list | None) -> None:
     how, attrs = schema.attach, schema.attrs
-    if how == "rows":  # every (offset, value) row
-        rec.attrs[attrs[0]] = rows or []
-    elif how == "flag":  # presence
+    first = rows[0] if rows else None  # the payload of the record's key run
+    if how == "flag":  # presence
         rec.attrs[attrs[0]] = bool(rows)
-    elif how == "tuple":  # the first row's values as one tuple
-        rec.attrs[attrs[0]] = rows[0] if rows else None
+    elif how in ("rows", "tuple"):  # the (offset, value) rows as one array; one tuple
+        rec.attrs[attrs[0]] = first
     else:  # "first", "text": the first row spread over the attrs
-        rec.attrs.update(zip(attrs, rows[0] if rows else [None] * len(attrs)))
+        rec.attrs.update(zip(attrs, first or [None] * len(attrs)))
 
 
-def load_extracts(directory: str | Path) -> list:
-    """Read ids.csv and join every extract of EXTRACT_SCHEMAS onto its triples.
+def load_extracts(directory: str | Path, study_only: bool = False) -> list:
+    """Read ids.csv and join the extracts of EXTRACT_SCHEMAS onto its triples.
 
-    Returns records with attributes filled: demographics, flags, outcome
-    values, timeline sample lists, the naive decision and the
-    missing-mandatory marker used by the final pipeline step.
+    Each extract is parsed column by column into arrays and checked sorted
+    by its key over every row; the merge join then matches each record
+    with its key's run of rows.  Returns records with attributes filled:
+    demographics, flags, outcome values, timelines as (offset, value) array
+    views, the naive decision and the missing-mandatory marker used by the
+    final pipeline step.  With `study_only`, only the extracts the study
+    row uses are read and the pipeline's own attributes are left unset.
     """
     directory = Path(directory)
     records = [
-        Record(*map(_int_or_none, row)) for row in _read_extract(directory, "ids", _COMPONENTS)
+        Record(*map(_int_or_none, row)) for row in zip(*_read_extract(directory, "ids", _COMPONENTS))
     ]
     admissions = Counter(r.subject_id for r in records if r.subject_id is not None)
     for rec in records:
@@ -552,29 +594,23 @@ def load_extracts(directory: str | Path) -> list:
         sides[component] = ([rec for rec, _ in side], [key for _, key in side])
 
     for name, schema in EXTRACT_SCHEMAS.items():
-        # extract files must arrive sorted by their key component; a
-        # re-sort here would mask corrupt extracts
-        values = []
-        for key, *cells in _read_extract(directory, name, (schema.key, *schema.columns)):
-            key = _int_or_none(key)
-            if key is not None:
-                payload = tuple(cells) if schema.attach == "text" else tuple(map(float, cells))
-                values.append((key, payload))
+        if study_only and not schema.study:
+            continue
         side, keys = sides[schema.key]
-        try:
-            result = sorted_merge_join(keys, values, schema.key)
-        except UnsortedInput as exc:
-            raise UnsortedInput(f"{name}.csv", exc.index) from exc
+        result = sorted_merge_join(keys, _key_runs(directory, name, schema), schema.key)
         for rec, (_, rows) in zip(side, result.groups):
             _attach(rec, schema, rows)
+    if study_only:
+        return records
 
     mandatory = [(name, s.attrs[0]) for name, s in EXTRACT_SCHEMAS.items() if s.mandatory]
     for rec in records:
-        offsets = [off for name in TIMELINE_EXTRACTS for off, _ in rec.attrs.get(name) or []]
-        rec.attrs["max_offset_hours"] = max(offsets, default=None)
+        # the largest timeline offset, NaN when any offset is NaN
+        spans = [rec.attrs[name][:, 0].max() for name in TIMELINE_EXTRACTS if rec.attrs.get(name) is not None]
+        rec.attrs["max_offset_hours"] = float(np.max(spans)) if spans else None
         rec.attrs["naive"] = detect_naive(rec.attrs.get("summary") or "")
-        # an extract joined no row when its first attr is absent, None or empty
+        # an extract joined no row when its first attr is absent or None
         rec.attrs["missing_mandatory"] = next(
-            (name for name, attr in mandatory if rec.attrs.get(attr) in (None, [])), None
+            (name for name, attr in mandatory if rec.attrs.get(attr) is None), None
         )
     return records

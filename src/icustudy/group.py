@@ -171,8 +171,9 @@ def read_studygroup_csv(path: str | Path) -> StudyGroup:
                 rows.append([float(v) for v in line[3:]])
         except (ValueError, DataError) as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    x = np.array(rows, dtype=float) if rows else np.empty((0, N_VARIABLES))
-    return StudyGroup(keys, x)
+    if not rows:
+        raise DataError(f"{path}: the study group is empty")
+    return StudyGroup(keys, np.array(rows, dtype=float))
 
 
 def write_strata_csv(group: StudyGroup, scores, assignment, path: str | Path) -> None:

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import math
 import re
+import statistics
+
+import numpy as np
 
 
 # --- order statistics -----------------------------------------------------------
@@ -271,3 +274,165 @@ def stepwise_oracle(group, candidates, y, p_enter=0.05):
     phase2 = [square(i) for i in survivors]
     phase2 += [interaction(a, b) for k, a in enumerate(survivors) for b in survivors[k + 1 :]]
     return forward_pass_oracle(group, y, spec, phase2, p_enter)
+
+
+# --- per-record study rows ------------------------------------------------------------
+#
+# The study-row assembly as it was before timelines were regularized as
+# segments of one flattened array: one `_by_day` pass per timeline, dicts of
+# daily values, and one `build_row_values` list per record.  It reads
+# timelines as lists of (offset, value) pairs (`timelines_as_lists`).
+
+
+def timelines_as_lists(records):
+    """Copies of `records` whose timeline attrs are lists of (offset, value) tuples."""
+    from icustudy.cohort import TIMELINE_EXTRACTS, Record
+
+    out = []
+    for rec in records:
+        attrs = dict(rec.attrs)
+        for name in TIMELINE_EXTRACTS:
+            if attrs.get(name) is not None:
+                attrs[name] = [tuple(sample) for sample in np.asarray(attrs[name]).tolist()]
+        out.append(Record(rec.subject_id, rec.hadm_id, rec.icustay_id, attrs))
+    return out
+
+
+HOURS_PER_DAY = 24.0
+
+
+def _by_day(samples) -> dict:
+    """Day -> that day's values, in (offset, value) order; every sample must
+    have a finite offset >= 0 and a finite value."""
+    from icustudy.errors import DataError
+
+    pairs = []
+    for off, val in samples:
+        off, val = float(off), float(val)
+        if not math.isfinite(off) or off < 0:
+            raise DataError(f"timeline offset must be finite and >= 0, got {off}")
+        if not math.isfinite(val):
+            raise DataError(f"timeline value must be finite, got {val}")
+        pairs.append((off, val))
+    out: dict = {}
+    for off, val in sorted(pairs):
+        out.setdefault(int(off // HOURS_PER_DAY) + 1, []).append(val)
+    return out
+
+
+def daily_median(samples) -> dict:
+    """Day -> median of that day's samples; days without samples are absent."""
+    return {day: statistics.median(vals) for day, vals in _by_day(samples).items()}
+
+
+def daily_sum(samples) -> dict:
+    """Day -> sum of that day's samples (amounts); absent when empty."""
+    return {day: float(np.sum(vals)) for day, vals in _by_day(samples).items()}
+
+
+def _block(daily: dict, t1: int, t2: int, t3: int) -> list:
+    """(mean over the days of 1..t1 present, day 1, day t1, day t2, day t3)."""
+    first = [daily[d] for d in range(1, t1 + 1) if d in daily]
+    mean = float(np.mean(first)) if first else None
+    return [mean, daily.get(1), daily.get(t1), daily.get(t2), daily.get(t3)]
+
+
+def _binary(value, name):
+    from icustudy.errors import DataError
+
+    if value is None:
+        return None
+    if value not in (-1.0, 1.0):
+        raise DataError(f"{name} must be -1 or +1, got {value}")
+    return float(value)
+
+
+def build_row_values(rec, options) -> list:
+    """The 58 per-patient values (None where unavailable), in x order.
+
+    The checks run in one fixed order (first dose, gender, race, the median
+    timelines, the Elixhauser binaries, fluids, the other binaries, length
+    of stay), so a record with several faults is always rejected for the
+    same one.
+    """
+    from icustudy.cohort import ELIX_BINARY_FIELDS
+    from icustudy.errors import DataError
+    from icustudy.varprep import decision_timepoint
+
+    attrs = rec.attrs
+    first_dose_hours = attrs.get("first_dose_hours")
+    treated = first_dose_hours is not None
+    first_dose_day = int(first_dose_hours // HOURS_PER_DAY) + 1 if treated else None
+    days = (decision_timepoint(first_dose_day, options.t1_default), options.t2, options.t3)
+
+    gender = _binary(attrs.get("gender"), "gender")
+    race = _binary(attrs.get("race"), "race")
+    saps, sofa, creatinine, bp, bp_mean = [
+        _block(daily_median(attrs.get(name) or []), *days)
+        for name in ("saps", "sofa", "creatinine", "bp", "bp_mean")
+    ]
+    elix_bin = attrs.get("elixhauser_binary") or (None,) * len(ELIX_BINARY_FIELDS)
+    elix = [_binary(v, name) for v, name in zip(elix_bin, ELIX_BINARY_FIELDS, strict=True)]
+
+    # Days with any fluid record form the grid; a missing side on such a day
+    # counts as 0.0 so that balance aggregates equal input-minus-output
+    # aggregates exactly.
+    sums_in = daily_sum(attrs.get("fluids_in") or [])
+    sums_out = daily_sum(attrs.get("fluids_out") or [])
+    grid = sorted(sums_in.keys() | sums_out.keys())
+    fin = {d: sums_in.get(d, 0.0) for d in grid}
+    fout = {d: sums_out.get(d, 0.0) for d in grid}
+    fbal = {d: fin[d] - fout[d] for d in grid}
+
+    vasopressors = _binary(attrs.get("vasopressors"), "vasopressors")
+    ventilation = _binary(attrs.get("ventilation"), "ventilation")
+    mortality = _binary(attrs.get("mortality"), "mortality")
+    los = attrs.get("los")
+    if los is not None and los < 0:
+        raise DataError(f"length of stay must be >= 0, got {los}")
+    return [
+        1.0 if treated else -1.0, attrs.get("age"), gender, race,
+        *saps, *sofa, attrs.get("elixhauser"), *elix, *creatinine,
+        *_block(fin, *days), *_block(fout, *days), *_block(fbal, *days),
+        vasopressors, ventilation, *bp, *bp_mean, mortality, los,
+    ]
+
+
+def assemble_study_group_oracle(records, options=None):
+    """The study group and rejections, one `build_row_values` per record."""
+    from icustudy.errors import DataError
+    from icustudy.group import N_VARIABLES, StudyGroup
+    from icustudy.varprep import AssemblyOptions, Rejection
+
+    options = options or AssemblyOptions()
+    mandatory = sorted(options.mandatory)
+    rows = []
+    rejections = []
+    for rec in timelines_as_lists(records):
+        key = rec.key()
+        try:
+            values = build_row_values(rec, options)
+        except DataError as exc:
+            rejections.append(Rejection(key, str(exc)))
+            continue
+        missing = next((i for i in mandatory if values[i - 1] is None), None)
+        if missing is not None:
+            rejections.append(Rejection(key, f"x{missing} missing"))
+            continue
+        rows.append((key, values))
+    rows.sort(key=lambda row: row[0])
+    # a None left by a non-default mandatory list becomes NaN
+    x = np.array([values for _, values in rows], dtype=float) if rows else np.empty((0, N_VARIABLES))
+    return StudyGroup([key for key, _ in rows], x), rejections
+
+
+def survivor_records_oracle(extracts_dir, survivors_path) -> list:
+    """The survivors of survivors.csv from a full reload of every extract."""
+    from pathlib import Path
+
+    from icustudy.cohort import load_extracts
+    from icustudy.group import KEY_COLUMNS, read_csv_rows, row_key
+
+    wanted = set(read_csv_rows(survivors_path, KEY_COLUMNS, row_key))
+    records = load_extracts(Path(extracts_dir))
+    return [r for r in records if None not in r.ident and r.ident in wanted]

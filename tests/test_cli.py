@@ -385,6 +385,19 @@ def test_empty_study_group_is_data_error(fixture_dirs, tmp_path, capsys):
     assert not (tmp_path / "studygroup.csv").exists()
 
 
+def test_header_only_studygroup_is_data_error(fixture_dirs, tmp_path, capsys):
+    root, config = fixture_dirs
+    with open(root / "out" / "studygroup.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    group = tmp_path / "header_only.csv"
+    with open(group, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+    argv = ["propensity", "fit", "--config", str(config), "--out", str(tmp_path), "--group", str(group)]
+    assert main(argv) == 3
+    assert f"{group}: the study group is empty" in capsys.readouterr().err
+    assert not (tmp_path / "model.txt").exists()
+
+
 def test_non_finite_studygroup_cell_is_data_error(fixture_dirs, tmp_path, capsys):
     root, config = fixture_dirs
     with open(root / "out" / "studygroup.csv", newline="") as fh:

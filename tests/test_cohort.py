@@ -300,6 +300,20 @@ def test_load_extracts_rejects_unsorted_variable_file(tmp_path):
     assert excinfo.value.index >= 0
 
 
+def test_load_extracts_rejects_unsorted_rows_past_the_last_id(tmp_path):
+    # no record joins these rows, so only a check over every row sees them
+    synth_generate(SynthSpec(n=6, seed=1), tmp_path)
+    with open(tmp_path / "ids.csv", newline="") as fh:
+        last = max(int(row["icustay_id"]) for row in csv.DictReader(fh))
+    saps = tmp_path / "saps.csv"
+    n_rows = len(saps.read_text().splitlines()) - 1
+    with open(saps, "a", newline="") as fh:
+        csv.writer(fh).writerows([[last + 50, 1.0, 10.0], [last + 10, 2.0, 11.0]])
+    with pytest.raises(UnsortedInput) as excinfo:
+        load_extracts(tmp_path)
+    assert (excinfo.value.name, excinfo.value.index) == ("saps.csv", n_rows + 1)
+
+
 # --- extract validation ---------------------------------------------------------
 
 
@@ -338,6 +352,22 @@ def test_load_extracts_names_a_dropped_column(synth_extracts, tmp_path, name):
             load_extracts(tmp_path)
 
 
+def _same_records(got, want) -> bool:
+    """Record lists equal field by field; timelines are arrays, compared exactly."""
+
+    def same(a, b):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
+        return a == b
+
+    return len(got) == len(want) and all(
+        a.ident == b.ident
+        and a.attrs.keys() == b.attrs.keys()
+        and all(same(value, b.attrs[name]) for name, value in a.attrs.items())
+        for a, b in zip(got, want)
+    )
+
+
 @pytest.mark.parametrize("name", list(EXTRACT_SCHEMAS))
 def test_load_extracts_skips_rows_without_a_key(synth_extracts, tmp_path, name):
     root, records = synth_extracts
@@ -348,7 +378,7 @@ def test_load_extracts_skips_rows_without_a_key(synth_extracts, tmp_path, name):
     key = EXTRACT_SCHEMAS[name].key
     with open(path, "a", newline="") as fh:
         csv.writer(fh).writerow(["" if column == key else "n/a" for column in header])
-    assert load_extracts(tmp_path) == records
+    assert _same_records(load_extracts(tmp_path), records)
 
 
 def test_load_extracts_rejects_a_short_row(synth_extracts, tmp_path):
@@ -356,6 +386,18 @@ def test_load_extracts_rejects_a_short_row(synth_extracts, tmp_path):
     with open(tmp_path / "saps.csv", "a", newline="") as fh:
         fh.write("5\r\n")
     with pytest.raises(DataError, match=r"saps\.csv: line \d+ is short of cells"):
+        load_extracts(tmp_path)
+
+
+def test_load_extracts_names_the_line_of_a_short_row_past_blank_lines(synth_extracts, tmp_path):
+    # past the first chunk of rows read, with blank lines before it
+    shutil.copytree(synth_extracts[0], tmp_path, dirs_exist_ok=True)
+    lines = (tmp_path / "saps.csv").read_text().splitlines()
+    assert len(lines) > 700
+    lines[3:3] = ["", ""]
+    lines[699] = lines[699].split(",")[0]
+    (tmp_path / "saps.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=r"saps\.csv: line 700 is short of cells"):
         load_extracts(tmp_path)
 
 

@@ -1,10 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icustudy.cohort import Record
+import oracles
+from icustudy import varprep
+from icustudy.cli import Run, _survivor_records
+from icustudy.cohort import DEFAULT_PIPELINE, TIMELINE_EXTRACTS, Record, load_extracts
+from icustudy.cohort import parse_pipeline, run_filter_pipeline
+from icustudy.config import RunConfig
 from icustudy.errors import DataError, MissingDay, ZeroDenominator
+from icustudy.group import KEY_COLUMNS
+from icustudy.synth import ATTRITION_KINDS, SynthSpec, synth_generate
 from icustudy.varprep import (
     AssemblyOptions,
     assemble_study_group,
@@ -342,3 +351,131 @@ def test_daily_median_within_sample_range(samples):
     assert set(daily) == set(by_day)
     for day, value in daily.items():
         assert min(by_day[day]) <= value <= max(by_day[day])
+
+
+# --- the columnar path against the per-record oracle ------------------------------------
+
+_FAULTY_SAMPLES = [
+    (float("nan"), 1.0), (float("inf"), 1.0), (-0.5, 1.0),
+    (3.0, float("nan")), (3.0, float("inf")), (3.0, float("-inf")), (-2.0, float("nan")),
+]
+
+
+def _crowd(rng, samples):
+    """`samples` plus 0-9 samples on one day that already holds some, with
+    values of widely different magnitude, repeated offsets and signed zeros."""
+    if not len(samples):
+        return samples
+    day = int(samples[rng.integers(len(samples)), 0] // 24)
+    extra = int(rng.integers(0, 10))
+    offsets = 24.0 * day + rng.choice([0.0, 5.5, 11.0, rng.uniform(0, 24)], size=extra)
+    values = rng.normal(size=extra) * 10.0 ** rng.integers(-3, 5, size=extra)
+    values[rng.random(extra) < 0.1] = rng.choice([0.0, -0.0])
+    return np.concatenate([samples, np.column_stack([offsets, values])])
+
+
+def _inject_faults(rng, rec):
+    """A copy of `rec` with crowded days in every timeline and 0-4 faults."""
+    attrs = dict(rec.attrs)
+    for name in TIMELINE_EXTRACTS:
+        if attrs.get(name) is not None:
+            attrs[name] = _crowd(rng, np.asarray(attrs[name]))
+    for _ in range(int(rng.integers(0, 5))):
+        kind = int(rng.integers(0, 7))
+        name = str(rng.choice(TIMELINE_EXTRACTS))
+        if kind == 0:  # one faulty sample among the others
+            samples = np.asarray(attrs.get(name) if attrs.get(name) is not None else np.empty((0, 2)))
+            bad = _FAULTY_SAMPLES[int(rng.integers(len(_FAULTY_SAMPLES)))]
+            attrs[name] = np.insert(samples, int(rng.integers(len(samples) + 1)), bad, axis=0)
+        elif kind == 1:
+            binary = str(rng.choice(["gender", "race", "vasopressors", "ventilation", "mortality"]))
+            attrs[binary] = float(rng.choice([0.0, 0.5, 2.0, -3.0]))
+        elif kind == 2 and attrs.get("elixhauser_binary") is not None:
+            elix = list(attrs["elixhauser_binary"])
+            elix[int(rng.integers(len(elix)))] = 0.0
+            attrs["elixhauser_binary"] = tuple(elix)
+        elif kind == 3:
+            attrs["los"] = -float(rng.uniform(0.1, 5.0))
+        elif kind == 4:  # an emptied series
+            attrs[name] = None if rng.random() < 0.5 else np.empty((0, 2))
+        elif kind == 5:
+            attrs["first_dose_hours"] = -float(rng.uniform(1.0, 30.0))
+        else:
+            attrs[str(rng.choice(["age", "elixhauser", "los", "first_dose_hours"]))] = None
+    return Record(rec.subject_id, rec.hadm_id, rec.icustay_id, attrs)
+
+
+def _assert_same_assembly(records, options):
+    got, got_rejections = assemble_study_group(records, options)
+    want, want_rejections = oracles.assemble_study_group_oracle(records, options)
+    assert got.keys == want.keys
+    assert got.x.shape == want.x.shape and got.x.tobytes() == want.x.tobytes()
+    assert [(r.key, r.reason) for r in got_rejections] == [(r.key, r.reason) for r in want_rejections]
+    return got, got_rejections
+
+
+_T3_SLOTS = (9, 14, 29, 34, 39, 44, 51, 56)
+#: the defaults, and a late T3 left optional, so that absent days become NaN cells
+_ORACLE_OPTIONS = [
+    AssemblyOptions(),
+    AssemblyOptions(t1_default=2, t2=2, t3=9, mandatory=tuple(i for i in range(1, 59) if i not in _T3_SLOTS)),
+]
+
+
+@pytest.mark.parametrize("seed, record_block", [(0, 1024), (1, 7), (2, 50)])
+def test_assembly_matches_per_record_oracle(tmp_path, monkeypatch, seed, record_block):
+    monkeypatch.setattr(varprep, "RECORD_BLOCK", record_block)
+    synth_generate(SynthSpec(n=120, seed=seed, attrition={k: 2 for k in ATTRITION_KINDS}), tmp_path)
+    loaded = [r for r in load_extracts(tmp_path) if None not in r.ident]
+    rng = np.random.default_rng(seed)
+    injected = [_inject_faults(rng, rec) for rec in loaded]
+    for options in _ORACLE_OPTIONS:
+        group, _ = _assert_same_assembly(loaded, options)
+        assert group.n > 100
+        group, rejections = _assert_same_assembly(injected, options)
+        assert group.n > 10 and len(rejections) > 50
+        assert np.isnan(group.x).any() == (options.mandatory != _ORACLE_OPTIONS[0].mandatory)
+
+
+def test_staged_survivors_assemble_like_a_full_reload(tmp_path):
+    extracts = tmp_path / "extracts"
+    synth_generate(SynthSpec(n=150, seed=4, attrition={k: 2 for k in ATTRITION_KINDS}), extracts)
+    survivors, _ = run_filter_pipeline(load_extracts(extracts), parse_pipeline(DEFAULT_PIPELINE))
+    path = tmp_path / "survivors.csv"
+    path.write_text(",".join(KEY_COLUMNS) + "\n" + "".join(",".join(map(str, r.ident)) + "\n" for r in survivors))
+    config = RunConfig()
+    config.set_option("extracts_dir", str(extracts))
+    got = _survivor_records(Run(config, tmp_path), path)
+    want = oracles.survivor_records_oracle(extracts, path)
+    assert [r.ident for r in got] == [r.ident for r in want] == [r.ident for r in survivors]
+    group, _ = assemble_study_group(got)
+    oracle_group, oracle_rejections = oracles.assemble_study_group_oracle(want)
+    assert group.keys == oracle_group.keys and group.x.tobytes() == oracle_group.x.tobytes()
+    assert group.n == 150 and not oracle_rejections
+
+
+_SAMPLE_VALUES = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, 6.0, 23.5, 24.0, 30.0, 30.0]), st.floats(0, 200)),
+            st.one_of(_SAMPLE_VALUES, st.sampled_from([0.0, -0.0, 1e-300, 1e300])),
+        ),
+        max_size=60,
+    ),
+    st.one_of(st.none(), st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True))),
+)
+@settings(max_examples=300)
+def test_daily_regularizers_match_per_record_oracle(samples, extra):
+    if extra is not None:
+        samples = samples + [extra]
+    for regularize, oracle in ((daily_median, oracles.daily_median), (daily_sum, oracles.daily_sum)):
+        try:
+            want = {day: repr(value) for day, value in oracle(samples).items()}
+        except DataError as exc:
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                regularize(samples)
+            continue
+        assert {day: repr(value) for day, value in regularize(samples).items()} == want
