@@ -1,4 +1,4 @@
-"""Cohort extraction: flat-file ingestion, linear-time sorted joins, the
+"""Cohort extraction: flat-file ingestion, sorted joins by array lookup, the
 extract/intersect/filter pipeline with attrition accounting, and
 treatment-naive detection by lexicon search over discharge summaries.
 
@@ -15,6 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -26,7 +27,7 @@ from .errors import (
     UnknownSetReference,
     UnsortedInput,
 )
-from .group import PatientKey
+from .group import PatientKey, read_numeric_csv
 
 # Diuretic generic and brand names used for the naive check; lowercase,
 # matched on word boundaries.
@@ -145,61 +146,25 @@ def sorted_merge_join(
     """Join sorted id triples against sorted (key, payload) rows.
 
     Both inputs must be ascending in the chosen component; duplicates are
-    legal on either side and every input row is read at most once, so the
-    cursor-advance total never exceeds len(ids) + len(values).  Ids without
-    a match are emitted with a None payload group.
+    legal on either side.  Each id looks its key up in the value keys by
+    binary search and gets the payloads of that key's rows, or a None
+    payload group where there is none.  The cursor-advance total is what
+    a linear merge reads: every id, and every value row up to the largest
+    id key, so it never exceeds len(ids) + len(values).
     """
     if component not in _COMPONENTS:
         raise DataError(f"unknown join component {component!r}")
-    key_of: Callable[[PatientKey], int] = lambda k: getattr(k, component)
-
-    groups: list = []
-    advances = 0
-    vi = 0
-    n_values = len(values)
-    current_key: int | None = None
-    current_group: list | None = None
-    prev_value_key: int | None = None
-    prev_id_key: int | None = None
-
-    for index, pid in enumerate(ids):
-        ik = key_of(pid)
-        advances += 1
-        if prev_id_key is not None and ik < prev_id_key:
-            raise UnsortedInput("ids", index)
-        prev_id_key = ik
-        if current_key is not None and ik == current_key:
-            groups.append((pid, list(current_group)))
-            continue
-        # advance the value cursor to the first row with key >= ik
-        while vi < n_values:
-            vk, payload = values[vi]
-            if prev_value_key is not None and vk < prev_value_key:
-                raise UnsortedInput("values", vi)
-            if vk >= ik:
-                break
-            prev_value_key = vk
-            vi += 1
-            advances += 1
-        # collect all rows equal to ik
-        collected = []
-        while vi < n_values:
-            vk, payload = values[vi]
-            if prev_value_key is not None and vk < prev_value_key:
-                raise UnsortedInput("values", vi)
-            if vk != ik:
-                break
-            collected.append(payload)
-            prev_value_key = vk
-            vi += 1
-            advances += 1
-        if collected:
-            current_key, current_group = ik, collected
-            groups.append((pid, list(collected)))
-        else:
-            current_key, current_group = None, None
-            groups.append((pid, MISSING))
-    return JoinResult(groups=groups, cursor_advances=advances)
+    id_keys = np.fromiter(map(attrgetter(component), ids), np.int64, len(ids))
+    value_keys, payloads = zip(*values) if values else ((), ())
+    value_keys, payloads = np.array(value_keys, dtype=np.int64), list(payloads)
+    for name, keys in (("ids", id_keys), ("values", value_keys)):
+        down = np.flatnonzero(np.diff(keys) < 0)
+        if len(down):
+            raise UnsortedInput(name, int(down[0]) + 1)
+    lo = np.searchsorted(value_keys, id_keys, "left").tolist()
+    hi = np.searchsorted(value_keys, id_keys, "right").tolist()
+    groups = [(pid, payloads[a:b] if a < b else MISSING) for pid, a, b in zip(ids, lo, hi)]
+    return JoinResult(groups=groups, cursor_advances=len(ids) + (hi[-1] if hi else 0))
 
 
 # --- records and the filter pipeline -------------------------------------------
@@ -489,19 +454,25 @@ EXTRACT_SCHEMAS = {
 }
 
 
-def _read_extract(directory: Path, name: str, columns: Sequence[str]) -> list:
-    """The cells of `columns` of every row of `name`.csv, one list per column."""
+def _locate(directory: Path, name: str, columns: Sequence[str]) -> tuple:
+    """The path of `name`.csv and the index of each of `columns` in its header."""
     path = directory / f"{name}.csv"
     if not path.exists():
         raise DataError(f"missing extract file: {path}")
     with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}")
+    return path, [header.index(c) for c in columns]
+
+
+def _read_extract(path: Path, at: Sequence[int]) -> list:
+    """The cells at `at` of every row past the header, one list per column."""
+    width = max(at) + 1
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        at = [header.index(c) for c in columns]
-        width = max(at) + 1
+        next(reader)
         cells = [[] for _ in at]
         # in chunks of fewer rows than CPython's young-generation threshold
         # (700 allocations), so that the row lists die before a collection
@@ -518,9 +489,54 @@ def _read_extract(directory: Path, name: str, columns: Sequence[str]) -> list:
     return cells
 
 
+def _cell_error(path: Path, at: Sequence[int], payload: type) -> DataError:
+    """The data error naming the first keyed row with a cell that does not parse."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if row and row[at[0]].strip():
+                try:
+                    np.array([row[at[0]]], dtype=np.int64)
+                    np.array([row[i] for i in at[1:]], dtype=payload)
+                except (ValueError, OverflowError) as exc:
+                    return DataError(f"{path}: line {reader.line_num}: {exc}")
+    raise AssertionError(f"{path}: no cell fails to parse")
+
+
 def _int_or_none(raw: str) -> int | None:
     raw = raw.strip()
     return int(raw) if raw else None
+
+
+def _parse_cells(path: Path, at: Sequence[int], payload: type) -> tuple:
+    """The int64 keys and the (n, c) `payload` table of the keyed rows, by
+    csv.reader; rows without a key are skipped before they are parsed."""
+    keys, *columns = _read_extract(path, at)
+    if not all(map(str.strip, keys)):
+        keep = [i for i, key in enumerate(keys) if key.strip()]
+        keys, *columns = ([column[i] for i in keep] for column in (keys, *columns))
+    try:
+        keys = np.array(keys, dtype=np.int64)
+        table = np.array(columns, dtype=payload)
+    except (ValueError, OverflowError):
+        raise _cell_error(path, at, payload) from None
+    return keys, table.reshape(len(columns), len(keys)).T
+
+
+def _parse_extract(directory: Path, name: str, schema: ExtractSchema) -> tuple:
+    """The keys and payload table of the keyed rows of `name`.csv: by
+    numpy's C reader for numbers, by csv.reader for text and for a file the
+    C reader rejects (see `read_numeric_csv`)."""
+    path, at = _locate(directory, name, (schema.key, *schema.columns))
+    if schema.attach == "text":
+        return _parse_cells(path, at, object)
+    row = np.dtype([("key", np.int64), ("payload", float, (len(schema.columns),))])
+    rows = read_numeric_csv(path, row, at)
+    if rows is None:
+        return _parse_cells(path, at, float)
+    # a copy, so that the timeline views do not hold the key column too
+    return rows["key"], np.ascontiguousarray(rows["payload"])
 
 
 def _key_runs(directory: Path, name: str, schema: ExtractSchema) -> list:
@@ -530,19 +546,13 @@ def _key_runs(directory: Path, name: str, schema: ExtractSchema) -> list:
     array view of the key's run of (offset, value) rows for a timeline,
     else the run's first row as a tuple.
     """
-    keys, *columns = _read_extract(directory, name, (schema.key, *schema.columns))
-    if not all(map(str.strip, keys)):  # rows without a key are skipped unparsed
-        keep = [i for i, key in enumerate(keys) if key.strip()]
-        keys, *columns = ([column[i] for i in keep] for column in (keys, *columns))
-    keys = np.array(keys, dtype=np.int64)
+    keys, table = _parse_extract(directory, name, schema)
     # extract files must arrive sorted by their key component; a re-sort
     # here would mask corrupt extracts
     step = np.diff(keys, prepend=keys[:1] - 1)
     if (step < 0).any():
         raise UnsortedInput(f"{name}.csv", int(np.argmax(step < 0)))
     starts = np.flatnonzero(step)
-    table = np.array(columns, dtype=object if schema.attach == "text" else float)
-    table = table.reshape(len(columns), len(keys)).T
     if schema.attach == "rows":
         bounds = np.append(starts, len(keys)).tolist()
         payloads = [table[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -565,18 +575,18 @@ def _attach(rec: Record, schema: ExtractSchema, rows: list | None) -> None:
 def load_extracts(directory: str | Path, study_only: bool = False) -> list:
     """Read ids.csv and join the extracts of EXTRACT_SCHEMAS onto its triples.
 
-    Each extract is parsed column by column into arrays and checked sorted
-    by its key over every row; the merge join then matches each record
-    with its key's run of rows.  Returns records with attributes filled:
+    Each extract is parsed into arrays (see `_parse_extract`) and checked
+    sorted by its key over every row; the join then looks each record's
+    key up among the extract's run keys and attaches that key's run of
+    rows.  Returns records with attributes filled:
     demographics, flags, outcome values, timelines as (offset, value) array
     views, the naive decision and the missing-mandatory marker used by the
     final pipeline step.  With `study_only`, only the extracts the study
     row uses are read and the pipeline's own attributes are left unset.
     """
     directory = Path(directory)
-    records = [
-        Record(*map(_int_or_none, row)) for row in zip(*_read_extract(directory, "ids", _COMPONENTS))
-    ]
+    ids = _read_extract(*_locate(directory, "ids", _COMPONENTS))
+    records = [Record(*map(_int_or_none, row)) for row in zip(*ids)]
     admissions = Counter(r.subject_id for r in records if r.subject_id is not None)
     for rec in records:
         rec.attrs["n_admissions"] = admissions.get(rec.subject_id, 1)

@@ -151,6 +151,37 @@ def write_studygroup_csv(group: StudyGroup, path: str | Path) -> None:
             writer.writerow(key_cells(key) + [repr(v) for v in row])
 
 
+def read_numeric_csv(path: str | Path, dtype: np.dtype, usecols: Sequence[int] | None = None) -> np.ndarray | None:
+    """The rows past the header of a CSV of numbers as one structured array
+    of `dtype`, parsed by numpy's C reader, or None where that reader cannot
+    stand in for csv.reader: a file with a quote character or no row, or
+    one the reader rejects (a short row, a cell that does not parse).
+
+    With `usecols`, rows may hold more cells and blank lines are skipped, as
+    the extract and strata readers allow.  Without, every line is one row
+    of exactly the cells of `dtype`, as `read_studygroup_csv` demands.
+    Where this returns None, the caller reads the file with csv.reader,
+    which gives the same values or the DataError naming the line.
+    """
+    data = Path(path).read_bytes()
+    body = data.partition(b"\n")[2]
+    if b'"' in data or not body.strip():
+        return None
+    try:
+        rows = np.loadtxt(path, dtype, delimiter=",", skiprows=1, usecols=usecols, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if usecols is None:  # csv.reader reads a blank line as a short row and a lone \r as a line end
+        lines = body.count(b"\n") + (not body.endswith(b"\n"))
+        if len(rows) != lines or data.count(b"\r") != data.count(b"\r\n"):
+            return None
+    return rows
+
+
+_STUDYGROUP_HEADER = list(KEY_COLUMNS) + [f"x{i}" for i in range(1, N_VARIABLES + 1)]
+_STUDYGROUP_ROW = np.dtype([("key", np.int64, (3,)), ("x", float, (N_VARIABLES,))])
+
+
 def read_studygroup_csv(path: str | Path) -> StudyGroup:
     path = Path(path)
     with open(path, newline="") as fh:
@@ -159,21 +190,25 @@ def read_studygroup_csv(path: str | Path) -> StudyGroup:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        expected = list(KEY_COLUMNS) + [f"x{i}" for i in range(1, N_VARIABLES + 1)]
-        if header != expected:
+        if header != _STUDYGROUP_HEADER:
             raise DataError(f"{path}: unexpected header (want key columns plus x1..x{N_VARIABLES})")
-        keys, rows = [], []
-        try:
-            for line in reader:
-                if len(line) != len(expected):
-                    raise ValueError(f"{len(line)} cells, want {len(expected)}")
-                keys.append(PatientKey(int(line[0]), int(line[1]), int(line[2])))
-                rows.append([float(v) for v in line[3:]])
-        except (ValueError, DataError) as exc:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
+        rows = read_numeric_csv(path, _STUDYGROUP_ROW)
+        if rows is not None and (rows["key"] > 0).all():
+            keys = [PatientKey(*key) for key in rows["key"].tolist()]
+            x = np.ascontiguousarray(rows["x"])
+        else:  # csv.reader names the line at fault
+            keys, x = [], []
+            try:
+                for line in reader:
+                    if len(line) != len(header):
+                        raise ValueError(f"{len(line)} cells, want {len(header)}")
+                    keys.append(PatientKey(int(line[0]), int(line[1]), int(line[2])))
+                    x.append([float(v) for v in line[3:]])
+            except (ValueError, DataError) as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not keys:
         raise DataError(f"{path}: the study group is empty")
-    return StudyGroup(keys, np.array(rows, dtype=float))
+    return StudyGroup(keys, x)
 
 
 def write_strata_csv(group: StudyGroup, scores, assignment, path: str | Path) -> None:
@@ -205,12 +240,25 @@ def row_key(row: dict) -> tuple:
     return tuple(int(row[c]) for c in KEY_COLUMNS)
 
 
+_STRATA_ROW = np.dtype([("key", np.int64, (3,)), ("score", float), ("quintile", np.int64)])
+
+
 def read_strata_csv(path: str | Path, group: StudyGroup):
     """strata.csv as (scores, stratum labels) in the order of `group`."""
-    by_key = dict(read_csv_rows(
-        path, STRATA_COLUMNS,
-        lambda r: (PatientKey(*row_key(r)), (float(r["score"]), int(r["quintile"]))),
-    ))
+    with open(path, newline="") as fh:
+        # the last column of a repeated name, as csv.DictReader takes it
+        at = {name: i for i, name in enumerate(next(csv.reader(fh), []))}
+    rows = None
+    if all(c in at for c in STRATA_COLUMNS):
+        rows = read_numeric_csv(path, _STRATA_ROW, [at[c] for c in STRATA_COLUMNS])
+    if rows is not None and (rows["key"] > 0).all():
+        keys = [PatientKey(*key) for key in rows["key"].tolist()]
+        by_key = dict(zip(keys, zip(rows["score"].tolist(), rows["quintile"].tolist())))
+    else:  # csv.reader names the line at fault
+        by_key = dict(read_csv_rows(
+            path, STRATA_COLUMNS,
+            lambda r: (PatientKey(*row_key(r)), (float(r["score"]), int(r["quintile"]))),
+        ))
     missing = [k for k in group.keys if k not in by_key]
     if missing:
         raise DataError(f"strata file does not cover patient {missing[0]}")

@@ -14,6 +14,7 @@ segments of one flattened sample array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +174,8 @@ def _scalars(attrs: dict, options: AssemblyOptions, fault: tuple | None) -> tupl
     reason of the record's first faulty timeline sample."""
     first_dose_hours = attrs.get("first_dose_hours")
     treated = first_dose_hours is not None
+    if treated and not math.isfinite(first_dose_hours):
+        raise DataError(f"first dose hours must be finite, got {first_dose_hours}")
     first_dose_day = int(first_dose_hours // HOURS_PER_DAY) + 1 if treated else None
     t1 = decision_timepoint(first_dose_day, options.t1_default)
     gender = _binary(attrs.get("gender"), "gender")

@@ -362,6 +362,8 @@ def build_row_values(rec, options) -> list:
     attrs = rec.attrs
     first_dose_hours = attrs.get("first_dose_hours")
     treated = first_dose_hours is not None
+    if treated and not math.isfinite(first_dose_hours):
+        raise DataError(f"first dose hours must be finite, got {first_dose_hours}")
     first_dose_day = int(first_dose_hours // HOURS_PER_DAY) + 1 if treated else None
     days = (decision_timepoint(first_dose_day, options.t1_default), options.t2, options.t3)
 
@@ -436,3 +438,55 @@ def survivor_records_oracle(extracts_dir, survivors_path) -> list:
     wanted = set(read_csv_rows(survivors_path, KEY_COLUMNS, row_key))
     records = load_extracts(Path(extracts_dir))
     return [r for r in records if None not in r.ident and r.ident in wanted]
+
+
+# --- hand-off readers ------------------------------------------------------------
+
+
+def read_studygroup_csv_oracle(path):
+    """studygroup.csv read one csv.reader row at a time, each cell by int() or float()."""
+    import csv
+    from pathlib import Path
+
+    from icustudy.errors import DataError
+    from icustudy.group import KEY_COLUMNS, N_VARIABLES, PatientKey, StudyGroup
+
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        expected = list(KEY_COLUMNS) + [f"x{i}" for i in range(1, N_VARIABLES + 1)]
+        if header != expected:
+            raise DataError(f"{path}: unexpected header (want key columns plus x1..x{N_VARIABLES})")
+        keys, rows = [], []
+        try:
+            for line in reader:
+                if len(line) != len(expected):
+                    raise ValueError(f"{len(line)} cells, want {len(expected)}")
+                keys.append(PatientKey(int(line[0]), int(line[1]), int(line[2])))
+                rows.append([float(v) for v in line[3:]])
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: the study group is empty")
+    return StudyGroup(keys, np.array(rows, dtype=float))
+
+
+def read_strata_csv_oracle(path, group):
+    """strata.csv read one csv.DictReader row at a time, in the order of `group`."""
+    from icustudy.errors import DataError
+    from icustudy.group import STRATA_COLUMNS, PatientKey, read_csv_rows, row_key
+
+    by_key = dict(read_csv_rows(
+        path, STRATA_COLUMNS,
+        lambda r: (PatientKey(*row_key(r)), (float(r["score"]), int(r["quintile"]))),
+    ))
+    missing = [k for k in group.keys if k not in by_key]
+    if missing:
+        raise DataError(f"strata file does not cover patient {missing[0]}")
+    scores = np.array([by_key[k][0] for k in group.keys])
+    assignment = np.array([by_key[k][1] for k in group.keys], dtype=int)
+    return scores, assignment

@@ -409,3 +409,23 @@ def test_non_finite_studygroup_cell_is_data_error(fixture_dirs, tmp_path, capsys
         csv.writer(fh).writerows(rows)
     assert main(["propensity", "fit", "--config", str(config), "--out", str(tmp_path)]) == 3
     assert "design column x41 holds a non-finite value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, column, cell",
+    [("saps.csv", "value", "abc"), ("los.csv", "icustay_id", "x12")],
+    ids=["payload", "key"],
+)
+def test_unparsable_extract_cell_is_data_error(tmp_path, capsys, name, column, cell):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"extracts_dir = {tmp_path}/extracts\nseed = 1\nsynth_n = 30\n")
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "extracts")]) == 0
+    path = tmp_path / "extracts" / name
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[2][rows[0].index(column)] = cell
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["cohort", "run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: line 3: " in err and repr(cell) in err

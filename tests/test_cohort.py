@@ -1,9 +1,10 @@
 import csv
 import shutil
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from icustudy import cohort
@@ -108,6 +109,9 @@ def test_join_equals_oracle_property(raw_ids, raw_values):
     result = sorted_merge_join(ids, values, component="icustay_id")
     assert [(k, g) for k, g in result.groups] == nested_loop_join(ids, values, "icustay_id")
     assert result.cursor_advances <= len(ids) + len(values)
+    # what a linear merge reads: every id, and the values up to the largest id key
+    read = sum(key <= max(raw_ids) for key, _ in values) if ids else 0
+    assert result.cursor_advances == len(ids) + read
 
 
 # --- naive detection ---------------------------------------------------------
@@ -414,3 +418,93 @@ def test_default_pipeline_has_sixteen_steps():
         + ["intersect", "extract"] * 6
         + ["intersect", "filter"]
     )
+
+
+def test_header_only_numeric_extract_loads_without_a_warning(synth_extracts, tmp_path):
+    # numpy's C reader warns "input contained no data" on a file with no row
+    shutil.copytree(synth_extracts[0], tmp_path, dirs_exist_ok=True)
+    for name in ("saps", "cmo"):
+        header = (tmp_path / f"{name}.csv").read_text().splitlines()[0]
+        (tmp_path / f"{name}.csv").write_text(header + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = load_extracts(tmp_path)
+    assert len(records) == len(synth_extracts[1])
+    assert all(r.attrs["saps"] is None and r.attrs["cmo"] is False for r in records)
+
+
+# --- the two extract parsers ------------------------------------------------------
+
+_NUMBER_CELLS = st.one_of(
+    st.floats().map(repr),  # signs, exponents, nan, inf, -0.0 and 17 significant digits
+    st.floats(allow_nan=False).map(lambda v: format(v, ".17e")),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-Infinity", "-0.0", "+1.5", ".5", "5.", "1E+5", "1e400", "1e-320"]),
+)
+_BAD_CELLS = st.sampled_from(["", " ", "abc", "x12", "1_0", "0x10", "1.5j", "#1", "7.0"])
+_KEY_CELLS = st.one_of(st.integers(1, 60).map(str), st.sampled_from(["+7", "007", "-3", "", "  "]), _BAD_CELLS)
+_EXTRA_CELLS = ["", "note", "3.5", '"q"', '"a,b"', '"open']
+
+
+@st.composite
+def _extract_file(draw):
+    """(schema name, text) of an extract file with odd cells and rows."""
+    name = draw(st.sampled_from(["saps", "demographics", "elixhauser_binary", "sepsis"]))
+    schema = EXTRACT_SCHEMAS[name]
+    header = draw(st.permutations([schema.key, *schema.columns, *draw(st.sampled_from([[], ["note"]]))]))
+    pad = st.sampled_from(["", " ", "  "])
+    # half of the files hold only rows that both readers read
+    kinds = st.sampled_from(draw(st.sampled_from([["row"], ["row"] * 6 + ["blank", "keyless", "short", "bad", "hash"]])))
+    extras = st.lists(st.sampled_from(draw(st.sampled_from([_EXTRA_CELLS[:3], _EXTRA_CELLS]))), max_size=2)
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(kinds)
+        if kind == "blank":
+            lines.append("")
+            continue
+        cells = {c: draw(_NUMBER_CELLS) for c in header}
+        cells[schema.key] = draw(_KEY_CELLS if kind == "bad" else st.integers(1, 60).map(str))
+        if kind == "keyless":
+            cells[schema.key] = draw(st.sampled_from(["", " "]))
+        elif kind == "bad" and schema.columns:
+            cells[draw(st.sampled_from(schema.columns))] = draw(_BAD_CELLS)
+        row = [draw(pad) + cells[c] + draw(pad) for c in header]
+        row += draw(extras)
+        if kind == "short":
+            row = row[: draw(st.integers(1, len(header)))] if len(header) > 1 else []
+        elif kind == "hash":  # a comment to a reader that takes "#" as one
+            row[0] = "#" + row[0]
+        lines.append(",".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return name, end.join([",".join(header), *lines]) + draw(st.sampled_from(["", end]))
+
+
+def _parsed_bits(keys, table) -> tuple:
+    return keys.dtype, keys.tobytes(), table.shape, np.ascontiguousarray(table, dtype=float).tobytes()
+
+
+@given(_extract_file())
+@settings(max_examples=400, deadline=None)
+def test_c_reader_and_csv_reader_agree(tmp_path_factory, case):
+    name, text = case
+    directory = tmp_path_factory.getbasetemp() / "parsers"
+    directory.mkdir(exist_ok=True)
+    (directory / f"{name}.csv").write_bytes(text.encode())
+    schema = EXTRACT_SCHEMAS[name]
+    path, at = cohort._locate(directory, name, (schema.key, *schema.columns))
+    try:
+        want = _parsed_bits(*cohort._parse_cells(path, at, float))
+    except DataError as exc:
+        want = str(exc)
+    row = np.dtype([("key", np.int64), ("payload", float, (len(schema.columns),))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = cohort.read_numeric_csv(path, row, at)
+        event(f"C reader {'rejects' if rows is None else 'reads'}; csv reader {'raises' if isinstance(want, str) else 'reads'}")
+        if rows is not None:  # the C reader read it: the csv reader reads the same bits
+            assert _parsed_bits(rows["key"], rows["payload"]) == want
+        try:
+            got = _parsed_bits(*cohort._parse_extract(directory, name, schema))
+        except DataError as exc:
+            got = str(exc)
+    assert got == want

@@ -1,12 +1,19 @@
-import numpy as np
+import warnings
 
+import numpy as np
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from icustudy import group as group_module
 from icustudy.group import (
+    STRATA_COLUMNS,
     read_strata_csv,
     read_studygroup_csv,
     write_strata_csv,
     write_studygroup_csv,
 )
 
+import oracles
 from helpers import make_group
 
 
@@ -28,3 +35,78 @@ def test_handoff_files_round_trip_exactly(tmp_path):
     read_scores, read_assignment = read_strata_csv(tmp_path / "strata.csv", back)
     assert read_scores.tobytes() == scores.tobytes()
     assert np.array_equal(read_assignment, assignment)
+
+
+# --- the C reader against csv.reader on hand-off files ------------------------------
+
+_ODD_CELLS = ["nan", "-inf", "-0.0", " 1.5 ", "+1", "1e400", "1_0", "abc", "", '"1.0"']
+_ODD_KEYS = ["0", "-5", " 7", "+7", "007", "7.0", "x12", "99999999999999999999"]
+
+
+@st.composite
+def _handoff_lines(draw, lines: list) -> str:
+    """The lines of a written hand-off file with 0-4 edits of cells, rows and line ends."""
+    lines = list(lines)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 4]))):
+        edit = draw(st.sampled_from(["blank", "extra", "extra all", "drop", "cell", "key", "cr", "header only"]))
+        at = draw(st.integers(1, len(lines) - 1))
+        cells = lines[at].split(",")
+        if edit == "blank":
+            lines.insert(at, "")
+        elif edit == "extra":
+            lines[at] += ",1.0"
+        elif edit == "extra all":
+            lines[1:] = [line + ",1.0" for line in lines[1:]]
+        elif edit == "drop":
+            lines[at] = ",".join(cells[:-1])
+        elif edit in ("cell", "key"):
+            i = draw(st.integers(0, min(2 if edit == "key" else len(cells), len(cells)) - 1))
+            cells[i] = draw(st.sampled_from(_ODD_KEYS if edit == "key" else _ODD_CELLS))
+            lines[at] = ",".join(cells)
+        elif edit == "cr":
+            lines[at] += "\r"
+        else:
+            del lines[1:]
+            break
+    return "\r\n".join(lines) + draw(st.sampled_from(["", "\r\n"]))
+
+
+def _verdict(path, row, usecols=None) -> str:
+    return "rejects" if group_module.read_numeric_csv(path, row, usecols) is None else "reads"
+
+
+def _outcome(read, *args):
+    try:
+        return [np.asarray(a).tobytes() if isinstance(a, np.ndarray) else a for a in read(*args)]
+    except Exception as exc:  # the same error, down to its message
+        return type(exc).__name__, str(exc)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_handoff_readers_match_csv_reader_oracles(tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("handoff")
+    rng = np.random.default_rng(data.draw(st.integers(0, 3)))
+    group = make_group(rng, 6)
+    write_studygroup_csv(group, directory / "written.csv")
+    written = (directory / "written.csv").read_text().splitlines()
+    path = directory / "studygroup.csv"
+    path.write_bytes(data.draw(_handoff_lines(written)).encode())
+    event(f"studygroup.csv: C reader {_verdict(path, group_module._STUDYGROUP_ROW)}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(lambda p: (lambda g: (g.keys, g.x))(read_studygroup_csv(p)), path)
+    assert got == _outcome(lambda p: (lambda g: (g.keys, g.x))(oracles.read_studygroup_csv_oracle(p)), path)
+
+    write_strata_csv(group, rng.uniform(size=6), np.arange(6) % 5 + 1, directory / "written.csv")
+    written = (directory / "written.csv").read_text().splitlines()
+    header = data.draw(st.sampled_from([written[0], "quintile,score,icustay_id,hadm_id,subject_id,note",
+                                        written[0] + ",score"]))
+    path = directory / "strata.csv"
+    path.write_bytes(data.draw(_handoff_lines([header, *written[1:]])).encode())
+    at = {name: i for i, name in enumerate(header.split(","))}
+    event(f"strata.csv: C reader {_verdict(path, group_module._STRATA_ROW, [at[c] for c in STRATA_COLUMNS])}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(read_strata_csv, path, group)
+    assert got == _outcome(oracles.read_strata_csv_oracle, path, group)

@@ -398,8 +398,8 @@ def _inject_faults(rng, rec):
             attrs["los"] = -float(rng.uniform(0.1, 5.0))
         elif kind == 4:  # an emptied series
             attrs[name] = None if rng.random() < 0.5 else np.empty((0, 2))
-        elif kind == 5:
-            attrs["first_dose_hours"] = -float(rng.uniform(1.0, 30.0))
+        elif kind == 5:  # a negative, NaN or infinite first dose
+            attrs["first_dose_hours"] = float(rng.choice([-rng.uniform(1.0, 30.0), np.nan, np.inf, -np.inf]))
         else:
             attrs[str(rng.choice(["age", "elixhauser", "los", "first_dose_hours"]))] = None
     return Record(rec.subject_id, rec.hadm_id, rec.icustay_id, attrs)
