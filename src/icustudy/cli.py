@@ -291,8 +291,6 @@ def stage_outcome(run: Run) -> None:
 
 
 GP_FEATURE_INDICES = (1, 2, 3, 5, 10, 15)  # plus propensity score and x1*x5
-GP_OPTIONS = ("population_size", "generations", "max_depth", "init_depth",
-              "tournament_size", "p_reproduction", "p_crossover", "p_mutation")
 CLASS_METRICS = ("success_rate", "tp", "tn", "fp", "fn", "sensitivity_paper",
                  "specificity_paper", "sensitivity_std", "specificity_std")
 
@@ -321,9 +319,7 @@ def stage_ml(run: Run) -> None:
     features = np.column_stack(
         [group.col(i) for i in GP_FEATURE_INDICES] + [strat.scores, group.col(1) * group.col(5)]
     )
-    gp_config = evoml.GpConfig(
-        seed=config.seed, **{name: getattr(config, f"gp_{name}") for name in GP_OPTIONS}
-    )
+    gp_config = config.gp_config()
     train_idx, test_idx = evoml.split_train_test(group.n, config.seed)
 
     run_rows, metric_rows, cf_rows = [], [], []
@@ -434,6 +430,7 @@ def _load_config(args) -> RunConfig:
         value = getattr(args, option, None)
         if value is not None:
             config.set_option(option, str(value))
+    config.gp_config()  # options checked together, before any stage runs
     return config
 
 

@@ -489,18 +489,16 @@ def _read_extract(path: Path, at: Sequence[int]) -> list:
     return cells
 
 
-def _cell_error(path: Path, at: Sequence[int], payload: type) -> DataError:
-    """The data error naming the first keyed row with a cell that does not parse."""
+def _cell_error(path: Path, at: Sequence[int], parse: Callable) -> DataError:
+    """The data error naming the first row whose cells at `at` `parse` rejects."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row in reader:
-            if row and row[at[0]].strip():
-                try:
-                    np.array([row[at[0]]], dtype=np.int64)
-                    np.array([row[i] for i in at[1:]], dtype=payload)
-                except (ValueError, OverflowError) as exc:
-                    return DataError(f"{path}: line {reader.line_num}: {exc}")
+        for row in filter(None, reader):
+            try:
+                parse(*(row[i] for i in at))
+            except (ValueError, OverflowError) as exc:
+                return DataError(f"{path}: line {reader.line_num}: {exc}")
     raise AssertionError(f"{path}: no cell fails to parse")
 
 
@@ -520,7 +518,12 @@ def _parse_cells(path: Path, at: Sequence[int], payload: type) -> tuple:
         keys = np.array(keys, dtype=np.int64)
         table = np.array(columns, dtype=payload)
     except (ValueError, OverflowError):
-        raise _cell_error(path, at, payload) from None
+
+        def parse(key, *cells):  # rows without a key are skipped
+            if key.strip():
+                np.array([key], dtype=np.int64), np.array(cells, dtype=payload)
+
+        raise _cell_error(path, at, parse) from None
     return keys, table.reshape(len(columns), len(keys)).T
 
 
@@ -585,21 +588,29 @@ def load_extracts(directory: str | Path, study_only: bool = False) -> list:
     row uses are read and the pipeline's own attributes are left unset.
     """
     directory = Path(directory)
-    ids = _read_extract(*_locate(directory, "ids", _COMPONENTS))
-    records = [Record(*map(_int_or_none, row)) for row in zip(*ids)]
+    path, at = _locate(directory, "ids", _COMPONENTS)
+    try:  # a blank cell is an absent id
+        records = [Record(*map(_int_or_none, row)) for row in zip(*_read_extract(path, at))]
+    except ValueError:
+        raise _cell_error(path, at, lambda *ids: list(map(_int_or_none, ids))) from None
     admissions = Counter(r.subject_id for r in records if r.subject_id is not None)
     for rec in records:
         rec.attrs["n_admissions"] = admissions.get(rec.subject_id, 1)
 
-    # joins run before id validation, so 1 stands in for an absent component
+    # joins run before step A drops the records without three positive ids:
+    # an absent or non-positive component joins no row, and 1 stands in for
+    # it in the record's join key
+    def joinable(value):
+        return value is not None and value > 0
+
     keyed = [
-        (rec, PatientKey(rec.subject_id or 1, rec.hadm_id or 1, rec.icustay_id or 1))
+        (rec, PatientKey(*(v if joinable(v) else 1 for v in rec.ident)))
         for rec in records
-        if rec.hadm_id is not None or rec.icustay_id is not None
+        if joinable(rec.hadm_id) or joinable(rec.icustay_id)
     ]
     sides = {}  # component -> (records with it, ascending; their join keys)
     for component in {schema.key for schema in EXTRACT_SCHEMAS.values()}:
-        side = [pair for pair in keyed if getattr(pair[0], component) is not None]
+        side = [pair for pair in keyed if joinable(getattr(pair[0], component))]
         side.sort(key=lambda pair: getattr(pair[0], component))
         sides[component] = ([rec for rec, _ in side], [key for _, key in side])
 

@@ -7,8 +7,15 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .evoml import GpConfig
 from .stats import T_TEST_VARIANTS
+
+#: the GpConfig fields set by the options named gp_<field>
+GP_OPTIONS = ("population_size", "generations", "max_depth", "init_depth",
+              "tournament_size", "p_reproduction", "p_crossover", "p_mutation")
+#: the least value of each bounded integer option
+MINIMUMS = {"t1_default": 1, "t2_day": 1, "t3_day": 1, "n_strata": 2, "kmeans_k": 1}
 
 
 @dataclass
@@ -77,10 +84,15 @@ class RunConfig:
             parsed = type(getattr(RunConfig, key))(value)  # int, float or str, as the default
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from None
-        if key in ("t1_default", "t2_day", "t3_day") and parsed < 1:
-            raise ConfigError(f"{key} must be at least 1, got {parsed}")
-        if key == "n_strata" and parsed < 2:
-            raise ConfigError(f"n_strata must be at least 2, got {parsed}")
+        if key in MINIMUMS and parsed < MINIMUMS[key]:
+            raise ConfigError(f"{key} must be at least {MINIMUMS[key]}, got {parsed}")
         if key == "t_test_variant" and parsed not in T_TEST_VARIANTS:
             raise ConfigError(f"t_test_variant must be one of {T_TEST_VARIANTS}, got {parsed!r}")
         setattr(self, key, parsed)
+
+    def gp_config(self) -> GpConfig:
+        """The GP settings of the gp_* options, as GpConfig checks them."""
+        try:
+            return GpConfig(seed=self.seed, **{name: getattr(self, f"gp_{name}") for name in GP_OPTIONS})
+        except DataError as exc:
+            raise ConfigError(f"GP options: {exc}") from None

@@ -189,12 +189,12 @@ class GpConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise DataError(f"{name} must be in [0, 1], got {value}")
-        if self.max_depth < 1:
-            raise DataError("max_depth must be >= 1")
-        if self.population_size < 2:
-            raise DataError("population_size must be >= 2")
+        for name, least in (("max_depth", 1), ("population_size", 2), ("init_depth", 1), ("tournament_size", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise DataError(f"{name} must be >= {least}, got {value}")
         if self.init_depth > self.max_depth:
-            raise DataError("init_depth cannot exceed max_depth")
+            raise DataError(f"init_depth cannot exceed max_depth, got {self.init_depth} > {self.max_depth}")
 
 
 def _random_terminal(n_features: int, config: GpConfig, rng: random.Random) -> Node:

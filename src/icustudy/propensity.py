@@ -2,11 +2,12 @@
 iterative model-refinement loop.
 
 Scores are fitted treatment probabilities from a logistic model.  Patients
-are ranked by score and split into five contiguous blocks; balance of each
-of the 55 covariates is then measured with a 2 x 5 analysis of variance
-whose two F-ratios are reported as the primary (treatment main) and
-secondary (treatment x subclass interaction) effects, next to the one-way
-F computed prior to subclassification.
+are ranked by score and split into K contiguous blocks (`n_strata`, five by
+default); balance of each of the 55 covariates is then measured with a
+2 x K analysis of variance whose two F-ratios are reported as the primary
+(treatment main) and secondary (treatment x subclass interaction) effects,
+next to the one-way F computed prior to subclassification.  One ANOVA call
+covers all the covariates of a balance report or a refinement ranking.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from scipy.special import expit
 from .errors import AllCellsEmptyForTreatment, NotConverged, RankDeficient, TooFewPatients
 from .group import COVARIATE_INDICES, StudyGroup
 from .regress import LogitFit, ModelSpec, fit_logistic, interaction, main, square
-from .stats import FiveNumber, five_number_summary, one_way_anova, two_way_anova_2xk
+from .stats import AnovaResult, FiveNumber, five_number_summary, one_way_anova, two_way_anova_2xk
 
 log = logging.getLogger(__name__)
 
@@ -103,17 +104,24 @@ def stratify_quintiles(scores: np.ndarray, keys, n_strata: int = N_STRATA) -> St
     n = scores.size
     if n < n_strata:
         raise TooFewPatients(f"need at least {n_strata} patients, got {n}")
-    order = sorted(range(n), key=lambda i: (scores[i], keys[i]))
+    ids = [(k.subject_id, k.hadm_id, k.icustay_id) for k in keys]
+    subject, hadm, icustay = np.array(ids, dtype=np.int64).reshape(n, 3).T
     base, rem = divmod(n, n_strata)
-    sizes = [base] * n_strata
-    for q in range(n_strata - rem, n_strata):
-        sizes[q] += 1
+    sizes = np.full(n_strata, base)
+    sizes[n_strata - rem :] += 1
     assignment = np.zeros(n, dtype=int)
-    pos = 0
-    for q, size in enumerate(sizes, start=1):
-        assignment[order[pos : pos + size]] = q
-        pos += size
+    assignment[np.lexsort((icustay, hadm, subject, scores))] = np.repeat(np.arange(1, n_strata + 1), sizes)
     return Stratification(scores, assignment)
+
+
+def _covariate_anova(group: StudyGroup, strat: Stratification, indices) -> AnovaResult:
+    """The 2 x K ANOVA of the covariates x<indices> in one call; where no
+    stratum holds both arms, every F is NaN with the reason as its warning."""
+    try:
+        return two_way_anova_2xk(group.x[:, np.subtract(indices, 1)], group.treated.astype(int), strat.assignment)
+    except AllCellsEmptyForTreatment as exc:
+        nan = np.full(len(indices), np.nan)
+        return AnovaResult(nan, nan, (), (), {}, ((str(exc),),) * len(indices))
 
 
 def assess_balance(group: StudyGroup, strat: Stratification) -> BalanceReport:
@@ -121,21 +129,16 @@ def assess_balance(group: StudyGroup, strat: Stratification) -> BalanceReport:
     two-way primary/secondary F's within it.  Degenerate covariates are
     carried with warnings instead of failing the report."""
     treated = group.treated
+    two_way = _covariate_anova(group, strat, COVARIATE_INDICES)
     out = []
-    for idx in COVARIATE_INDICES:
+    for idx, f_primary, f_secondary, warnings in zip(
+        COVARIATE_INDICES, two_way.f_primary.tolist(), two_way.f_secondary.tolist(), two_way.warnings
+    ):
         values = group.col(idx)
         pre = one_way_anova([values[treated], values[~treated]])
         f_pre = pre.statistic
         if pre.flag == "degenerate" and math.isnan(f_pre):
             f_pre = 0.0
-        warnings: tuple = ()
-        try:
-            res = two_way_anova_2xk(values, treated.astype(int), strat.assignment)
-            f_primary, f_secondary = res.f_primary, res.f_secondary
-            warnings = res.warnings
-        except AllCellsEmptyForTreatment as exc:
-            f_primary = f_secondary = float("nan")
-            warnings = (str(exc),)
         out.append(CovariateBalance(idx, float(f_pre), f_primary, f_secondary, warnings))
 
     def _summary(values):
@@ -148,15 +151,6 @@ def assess_balance(group: StudyGroup, strat: Stratification) -> BalanceReport:
         summary_primary=_summary([c.f_primary for c in out]),
         summary_secondary=_summary([c.f_secondary for c in out]),
     )
-
-
-def _covariate_f_primary(group: StudyGroup, strat: Stratification, index: int) -> float:
-    values = group.col(index)
-    try:
-        res = two_way_anova_2xk(values, group.treated.astype(int), strat.assignment)
-    except AllCellsEmptyForTreatment:
-        return float("nan")
-    return res.f_primary
 
 
 def fit_and_stratify(group: StudyGroup, spec: ModelSpec, n_strata: int = N_STRATA):
@@ -197,26 +191,22 @@ def refine_model(
         excluded = [i for i in COVARIATE_INDICES if i not in in_model]
         if not excluded:
             break
-        ranked = sorted(
-            excluded,
-            key=lambda i: (-_nan_low(_covariate_f_primary(group, current_strat, i)), i),
-        )
+        f_excluded = _covariate_anova(group, current_strat, excluded).f_primary.tolist()
+        ranked = sorted(zip(excluded, f_excluded), key=lambda pair: (-_nan_low(pair[1]), pair[0]))
         # the candidate budget is the top fraction of the excluded pool,
         # rounded down (44 excluded -> 11 candidates)
         n_candidates = max(1, math.floor(fraction * len(excluded)))
-        candidates = ranked[:n_candidates]
         accepted_any = False
 
-        for var in candidates:
+        for var, _ in ranked[:n_candidates]:
             forms = [("main", main(var)), ("square", square(var))]
             for partner in sorted(current_spec.main_indices()):
                 if partner != var:
                     forms.append((f"interaction(x{partner})", interaction(var, partner)))
-            accepted = False
+            f_before = float(_covariate_anova(group, current_strat, [var]).f_primary[0])
             for form_name, term in forms:
                 if current_spec.has(term):
                     continue
-                f_before = _covariate_f_primary(group, current_strat, var)
                 try:
                     trial_spec = current_spec.with_term(term)
                     _, trial_strat = fit_and_stratify(group, trial_spec, n_strata)
@@ -226,7 +216,7 @@ def refine_model(
                         RefinementAttempt(var, form_name, f_before, float("nan"), False)
                     )
                     continue
-                f_after = _covariate_f_primary(group, trial_strat, var)
+                f_after = float(_covariate_anova(group, trial_strat, [var]).f_primary[0])
                 improved = (
                     math.isfinite(f_after)
                     and math.isfinite(f_before)
@@ -238,11 +228,8 @@ def refine_model(
                 if improved:
                     current_spec = trial_spec
                     current_strat = trial_strat
-                    accepted = True
                     accepted_any = True
                     break
-            if accepted:
-                continue
         if not accepted_any:
             break
 

@@ -178,23 +178,24 @@ def one_way_anova(groups) -> TestResult:
     return TestResult(float(f), f_tail(f, *dof), dof)
 
 
-def _ss_noise_floor(values: np.ndarray) -> float:
-    """Sums of squares below this are rounding noise, not variation."""
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    return values.size * (1e-9 * scale) ** 2
+def _ss_noise_floor(values: np.ndarray):
+    """Sums of squares below this are rounding noise, not variation: one
+    floor per row of `values`, a NaN counting as magnitude 1."""
+    scale = np.fmax(np.max(np.abs(values), axis=-1), 1.0)
+    return values.shape[-1] * (1e-9 * scale) ** 2
 
 
-def _safe_f(ss_num: float, dof_num: int, ss_den: float, dof_den: int, tol: float, warnings: list) -> float:
+def _safe_f(ss_num, dof_num: int, ss_den, dof_den: int, tol) -> tuple:
+    """Per column: F, and the warning of the column that has one, else None."""
     if dof_num <= 0 or dof_den <= 0:
-        warnings.append("degenerate dof")
-        return float("nan")
-    if ss_den <= tol:
-        if ss_num <= tol:
-            return 0.0
-        warnings.append("zero within-cell variance")
-        return float("inf")
-    # tiny negative numerators are rounding noise from the decomposition
-    return max(ss_num, 0.0) / dof_num / (ss_den / dof_den)
+        return np.full(ss_num.shape, np.nan), ["degenerate dof"] * len(ss_num)
+    zero = ss_den <= tol
+    differs = zero & (ss_num > tol)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the zero columns are set below
+        # tiny negative numerators are rounding noise from the decomposition
+        f = np.maximum(ss_num, 0.0) / dof_num / (ss_den / dof_den)
+    f = np.where(zero, np.where(differs, np.inf, 0.0), f)
+    return f, [("zero within-cell variance" if d else None) for d in differs.tolist()]
 
 
 def two_way_anova_2xk(values, treatment, subclass) -> AnovaResult:
@@ -202,7 +203,7 @@ def two_way_anova_2xk(values, treatment, subclass) -> AnovaResult:
 
     Parameters
     ----------
-    values : array of observations
+    values : array of observations, or an (n, m) matrix of m columns of them
     treatment : binary labels (two distinct values)
     subclass : stratum labels (K >= 2 distinct values)
 
@@ -211,11 +212,16 @@ def two_way_anova_2xk(values, treatment, subclass) -> AnovaResult:
     mean cell size; the error term is the pooled within-cell sum of
     squares.  Strata missing one treatment arm are dropped from the
     analysis and reported in `warnings`.
+
+    A matrix is analysed column by column in one pass: the F's and sums of
+    squares are then length-m arrays and `warnings` holds one tuple per
+    column.  Each cell is summed as a C-contiguous row per column, so its
+    mean is bit-equal to the mean of that column's cell alone.
     """
     values = np.asarray(values, dtype=float)
     treatment = np.asarray(treatment)
     subclass = np.asarray(subclass)
-    if not (values.shape == treatment.shape == subclass.shape):
+    if values.ndim > 2 or not (values.shape[:1] == treatment.shape == subclass.shape):
         raise EmptyInput("values, treatment and subclass must have equal length")
     t_levels = np.unique(treatment)
     s_levels = np.unique(subclass)
@@ -225,60 +231,47 @@ def two_way_anova_2xk(values, treatment, subclass) -> AnovaResult:
         raise EmptyInput("subclass must have at least two levels")
 
     warnings: list[str] = []
-    cells = {}
-    complete = []
+    rows = []  # of the cells (0, s), (1, s) of each complete stratum s
     for s in s_levels:
         in_s = subclass == s
-        a = values[in_s & (treatment == t_levels[0])]
-        b = values[in_s & (treatment == t_levels[1])]
+        a, b = (np.flatnonzero(in_s & (treatment == t)) for t in t_levels)
         if a.size == 0 or b.size == 0:
             warnings.append(f"stratum {s} has an empty treatment arm; excluded")
             continue
-        cells[(0, s)] = a
-        cells[(1, s)] = b
-        complete.append(s)
-    if not complete:
+        rows += [a, b]
+    if not rows:
         raise AllCellsEmptyForTreatment("no stratum has observations in both arms")
 
-    kk = len(complete)
-    n_used = sum(c.size for c in cells.values())
-    cell_mean = {key: c.mean() for key, c in cells.items()}
+    columns = np.ascontiguousarray(values.reshape(len(values), -1).T)  # (m, n)
+    used = np.ascontiguousarray(columns[:, np.concatenate(rows)])
+    bounds = np.cumsum([0] + [r.size for r in rows])
+    cells = [used[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    kk = len(cells) // 2
+    cell_mean = [c.mean(axis=1) for c in cells]
     # harmonic mean cell size over the 2*K complete cells
-    n_h = (2 * kk) / sum(1.0 / c.size for c in cells.values())
+    n_h = (2 * kk) / sum(1.0 / r.size for r in rows)
 
-    row_mean = [np.mean([cell_mean[(i, s)] for s in complete]) for i in (0, 1)]
-    col_mean = {s: (cell_mean[(0, s)] + cell_mean[(1, s)]) / 2.0 for s in complete}
+    row_mean = [np.stack(cell_mean[i::2], axis=1).mean(axis=1) for i in (0, 1)]
+    col_mean = [(a + b) / 2.0 for a, b in zip(cell_mean[0::2], cell_mean[1::2])]
     grand = (row_mean[0] + row_mean[1]) / 2.0
 
     s1_a = n_h * kk * sum((m - grand) ** 2 for m in row_mean)
-    s1_b = n_h * 2 * sum((m - grand) ** 2 for m in col_mean.values())
-    s_cells = n_h * sum((m - grand) ** 2 for m in cell_mean.values())
+    s1_b = n_h * 2 * sum((m - grand) ** 2 for m in col_mean)
+    s_cells = n_h * sum((m - grand) ** 2 for m in cell_mean)
     s1_ab = s_cells - s1_a - s1_b
-    s2 = sum(((c - c.mean()) ** 2).sum() for c in cells.values())
-    total = float(((values - values.mean()) ** 2).sum())
+    s2 = sum(((c - m[:, None]) ** 2).sum(axis=1) for c, m in zip(cells, cell_mean))
+    total = ((columns - columns.mean(axis=1)[:, None]) ** 2).sum(axis=1)
 
-    dof_err = n_used - 2 * kk
-    dof_primary = (1, dof_err)
-    dof_secondary = (kk - 1, dof_err)
-    tol = _ss_noise_floor(np.concatenate([c for c in cells.values()]))
-    f_primary = _safe_f(s1_a, 1, s2, dof_err, tol, warnings)
-    f_secondary = _safe_f(s1_ab, kk - 1, s2, dof_err, tol, warnings)
-
-    return AnovaResult(
-        f_primary=float(f_primary),
-        f_secondary=float(f_secondary),
-        dof_primary=dof_primary,
-        dof_secondary=dof_secondary,
-        ss={
-            "total": total,
-            "s_cells": float(s_cells),
-            "s1_a": float(s1_a),
-            "s1_b": float(s1_b),
-            "s1_ab": float(s1_ab),
-            "s2_within": float(s2),
-        },
-        warnings=tuple(warnings),
-    )
+    dof_err = used.shape[1] - 2 * kk
+    tol = _ss_noise_floor(used)
+    f_primary, warn_primary = _safe_f(s1_a, 1, s2, dof_err, tol)
+    f_secondary, warn_secondary = _safe_f(s1_ab, kk - 1, s2, dof_err, tol)
+    ss = {"total": total, "s_cells": s_cells, "s1_a": s1_a, "s1_b": s1_b, "s1_ab": s1_ab, "s2_within": s2}
+    warned = tuple((*warnings, *(w for w in pair if w)) for pair in zip(warn_primary, warn_secondary))
+    if values.ndim == 1:  # one column: floats and one tuple of warnings
+        f_primary, f_secondary, warned = float(f_primary[0]), float(f_secondary[0]), warned[0]
+        ss = {name: float(v[0]) for name, v in ss.items()}
+    return AnovaResult(f_primary, f_secondary, (1, dof_err), (kk - 1, dof_err), ss, warned)
 
 
 # --- classical tests ----------------------------------------------------------

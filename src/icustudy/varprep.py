@@ -168,29 +168,35 @@ def _binary(value: float | None, name: str) -> float | None:
     return float(value)
 
 
+def _finite(value: float | None, name: str) -> float | None:
+    if value is not None and not math.isfinite(value):
+        raise DataError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _scalars(attrs: dict, options: AssemblyOptions, fault: tuple | None) -> tuple:
     """The decision day T1 and the values of SCALAR_COLUMNS (None where
     unavailable), checked in the fixed order; `fault` is the series and
     reason of the record's first faulty timeline sample."""
-    first_dose_hours = attrs.get("first_dose_hours")
+    first_dose_hours = _finite(attrs.get("first_dose_hours"), "first dose hours")
     treated = first_dose_hours is not None
-    if treated and not math.isfinite(first_dose_hours):
-        raise DataError(f"first dose hours must be finite, got {first_dose_hours}")
     first_dose_day = int(first_dose_hours // HOURS_PER_DAY) + 1 if treated else None
     t1 = decision_timepoint(first_dose_day, options.t1_default)
+    age = _finite(attrs.get("age"), "age")
     gender = _binary(attrs.get("gender"), "gender")
     race = _binary(attrs.get("race"), "race")
     if fault and fault[0] < MEDIAN_SERIES:
         raise DataError(fault[1])
+    elixhauser = _finite(attrs.get("elixhauser"), "Elixhauser score")
     elix_bin = attrs.get("elixhauser_binary") or (None,) * len(ELIX_BINARY_FIELDS)
     elix = [_binary(v, name) for v, name in zip(elix_bin, ELIX_BINARY_FIELDS, strict=True)]
     if fault:  # in a fluid timeline
         raise DataError(fault[1])
     binaries = [_binary(attrs.get(name), name) for name in ("vasopressors", "ventilation", "mortality")]
-    los = attrs.get("los")
+    los = _finite(attrs.get("los"), "length of stay")
     if los is not None and los < 0:
         raise DataError(f"length of stay must be >= 0, got {los}")
-    values = [1.0 if treated else -1.0, attrs.get("age"), gender, race, attrs.get("elixhauser")]
+    values = [1.0 if treated else -1.0, age, gender, race, elixhauser]
     return t1, values + elix + binaries + [los]
 
 
@@ -261,9 +267,10 @@ def _rows(records: list, options: AssemblyOptions) -> tuple:
 def assemble_study_group(records, options: AssemblyOptions | None = None):
     """Build the study group from joined per-patient records.
 
-    Each record is checked in one fixed order (first dose, gender, race,
-    the median timelines, the Elixhauser binaries, fluid inputs and
-    outputs, the other binaries, length of stay), so a record with several
+    Each record is checked in one fixed order (first dose, age, gender,
+    race, the median timelines, the Elixhauser score, the Elixhauser
+    binaries, fluid inputs and outputs, the other binaries, length of
+    stay), so a record with several
     faults is always rejected for the same one; a record that passes is
     rejected for the first mandatory variable left without a value.
     Rejections are returned as data, not raised.  Output rows are sorted

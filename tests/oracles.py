@@ -116,6 +116,146 @@ def two_way_f_oracle(values, treatment, subclass):
     return f_primary, f_secondary
 
 
+# The 2 x K ANOVA of one column as `stats.two_way_anova_2xk` computed it
+# before it took a matrix of columns: a dict of cells, scalar cell means and
+# Python sums over them.
+
+
+def _ss_noise_floor(values: np.ndarray) -> float:
+    """Sums of squares below this are rounding noise, not variation."""
+    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
+    return values.size * (1e-9 * scale) ** 2
+
+
+def _safe_f(ss_num: float, dof_num: int, ss_den: float, dof_den: int, tol: float, warnings: list) -> float:
+    if dof_num <= 0 or dof_den <= 0:
+        warnings.append("degenerate dof")
+        return float("nan")
+    if ss_den <= tol:
+        if ss_num <= tol:
+            return 0.0
+        warnings.append("zero within-cell variance")
+        return float("inf")
+    # tiny negative numerators are rounding noise from the decomposition
+    return max(ss_num, 0.0) / dof_num / (ss_den / dof_den)
+
+
+def two_way_anova_2xk_oracle(values, treatment, subclass):
+    """Two-way 2 x K analysis of variance on an unbalanced layout.
+
+    Parameters
+    ----------
+    values : array of observations
+    treatment : binary labels (two distinct values)
+    subclass : stratum labels (K >= 2 distinct values)
+
+    Unweighted cell-means decomposition: row/column effects are computed
+    from cell means with equal stratum weight and scaled by the harmonic
+    mean cell size; the error term is the pooled within-cell sum of
+    squares.  Strata missing one treatment arm are dropped from the
+    analysis and reported in `warnings`.
+    """
+    from icustudy.errors import AllCellsEmptyForTreatment, EmptyInput
+    from icustudy.stats import AnovaResult
+
+    values = np.asarray(values, dtype=float)
+    treatment = np.asarray(treatment)
+    subclass = np.asarray(subclass)
+    if not (values.shape == treatment.shape == subclass.shape):
+        raise EmptyInput("values, treatment and subclass must have equal length")
+    t_levels = np.unique(treatment)
+    s_levels = np.unique(subclass)
+    if t_levels.size != 2:
+        raise EmptyInput(f"treatment must have exactly two levels, got {t_levels.size}")
+    if s_levels.size < 2:
+        raise EmptyInput("subclass must have at least two levels")
+
+    warnings: list[str] = []
+    cells = {}
+    complete = []
+    for s in s_levels:
+        in_s = subclass == s
+        a = values[in_s & (treatment == t_levels[0])]
+        b = values[in_s & (treatment == t_levels[1])]
+        if a.size == 0 or b.size == 0:
+            warnings.append(f"stratum {s} has an empty treatment arm; excluded")
+            continue
+        cells[(0, s)] = a
+        cells[(1, s)] = b
+        complete.append(s)
+    if not complete:
+        raise AllCellsEmptyForTreatment("no stratum has observations in both arms")
+
+    kk = len(complete)
+    n_used = sum(c.size for c in cells.values())
+    cell_mean = {key: c.mean() for key, c in cells.items()}
+    # harmonic mean cell size over the 2*K complete cells
+    n_h = (2 * kk) / sum(1.0 / c.size for c in cells.values())
+
+    row_mean = [np.mean([cell_mean[(i, s)] for s in complete]) for i in (0, 1)]
+    col_mean = {s: (cell_mean[(0, s)] + cell_mean[(1, s)]) / 2.0 for s in complete}
+    grand = (row_mean[0] + row_mean[1]) / 2.0
+
+    s1_a = n_h * kk * sum((m - grand) ** 2 for m in row_mean)
+    s1_b = n_h * 2 * sum((m - grand) ** 2 for m in col_mean.values())
+    s_cells = n_h * sum((m - grand) ** 2 for m in cell_mean.values())
+    s1_ab = s_cells - s1_a - s1_b
+    s2 = sum(((c - c.mean()) ** 2).sum() for c in cells.values())
+    total = float(((values - values.mean()) ** 2).sum())
+
+    dof_err = n_used - 2 * kk
+    dof_primary = (1, dof_err)
+    dof_secondary = (kk - 1, dof_err)
+    tol = _ss_noise_floor(np.concatenate([c for c in cells.values()]))
+    f_primary = _safe_f(s1_a, 1, s2, dof_err, tol, warnings)
+    f_secondary = _safe_f(s1_ab, kk - 1, s2, dof_err, tol, warnings)
+
+    return AnovaResult(
+        f_primary=float(f_primary),
+        f_secondary=float(f_secondary),
+        dof_primary=dof_primary,
+        dof_secondary=dof_secondary,
+        ss={
+            "total": total,
+            "s_cells": float(s_cells),
+            "s1_a": float(s1_a),
+            "s1_b": float(s1_b),
+            "s1_ab": float(s1_ab),
+            "s2_within": float(s2),
+        },
+        warnings=tuple(warnings),
+    )
+
+
+# The quintile split as `propensity.stratify_quintiles` made it before one
+# lexsort: a sort of positions by a (score, key) lambda.
+
+
+def stratify_quintiles_oracle(scores, keys, n_strata=5):
+    """Rank patients by score and cut into contiguous equal blocks.
+
+    Block sizes follow the largest-remainder rule with remainders going to
+    the highest quintiles; ties in score are broken by patient key so the
+    split is deterministic.  Returns the quintile of each patient: one
+    key-lambda sort and a loop over the block positions.
+    """
+    scores = np.asarray(scores, dtype=float)
+    n = scores.size
+    if n < n_strata:
+        raise ValueError(f"need at least {n_strata} patients, got {n}")
+    order = sorted(range(n), key=lambda i: (scores[i], keys[i]))
+    base, rem = divmod(n, n_strata)
+    sizes = [base] * n_strata
+    for q in range(n_strata - rem, n_strata):
+        sizes[q] += 1
+    assignment = np.zeros(n, dtype=int)
+    pos = 0
+    for q, size in enumerate(sizes, start=1):
+        assignment[order[pos : pos + size]] = q
+        pos += size
+    return assignment
+
+
 # --- simple tests -----------------------------------------------------------------
 
 
@@ -350,10 +490,10 @@ def _binary(value, name):
 def build_row_values(rec, options) -> list:
     """The 58 per-patient values (None where unavailable), in x order.
 
-    The checks run in one fixed order (first dose, gender, race, the median
-    timelines, the Elixhauser binaries, fluids, the other binaries, length
-    of stay), so a record with several faults is always rejected for the
-    same one.
+    The checks run in one fixed order (first dose, age, gender, race, the
+    median timelines, the Elixhauser score, the Elixhauser binaries,
+    fluids, the other binaries, length of stay), so a record with several
+    faults is always rejected for the same one.
     """
     from icustudy.cohort import ELIX_BINARY_FIELDS
     from icustudy.errors import DataError
@@ -366,6 +506,9 @@ def build_row_values(rec, options) -> list:
         raise DataError(f"first dose hours must be finite, got {first_dose_hours}")
     first_dose_day = int(first_dose_hours // HOURS_PER_DAY) + 1 if treated else None
     days = (decision_timepoint(first_dose_day, options.t1_default), options.t2, options.t3)
+    age = attrs.get("age")
+    if age is not None and not math.isfinite(age):
+        raise DataError(f"age must be finite, got {age}")
 
     gender = _binary(attrs.get("gender"), "gender")
     race = _binary(attrs.get("race"), "race")
@@ -373,6 +516,9 @@ def build_row_values(rec, options) -> list:
         _block(daily_median(attrs.get(name) or []), *days)
         for name in ("saps", "sofa", "creatinine", "bp", "bp_mean")
     ]
+    elixhauser = attrs.get("elixhauser")
+    if elixhauser is not None and not math.isfinite(elixhauser):
+        raise DataError(f"Elixhauser score must be finite, got {elixhauser}")
     elix_bin = attrs.get("elixhauser_binary") or (None,) * len(ELIX_BINARY_FIELDS)
     elix = [_binary(v, name) for v, name in zip(elix_bin, ELIX_BINARY_FIELDS, strict=True)]
 
@@ -390,11 +536,13 @@ def build_row_values(rec, options) -> list:
     ventilation = _binary(attrs.get("ventilation"), "ventilation")
     mortality = _binary(attrs.get("mortality"), "mortality")
     los = attrs.get("los")
+    if los is not None and not math.isfinite(los):
+        raise DataError(f"length of stay must be finite, got {los}")
     if los is not None and los < 0:
         raise DataError(f"length of stay must be >= 0, got {los}")
     return [
-        1.0 if treated else -1.0, attrs.get("age"), gender, race,
-        *saps, *sofa, attrs.get("elixhauser"), *elix, *creatinine,
+        1.0 if treated else -1.0, age, gender, race,
+        *saps, *sofa, elixhauser, *elix, *creatinine,
         *_block(fin, *days), *_block(fout, *days), *_block(fbal, *days),
         vasopressors, ventilation, *bp, *bp_mean, mortality, los,
     ]

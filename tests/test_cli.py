@@ -330,15 +330,23 @@ def test_refinement_keeps_configured_strata_count(tmp_path):
         ("t1_default = 0", "t1_default must be at least 1, got 0"),
         ("t2_day = 0", "t2_day must be at least 1, got 0"),
         ("t3_day = -2", "t3_day must be at least 1, got -2"),
+        ("kmeans_k = 0", "kmeans_k must be at least 1, got 0"),
+        ("gp_tournament_size = 0", "GP options: tournament_size must be >= 1, got 0"),
+        ("gp_init_depth = 0", "GP options: init_depth must be >= 1, got 0"),
+        ("gp_population_size = 1", "GP options: population_size must be >= 2, got 1"),
+        ("gp_p_mutation = 2", "GP options: p_mutation must be in [0, 1], got 2.0"),
+        ("gp_init_depth = 18", "GP options: init_depth cannot exceed max_depth, got 18 > 17"),
     ],
 )
 def test_bad_config_value_is_config_error(fixture_dirs, tmp_path, capsys, line, message):
+    # rejected when the config is loaded, before any stage runs
     root, config = fixture_dirs
     bad = tmp_path / "run.cfg"
     bad.write_text(config.read_text() + line + "\n")
     argv = ["run-all", "--config", str(bad), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.csv").exists()
     assert not (tmp_path / "out" / "stratified_tests.csv").exists()
 
 
@@ -413,8 +421,8 @@ def test_non_finite_studygroup_cell_is_data_error(fixture_dirs, tmp_path, capsys
 
 @pytest.mark.parametrize(
     "name, column, cell",
-    [("saps.csv", "value", "abc"), ("los.csv", "icustay_id", "x12")],
-    ids=["payload", "key"],
+    [("saps.csv", "value", "abc"), ("los.csv", "icustay_id", "x12"), ("ids.csv", "hadm_id", "x12")],
+    ids=["payload", "key", "id"],
 )
 def test_unparsable_extract_cell_is_data_error(tmp_path, capsys, name, column, cell):
     config = tmp_path / "run.cfg"
@@ -429,3 +437,33 @@ def test_unparsable_extract_cell_is_data_error(tmp_path, capsys, name, column, c
     assert main(["cohort", "run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert f"{path}: line 3: " in err and repr(cell) in err
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [("hadm_id", "-5"), ("subject_id", "-3"), ("hadm_id", "0"), ("subject_id", "0")],
+)
+def test_non_positive_id_is_dropped_at_step_a(tmp_path, column, cell):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"extracts_dir = {tmp_path}/extracts\nseed = 1\nsynth_n = 30\n")
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "extracts")]) == 0
+    assert main(["cohort", "run", "--config", str(config), "--out", str(tmp_path / "before")]) == 0
+    path = tmp_path / "extracts" / "ids.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    dropped = tuple(rows[2])
+    rows[2][rows[0].index(column)] = cell
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["cohort", "run", "--config", str(config), "--out", str(tmp_path / "after")]) == 0
+
+    def step_a(out):
+        with open(out / "trace.csv", newline="") as fh:
+            return int(next(csv.DictReader(fh))["surviving"])
+
+    def survivors(out):
+        with open(out / "survivors.csv", newline="") as fh:
+            return {tuple(row) for row in list(csv.reader(fh))[1:]}
+
+    assert step_a(tmp_path / "after") == step_a(tmp_path / "before") - 1
+    assert survivors(tmp_path / "after") == survivors(tmp_path / "before") - {dropped}

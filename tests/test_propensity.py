@@ -3,10 +3,13 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icustudy.errors import NotConverged, TooFewPatients
 from icustudy.group import PatientKey
 from icustudy.propensity import (
+    Stratification,
     assess_balance,
     propensity_scores,
     refine_model,
@@ -17,6 +20,7 @@ from icustudy.regress import ModelSpec, fit_logistic, intercept, main
 from icustudy.synth import SynthSpec, synth_study_group
 
 from helpers import make_group
+from oracles import stratify_quintiles_oracle
 
 
 # --- scores ------------------------------------------------------------------
@@ -97,6 +101,20 @@ def test_quintile_ranges_ordered():
         assert lo1 <= hi1 <= lo2 <= hi2
 
 
+@given(st.integers(2, 400), st.integers(2, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_quintiles_match_sort_oracle_on_ties(n, n_strata, seed):
+    # few distinct scores and few distinct subject and admission ids, so
+    # that ties are broken by every key component in turn
+    rng = np.random.default_rng(seed)
+    n = max(n, n_strata)
+    scores = rng.choice([0.1, 0.5, np.nextafter(0.5, 1.0), 0.9], size=n)
+    stays = rng.permutation(n) + 1
+    keys = [PatientKey(int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(stay)) for stay in stays]
+    strat = stratify_quintiles(scores, keys, n_strata)
+    assert strat.assignment.tolist() == stratify_quintiles_oracle(scores, keys, n_strata).tolist()
+
+
 def test_too_few_patients():
     with pytest.raises(TooFewPatients):
         stratify_quintiles(np.array([0.1, 0.2]), _keys(2))
@@ -142,6 +160,15 @@ def test_balance_constant_covariate_zero_f():
     assert row.f_pre == 0.0
     assert row.f_primary == 0.0
     assert row.f_secondary == 0.0
+
+
+def test_balance_without_a_complete_stratum_is_nan_with_reason():
+    rng = np.random.default_rng(3)
+    group = make_group(rng, 40)
+    strat = Stratification(rng.random(40), np.where(group.treated, 1, 2))  # one arm per stratum
+    report = assess_balance(group, strat)
+    assert all(np.isnan(c.f_primary) and np.isnan(c.f_secondary) for c in report.covariates)
+    assert {c.warnings for c in report.covariates} == {("no stratum has observations in both arms",)}
 
 
 def test_balance_permutation_invariant():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from icustudy.errors import EmptyInput, InvalidDof, ZeroMarginal, ZeroVariance
+from icustudy.errors import EmptyInput, IcuStudyError, InvalidDof, ZeroMarginal, ZeroVariance
 from icustudy.stats import (
     chi2_tail,
     chi_squared_2x2,
@@ -24,6 +25,7 @@ from oracles import (
     five_number_oracle,
     one_way_f_oracle,
     student_t_oracle,
+    two_way_anova_2xk_oracle,
     two_way_f_oracle,
     welch_t_oracle,
 )
@@ -197,6 +199,93 @@ def test_two_way_no_complete_stratum_raises():
     subclass = [1, 1, 2, 2]
     with pytest.raises(AllCellsEmptyForTreatment):
         two_way_anova_2xk(values, treatment, subclass)
+
+
+# --- two-way ANOVA of a matrix, column by column ----------------------------
+
+
+_CELL_VALUES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 0.1, 1.0, 3.0, 1e-300, float("nan")]),
+)
+
+
+@st.composite
+def _matrix_layouts(draw):
+    """(values (n, m), treatment, subclass) over up to 12 strata, some of
+    them holding one arm only or a single one holding both, with NaN cells,
+    constant columns, columns constant within each cell and normal ones."""
+    k = draw(st.integers(2, 12))
+    counts = draw(arrays(np.int64, (k, 2), elements=st.integers(0, 30)))
+    if draw(st.booleans()):  # a single stratum holds both arms
+        counts[1:, draw(st.integers(0, 1))] = 0
+    cells = np.repeat(np.arange(2 * k), counts.ravel())  # stratum * 2 + arm
+    cells = cells[draw(st.permutations(range(len(cells))))]
+    n, m = len(cells), draw(st.integers(1, 6))
+    values = draw(arrays(np.float64, (n, m), elements=_CELL_VALUES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for j in range(m):
+        kind = draw(st.sampled_from(["drawn", "normal", "constant", "cell-constant"]))
+        if kind == "normal":
+            values[:, j] = rng.normal(size=n) * 10.0 ** rng.integers(-3, 7)
+        elif kind == "constant":
+            values[:, j] = draw(st.sampled_from([0.0, 2.5, 0.1]))
+        elif kind == "cell-constant":  # no within-cell variance
+            values[:, j] = rng.choice([0.0, 0.1, 2.5, 7.0], size=2 * k)[cells]
+    return values, cells % 2, cells // 2 + 1
+
+
+def _close(got, want, scale=0.0) -> bool:
+    """Equal, both NaN, or within 1e-12 of the larger of |want| and `scale`."""
+    if math.isnan(want) or math.isinf(want):
+        return got == want or (math.isnan(got) and math.isnan(want))
+    return abs(got - want) <= 1e-12 * max(abs(want), scale)
+
+
+@given(_matrix_layouts())
+@settings(max_examples=300, deadline=None)
+def test_two_way_matrix_columns_match_column_oracle(layout):
+    values, treatment, subclass = layout
+    m = values.shape[1]
+    try:
+        wants = [two_way_anova_2xk_oracle(values[:, j], treatment, subclass) for j in range(m)]
+    except IcuStudyError as exc:
+        with pytest.raises(type(exc)) as raised:
+            two_way_anova_2xk(values, treatment, subclass)
+        assert str(raised.value) == str(exc)
+        return
+    got = two_way_anova_2xk(values, treatment, subclass)
+    assert got.f_primary.shape == got.f_secondary.shape == (m,) and len(got.warnings) == m
+    for j, want in enumerate(wants):
+        assert got.dof == want.dof
+        assert got.warnings[j] == want.warnings
+        ss = {name: got.ss[name][j] for name in want.ss}
+        # the interaction is a difference of sums of squares, so its
+        # rounding is relative to the cell sum of squares
+        for name in want.ss:
+            assert _close(ss[name], want.ss[name], want.ss["s_cells"] if name == "s1_ab" else 0.0), name
+        # squared deviations from the cell means square arrays in both, so
+        # they are bit-equal where the cell means are
+        for name in ("total", "s2_within"):
+            assert ss[name] == want.ss[name] or (math.isnan(ss[name]) and math.isnan(want.ss[name])), name
+        assert _close(got.f_primary[j], want.f_primary)
+        s_cells, s2 = np.float64(want.ss["s_cells"]), np.float64(want.ss["s2_within"])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f_cells = s_cells / max(want.dof[2], 1) / (s2 / want.dof[3])
+        assert _close(got.f_secondary[j], want.f_secondary, abs(f_cells))
+        # a column alone gives the same bits, as floats and a tuple
+        alone = two_way_anova_2xk(values[:, j], treatment, subclass)
+        assert type(alone.f_primary) is float and type(alone.warnings) is tuple
+        assert alone.warnings == got.warnings[j]
+        for a, b in ((alone.f_primary, got.f_primary[j]), (alone.f_secondary, got.f_secondary[j])):
+            assert a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_two_way_matrix_shape_mismatch_raises():
+    with pytest.raises(EmptyInput, match="equal length"):
+        two_way_anova_2xk(np.zeros((6, 2)), [0, 1] * 2, [1, 2] * 2)
+    with pytest.raises(EmptyInput, match="equal length"):
+        two_way_anova_2xk(np.zeros((4, 2, 2)), [0, 1] * 2, [1, 2] * 2)
 
 
 # --- chi-squared ------------------------------------------------------------

@@ -275,6 +275,27 @@ def test_assembly_rejects_non_finite_timeline_sample(name, sample, reason):
     assert [r.reason for r in rejections] == [reason]
 
 
+@pytest.mark.parametrize(
+    "name, value, reason",
+    [
+        ("age", float("inf"), "age must be finite, got inf"),
+        ("age", float("nan"), "age must be finite, got nan"),
+        ("elixhauser", float("nan"), "Elixhauser score must be finite, got nan"),
+        ("elixhauser", float("-inf"), "Elixhauser score must be finite, got -inf"),
+        ("los", float("nan"), "length of stay must be finite, got nan"),
+        ("los", float("inf"), "length of stay must be finite, got inf"),
+    ],
+)
+def test_assembly_rejects_non_finite_scalar(name, value, reason):
+    # the record is rejected alone; it must not reach the study matrix,
+    # where an infinite cell fails the whole group and a NaN passes
+    records = [_full_record(1), _full_record(2)]
+    records[1].attrs[name] = value
+    group, rejections = assemble_study_group(records)
+    assert [k.subject_id for k in group.keys] == [1]
+    assert [(r.key.subject_id, r.reason) for r in rejections] == [(2, reason)]
+
+
 def test_assembly_checks_gender_before_timelines():
     rec = _full_record()
     rec.attrs["gender"] = 0.0
@@ -294,16 +315,19 @@ def test_assembly_checks_fluid_offsets_before_los():
 def test_assembly_check_order_is_fixed():
     # each fault alone, then every pair: the one earlier in this list names the rejection
     faults = [
+        ("age", float("inf")),
         ("gender", 0.5),
         ("race", 2.0),
         ("saps", [(1.0, float("nan"))]),
         ("bp_mean", [(-1.0, 70.0)]),
+        ("elixhauser", float("nan")),
         ("elixhauser_binary", [1.0] * 8 + [0.0]),
         ("fluids_in", [(float("inf"), 1.0)]),
         ("fluids_out", [(1.0, float("-inf"))]),
         ("vasopressors", 0.0),
         ("ventilation", 3.0),
         ("mortality", 0.25),
+        ("los", float("-inf")),
         ("los", -1.0),
     ]
     reasons = []
@@ -381,7 +405,7 @@ def _inject_faults(rng, rec):
         if attrs.get(name) is not None:
             attrs[name] = _crowd(rng, np.asarray(attrs[name]))
     for _ in range(int(rng.integers(0, 5))):
-        kind = int(rng.integers(0, 7))
+        kind = int(rng.integers(0, 8))
         name = str(rng.choice(TIMELINE_EXTRACTS))
         if kind == 0:  # one faulty sample among the others
             samples = np.asarray(attrs.get(name) if attrs.get(name) is not None else np.empty((0, 2)))
@@ -400,8 +424,10 @@ def _inject_faults(rng, rec):
             attrs[name] = None if rng.random() < 0.5 else np.empty((0, 2))
         elif kind == 5:  # a negative, NaN or infinite first dose
             attrs["first_dose_hours"] = float(rng.choice([-rng.uniform(1.0, 30.0), np.nan, np.inf, -np.inf]))
-        else:
+        elif kind == 6:
             attrs[str(rng.choice(["age", "elixhauser", "los", "first_dose_hours"]))] = None
+        else:  # a NaN or infinite scalar
+            attrs[str(rng.choice(["age", "elixhauser", "los"]))] = float(rng.choice([np.nan, np.inf, -np.inf]))
     return Record(rec.subject_id, rec.hadm_id, rec.icustay_id, attrs)
 
 
