@@ -361,10 +361,19 @@ def run_filter_pipeline(base: Sequence[Record], steps: Sequence[FilterStep]):
 def _predicate(step: FilterStep) -> Callable[[Record], bool]:
     if step.predicate not in PREDICATES:
         raise UnknownSetReference(step.predicate)
-    fn = PREDICATES[step.predicate]
-    if step.args:
-        return lambda r: fn(r, *step.args)
-    return lambda r: fn(r)
+    fn, args = PREDICATES[step.predicate], step.args
+
+    def pred(r: Record) -> bool:
+        try:
+            return fn(r, *args)
+        except PredicateFailure:
+            # a record without three positive ids joins no row by the ids
+            # it lacks, and step A drops it: a missing field fails the test
+            if _p_has_all_ids(r):
+                raise
+            return False
+
+    return pred
 
 
 DEFAULT_PIPELINE = """\

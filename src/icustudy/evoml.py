@@ -80,6 +80,11 @@ def kmeans_cluster(points: np.ndarray, k: int, seed: int, max_iter: int = 300) -
 
 
 # --- GP representation ------------------------------------------------------------
+#
+# A program is a tuple of (op, var, const) triples in prefix order: a
+# function node is (op, None, None), a feature is (None, index, None) and a
+# constant (None, None, value).  A subtree is a contiguous slice, and equal
+# tuples are the same program, so a program can key a dict.
 
 BINARY_OPS = ("+", "-", "*", "/")
 UNARY_OPS = ("log2", "sqrt")
@@ -89,83 +94,63 @@ ARITY = {op: 2 for op in BINARY_OPS} | {op: 1 for op in UNARY_OPS}
 DIV_EPS = 1e-9
 
 
-class Node:
-    """Expression-tree node: an operator with children, a feature index,
-    or a constant."""
+def _subtree_end(prog: tuple, i: int) -> int:
+    """The index just past the subtree rooted at `prog[i]`."""
+    need = 1
+    while need:
+        need += ARITY.get(prog[i][0], 0) - 1
+        i += 1
+    return i
 
-    __slots__ = ("op", "children", "var", "const")
 
-    def __init__(self, op=None, children=(), var=None, const=None):
-        self.op = op
-        self.children = list(children)
-        self.var = var
-        self.const = const
-
-    def is_terminal(self) -> bool:
-        return self.op is None
-
-    def copy(self) -> "Node":
-        if self.is_terminal():
-            return Node(var=self.var, const=self.const)
-        return Node(op=self.op, children=[c.copy() for c in self.children])
-
-    def depth(self) -> int:
-        if self.is_terminal():
-            return 1
-        return 1 + max(c.depth() for c in self.children)
-
-    def size(self) -> int:
-        if self.is_terminal():
-            return 1
-        return 1 + sum(c.size() for c in self.children)
-
-    def nodes(self):
-        yield self
-        for child in self.children:
-            yield from child.nodes()
-
-    def __str__(self):
-        if self.is_terminal():
-            return f"x{self.var}" if self.var is not None else format(self.const, ".6g")
-        if len(self.children) == 1:
-            return f"{self.op}({self.children[0]})"
-        return f"({self.children[0]} {self.op} {self.children[1]})"
+def _depths(prog: tuple) -> list:
+    """Each node's depth (the root is 1), in prefix order."""
+    depths, slots = [], []  # slots: a parent's depth per child still to come
+    for op, _, _ in prog:
+        depth = slots.pop() + 1 if slots else 1
+        depths.append(depth)
+        slots.extend([depth] * ARITY.get(op, 0))
+    return depths
 
 
 def _sanitize(values: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(values), values, 1.0)
 
 
-def eval_tree_batch(node: Node, x: np.ndarray) -> np.ndarray:
-    """Evaluate a tree on a (rows, features) matrix with total protection:
+def eval_tree_batch(prog: tuple, x: np.ndarray) -> np.ndarray:
+    """Evaluate a program on a (rows, features) matrix with total protection:
     a/b = 1 when |b| < 1e-9, log2 of a non-positive is 0, sqrt uses the
-    absolute value, and any non-finite intermediate becomes 1."""
-    if node.is_terminal():
-        if node.var is not None:
-            return x[:, node.var].astype(float)
-        return np.full(x.shape[0], float(node.const))
-    args = [eval_tree_batch(c, x) for c in node.children]
+    absolute value, and any non-finite function output becomes 1."""
+    stack = []  # operand values; the top is a node's first argument
     with np.errstate(all="ignore"):
-        if node.op == "+":
-            out = args[0] + args[1]
-        elif node.op == "-":
-            out = args[0] - args[1]
-        elif node.op == "*":
-            out = args[0] * args[1]
-        elif node.op == "/":
-            out = np.where(np.abs(args[1]) < DIV_EPS, 1.0, args[0] / np.where(np.abs(args[1]) < DIV_EPS, 1.0, args[1]))
-        elif node.op == "log2":
-            out = np.where(args[0] <= 0.0, 0.0, np.log2(np.where(args[0] <= 0.0, 1.0, args[0])))
-        elif node.op == "sqrt":
-            out = np.sqrt(np.abs(args[0]))
-        else:
-            raise DataError(f"unknown operator {node.op!r}")
-    return _sanitize(out)
+        for op, var, const in reversed(prog):
+            if op is None:
+                stack.append(x[:, var].astype(float) if var is not None else np.full(x.shape[0], float(const)))
+                continue
+            a = stack.pop()
+            if op == "log2":
+                out = np.where(a <= 0.0, 0.0, np.log2(np.where(a <= 0.0, 1.0, a)))
+            elif op == "sqrt":
+                out = np.sqrt(np.abs(a))
+            else:
+                b = stack.pop()
+                if op == "+":
+                    out = a + b
+                elif op == "-":
+                    out = a - b
+                elif op == "*":
+                    out = a * b
+                elif op == "/":
+                    out = np.where(np.abs(b) < DIV_EPS, 1.0, a / np.where(np.abs(b) < DIV_EPS, 1.0, b))
+                else:
+                    raise DataError(f"unknown operator {op!r}")
+            stack.append(_sanitize(out))
+    return stack.pop()
 
 
-def eval_tree(node: Node, row) -> float:
+def eval_tree(prog: tuple, row) -> float:
     """Single-row evaluation; see eval_tree_batch for the protection rules."""
-    return float(eval_tree_batch(node, np.asarray(row, dtype=float)[None, :])[0])
+    return float(eval_tree_batch(prog, np.asarray(row, dtype=float)[None, :])[0])
 
 
 # --- configuration and initialization ------------------------------------------------
@@ -197,14 +182,14 @@ class GpConfig:
             raise DataError(f"init_depth cannot exceed max_depth, got {self.init_depth} > {self.max_depth}")
 
 
-def _random_terminal(n_features: int, config: GpConfig, rng: random.Random) -> Node:
+def _random_terminal(n_features: int, config: GpConfig, rng: random.Random) -> tuple:
     choice = rng.randrange(n_features + 1)
     if choice < n_features:
-        return Node(var=choice)
-    return Node(const=rng.uniform(*config.const_range))
+        return ((None, choice, None),)
+    return ((None, None, rng.uniform(*config.const_range)),)
 
 
-def _grow(depth_budget: int, n_features: int, config: GpConfig, rng: random.Random) -> Node:
+def _grow(depth_budget: int, n_features: int, config: GpConfig, rng: random.Random) -> tuple:
     if depth_budget <= 1:
         return _random_terminal(n_features, config, rng)
     n_terminals = n_features + 1
@@ -212,16 +197,16 @@ def _grow(depth_budget: int, n_features: int, config: GpConfig, rng: random.Rand
     if pick >= len(FUNCTIONS):
         return _random_terminal(n_features, config, rng)
     op = FUNCTIONS[pick]
-    kids = [_grow(depth_budget - 1, n_features, config, rng) for _ in range(ARITY[op])]
-    return Node(op=op, children=kids)
+    kids = (_grow(depth_budget - 1, n_features, config, rng) for _ in range(ARITY[op]))
+    return sum(kids, ((op, None, None),))
 
 
-def _full(depth_budget: int, n_features: int, config: GpConfig, rng: random.Random) -> Node:
+def _full(depth_budget: int, n_features: int, config: GpConfig, rng: random.Random) -> tuple:
     if depth_budget <= 1:
         return _random_terminal(n_features, config, rng)
     op = FUNCTIONS[rng.randrange(len(FUNCTIONS))]
-    kids = [_full(depth_budget - 1, n_features, config, rng) for _ in range(ARITY[op])]
-    return Node(op=op, children=kids)
+    kids = (_full(depth_budget - 1, n_features, config, rng) for _ in range(ARITY[op]))
+    return sum(kids, ((op, None, None),))
 
 
 def gp_init_population(config: GpConfig, n_features: int, rng: random.Random) -> list:
@@ -239,67 +224,21 @@ def gp_init_population(config: GpConfig, n_features: int, rng: random.Random) ->
 # --- variation -------------------------------------------------------------------
 
 
-def _random_node_index(tree: Node, rng: random.Random) -> int:
-    return rng.randrange(tree.size())
-
-
-def _replace_node(tree: Node, index: int, replacement: Node) -> Node:
-    """Copy of `tree` with the node at preorder `index` swapped out."""
-    counter = {"i": -1}
-
-    def rebuild(node: Node) -> Node:
-        counter["i"] += 1
-        if counter["i"] == index:
-            return replacement.copy()
-        if node.is_terminal():
-            return Node(var=node.var, const=node.const)
-        return Node(op=node.op, children=[rebuild(c) for c in node.children])
-
-    return rebuild(tree)
-
-
-def _node_at(tree: Node, index: int) -> Node:
-    for i, node in enumerate(tree.nodes()):
-        if i == index:
-            return node
-    raise IndexError(index)
-
-
-def crossover(a: Node, b: Node, rng: random.Random) -> tuple:
+def crossover(a: tuple, b: tuple, rng: random.Random) -> tuple:
     """Swap random subtrees between two parents; returns two offspring."""
-    ia = _random_node_index(a, rng)
-    ib = _random_node_index(b, rng)
-    sub_a = _node_at(a, ia)
-    sub_b = _node_at(b, ib)
-    child_a = _replace_node(a, ia, sub_b)
-    child_b = _replace_node(b, ib, sub_a)
-    return child_a, child_b
+    ia = rng.randrange(len(a))
+    ib = rng.randrange(len(b))
+    ea, eb = _subtree_end(a, ia), _subtree_end(b, ib)
+    return a[:ia] + b[ib:eb] + a[ea:], b[:ib] + a[ia:ea] + b[eb:]
 
 
-def _node_depth_at(tree: Node, index: int) -> int:
-    counter = {"i": -1}
-
-    def walk(node: Node, depth: int):
-        counter["i"] += 1
-        if counter["i"] == index:
-            return depth
-        for child in node.children:
-            found = walk(child, depth + 1)
-            if found is not None:
-                return found
-        return None
-
-    return walk(tree, 1)
-
-
-def mutate(tree: Node, n_features: int, config: GpConfig, rng: random.Random) -> Node:
+def mutate(prog: tuple, n_features: int, config: GpConfig, rng: random.Random) -> tuple:
     """Replace a random subtree with a freshly grown one whose depth budget
-    keeps the whole tree within max_depth."""
-    index = _random_node_index(tree, rng)
-    at_depth = _node_depth_at(tree, index)
-    budget = max(1, config.max_depth - at_depth + 1)
+    keeps the whole program within max_depth."""
+    index = rng.randrange(len(prog))
+    budget = max(1, config.max_depth - _depths(prog)[index] + 1)
     replacement = _grow(min(budget, config.init_depth), n_features, config, rng)
-    return _replace_node(tree, index, replacement)
+    return prog[:index] + replacement + prog[_subtree_end(prog, index):]
 
 
 # --- evolution --------------------------------------------------------------------
@@ -307,14 +246,14 @@ def mutate(tree: Node, n_features: int, config: GpConfig, rng: random.Random) ->
 
 @dataclass
 class GpRun:
-    best: Node
+    best: tuple  # the program, as prefix triples
     best_fitness: float
     trace: list  # best-so-far fitness after generation 0, 1, ...
     task: str
 
 
-def _fitness(tree: Node, x: np.ndarray, y: np.ndarray, task: str) -> float:
-    out = eval_tree_batch(tree, x)
+def _fitness(prog: tuple, x: np.ndarray, y: np.ndarray, task: str) -> float:
+    out = eval_tree_batch(prog, x)
     if task == "classify":
         predicted = np.where(out >= 0.0, 1.0, -1.0)
         return float((predicted != y).sum())
@@ -333,7 +272,7 @@ def _tournament(fitnesses: list, config: GpConfig, rng: random.Random) -> int:
 
 
 def gp_evolve(config: GpConfig, x: np.ndarray, y: np.ndarray, task: str) -> GpRun:
-    """Evolve expression trees against the training rows.
+    """Evolve programs against the training rows.
 
     task "classify": fitness is the misclassification count with prediction
     sign(output) mapped to +-1 at threshold 0.  task "regress": fitness is
@@ -342,6 +281,7 @@ def gp_evolve(config: GpConfig, x: np.ndarray, y: np.ndarray, task: str) -> GpRu
     probabilities renormalized.  Offspring deeper than max_depth are
     rejected and the parents retained; the single best individual survives
     unchanged (elitism of 1), so the best-so-far trace never increases.
+    Each distinct program is scored once per call.
     """
     if task not in ("classify", "regress"):
         raise DataError(f"unknown GP task {task!r}")
@@ -351,21 +291,30 @@ def gp_evolve(config: GpConfig, x: np.ndarray, y: np.ndarray, task: str) -> GpRu
         raise DataError("gp_evolve needs a non-empty training set")
     rng = random.Random(config.seed)
     n_features = x.shape[1]
+    scores = {}  # program -> fitness, a pure function of it for this x, y and task
+
+    def score(population: list) -> list:
+        for prog in population:
+            if prog not in scores:
+                scores[prog] = _fitness(prog, x, y, task)
+        return [scores[prog] for prog in population]
+
+    def fits(prog: tuple) -> bool:
+        return max(_depths(prog)) <= config.max_depth
 
     population = gp_init_population(config, n_features, rng)
-    fitnesses = [_fitness(t, x, y, task) for t in population]
+    fitnesses = score(population)
     best_idx = min(range(len(population)), key=lambda i: (fitnesses[i], i))
-    best, best_fit = population[best_idx].copy(), fitnesses[best_idx]
+    best, best_fit = population[best_idx], fitnesses[best_idx]
     trace = [best_fit]
 
     p_cross = config.p_crossover / max(config.p_crossover + config.p_mutation, 1e-12)
     for _ in range(config.generations):
-        next_population = [best.copy()]  # elitism of 1
+        next_population = [best]  # elitism of 1
         while len(next_population) < config.population_size:
             r = rng.random()
             if r < config.p_reproduction:
-                winner = population[_tournament(fitnesses, config, rng)]
-                next_population.append(winner.copy())
+                next_population.append(population[_tournament(fitnesses, config, rng)])
             elif rng.random() < p_cross:
                 pa = population[_tournament(fitnesses, config, rng)]
                 pb = population[_tournament(fitnesses, config, rng)]
@@ -373,19 +322,16 @@ def gp_evolve(config: GpConfig, x: np.ndarray, y: np.ndarray, task: str) -> GpRu
                 for child, parent in ((ca, pa), (cb, pb)):
                     if len(next_population) >= config.population_size:
                         break
-                    keep = child if child.depth() <= config.max_depth else parent.copy()
-                    next_population.append(keep)
+                    next_population.append(child if fits(child) else parent)
             else:
                 parent = population[_tournament(fitnesses, config, rng)]
                 child = mutate(parent, n_features, config, rng)
-                if child.depth() > config.max_depth:
-                    child = parent.copy()
-                next_population.append(child)
+                next_population.append(child if fits(child) else parent)
         population = next_population
-        fitnesses = [_fitness(t, x, y, task) for t in population]
+        fitnesses = score(population)
         gen_best = min(range(len(population)), key=lambda i: (fitnesses[i], i))
         if fitnesses[gen_best] < best_fit:
-            best, best_fit = population[gen_best].copy(), fitnesses[gen_best]
+            best, best_fit = population[gen_best], fitnesses[gen_best]
         trace.append(best_fit)
 
     return GpRun(best=best, best_fitness=best_fit, trace=trace, task=task)
@@ -423,7 +369,7 @@ def _ratio(num: int, den: int) -> float | None:
     return num / den if den else None
 
 
-def classification_metrics(tree: Node, x: np.ndarray, labels: np.ndarray) -> ClassMetrics:
+def classification_metrics(tree: tuple, x: np.ndarray, labels: np.ndarray) -> ClassMetrics:
     """Confusion counts of sign-threshold predictions against +-1 labels.
 
     Both ratio conventions are reported: the study's sensitivity/specificity
@@ -460,7 +406,7 @@ class CounterfactualResult:
 
 
 def simulate_counterfactual(
-    tree: Node, x: np.ndarray, treatment_column: int, task: str
+    tree: tuple, x: np.ndarray, treatment_column: int, task: str
 ) -> CounterfactualResult:
     """Evaluate every patient twice, flipping only the treatment feature.
 

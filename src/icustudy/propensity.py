@@ -178,7 +178,8 @@ def refine_model(
     then interactions with in-model main effects are added, keeping the
     first form that strictly lowers that covariate's own primary F under
     the re-fitted, re-stratified model (into `n_strata` strata).  Every
-    attempt is logged.
+    attempt is logged, and each pass logs one warning that counts and
+    names its skipped forms.
     """
     if strat is None:
         _, strat = fit_and_stratify(group, spec, n_strata)
@@ -197,6 +198,7 @@ def refine_model(
         # rounded down (44 excluded -> 11 candidates)
         n_candidates = max(1, math.floor(fraction * len(excluded)))
         accepted_any = False
+        skipped = {}  # reason class -> the forms it skipped
 
         for var, _ in ranked[:n_candidates]:
             forms = [("main", main(var)), ("square", square(var))]
@@ -211,7 +213,8 @@ def refine_model(
                     trial_spec = current_spec.with_term(term)
                     _, trial_strat = fit_and_stratify(group, trial_spec, n_strata)
                 except (RankDeficient, NotConverged, np.linalg.LinAlgError) as exc:
-                    log.warning("refinement: x%d %s skipped (%s)", var, form_name, exc)
+                    log.debug("refinement: x%d %s skipped (%s)", var, form_name, exc)
+                    skipped.setdefault(type(exc).__name__, []).append(f"x{var} {form_name}")
                     attempts.append(
                         RefinementAttempt(var, form_name, f_before, float("nan"), False)
                     )
@@ -230,6 +233,9 @@ def refine_model(
                     current_strat = trial_strat
                     accepted_any = True
                     break
+        if skipped:
+            parts = [f"{len(labels)} as {why} ({', '.join(labels)})" for why, labels in skipped.items()]
+            log.warning("refinement: skipped forms: %s", "; ".join(parts))
         if not accepted_any:
             break
 

@@ -7,10 +7,14 @@ transcriptions, no shared code with the library under test.
 from __future__ import annotations
 
 import math
+import random
 import re
 import statistics
 
 import numpy as np
+
+from icustudy.errors import DataError
+from icustudy.evoml import GpConfig, GpRun
 
 
 # --- order statistics -----------------------------------------------------------
@@ -638,3 +642,310 @@ def read_strata_csv_oracle(path, group):
     scores = np.array([by_key[k][0] for k in group.keys])
     assignment = np.array([by_key[k][1] for k in group.keys], dtype=int)
     return scores, assignment
+
+
+# --- genetic programming: the Node engine -----------------------------------------
+# The expression-tree engine that evoml's prefix programs replaced, verbatim.
+# It draws the same numbers from the same Random stream, so a program and
+# its Node tree must agree node for node; `prefix` and `tree` convert.
+
+
+def prefix(node) -> tuple:
+    """The (op, var, const) triples of `node`'s subtree in preorder."""
+    if node.is_terminal():
+        return ((None, node.var, node.const),)
+    return sum((prefix(c) for c in node.children), ((node.op, None, None),))
+
+
+def tree(prog):
+    """The Node tree of a prefix program; ValueError unless `prog` is
+    exactly one whole program."""
+
+    def build(i):
+        op, var, const = prog[i]
+        if op is None:
+            return Node(var=var, const=const), i + 1
+        children, i = [], i + 1
+        for _ in range(ARITY[op]):
+            child, i = build(i)
+            children.append(child)
+        return Node(op=op, children=children), i
+
+    try:
+        node, end = build(0)
+    except (IndexError, KeyError) as exc:
+        raise ValueError(f"not a program: {exc!r}") from None
+    if end != len(prog):
+        raise ValueError(f"{len(prog) - end} triples after the program")
+    return node
+
+
+BINARY_OPS = ("+", "-", "*", "/")
+UNARY_OPS = ("log2", "sqrt")
+FUNCTIONS = BINARY_OPS + UNARY_OPS
+ARITY = {op: 2 for op in BINARY_OPS} | {op: 1 for op in UNARY_OPS}
+
+DIV_EPS = 1e-9
+
+
+class Node:
+    """Expression-tree node: an operator with children, a feature index,
+    or a constant."""
+
+    __slots__ = ("op", "children", "var", "const")
+
+    def __init__(self, op=None, children=(), var=None, const=None):
+        self.op = op
+        self.children = list(children)
+        self.var = var
+        self.const = const
+
+    def is_terminal(self) -> bool:
+        return self.op is None
+
+    def copy(self) -> "Node":
+        if self.is_terminal():
+            return Node(var=self.var, const=self.const)
+        return Node(op=self.op, children=[c.copy() for c in self.children])
+
+    def depth(self) -> int:
+        if self.is_terminal():
+            return 1
+        return 1 + max(c.depth() for c in self.children)
+
+    def size(self) -> int:
+        if self.is_terminal():
+            return 1
+        return 1 + sum(c.size() for c in self.children)
+
+    def nodes(self):
+        yield self
+        for child in self.children:
+            yield from child.nodes()
+
+    def __str__(self):
+        if self.is_terminal():
+            return f"x{self.var}" if self.var is not None else format(self.const, ".6g")
+        if len(self.children) == 1:
+            return f"{self.op}({self.children[0]})"
+        return f"({self.children[0]} {self.op} {self.children[1]})"
+
+
+def _sanitize(values: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(values), values, 1.0)
+
+
+def eval_tree_batch(node: Node, x: np.ndarray) -> np.ndarray:
+    """Evaluate a tree on a (rows, features) matrix with total protection:
+    a/b = 1 when |b| < 1e-9, log2 of a non-positive is 0, sqrt uses the
+    absolute value, and any non-finite intermediate becomes 1."""
+    if node.is_terminal():
+        if node.var is not None:
+            return x[:, node.var].astype(float)
+        return np.full(x.shape[0], float(node.const))
+    args = [eval_tree_batch(c, x) for c in node.children]
+    with np.errstate(all="ignore"):
+        if node.op == "+":
+            out = args[0] + args[1]
+        elif node.op == "-":
+            out = args[0] - args[1]
+        elif node.op == "*":
+            out = args[0] * args[1]
+        elif node.op == "/":
+            out = np.where(np.abs(args[1]) < DIV_EPS, 1.0, args[0] / np.where(np.abs(args[1]) < DIV_EPS, 1.0, args[1]))
+        elif node.op == "log2":
+            out = np.where(args[0] <= 0.0, 0.0, np.log2(np.where(args[0] <= 0.0, 1.0, args[0])))
+        elif node.op == "sqrt":
+            out = np.sqrt(np.abs(args[0]))
+        else:
+            raise DataError(f"unknown operator {node.op!r}")
+    return _sanitize(out)
+
+
+def eval_tree(node: Node, row) -> float:
+    """Single-row evaluation; see eval_tree_batch for the protection rules."""
+    return float(eval_tree_batch(node, np.asarray(row, dtype=float)[None, :])[0])
+
+
+def _random_terminal(n_features: int, config: GpConfig, rng: random.Random) -> Node:
+    choice = rng.randrange(n_features + 1)
+    if choice < n_features:
+        return Node(var=choice)
+    return Node(const=rng.uniform(*config.const_range))
+
+
+def _grow(depth_budget: int, n_features: int, config: GpConfig, rng: random.Random) -> Node:
+    if depth_budget <= 1:
+        return _random_terminal(n_features, config, rng)
+    n_terminals = n_features + 1
+    pick = rng.randrange(len(FUNCTIONS) + n_terminals)
+    if pick >= len(FUNCTIONS):
+        return _random_terminal(n_features, config, rng)
+    op = FUNCTIONS[pick]
+    kids = [_grow(depth_budget - 1, n_features, config, rng) for _ in range(ARITY[op])]
+    return Node(op=op, children=kids)
+
+
+def _full(depth_budget: int, n_features: int, config: GpConfig, rng: random.Random) -> Node:
+    if depth_budget <= 1:
+        return _random_terminal(n_features, config, rng)
+    op = FUNCTIONS[rng.randrange(len(FUNCTIONS))]
+    kids = [_full(depth_budget - 1, n_features, config, rng) for _ in range(ARITY[op])]
+    return Node(op=op, children=kids)
+
+
+def gp_init_population(config: GpConfig, n_features: int, rng: random.Random) -> list:
+    """Ramped half-and-half over depths 1..init_depth: equal-size depth
+    bins, half grown and half full, all within max_depth."""
+    population = []
+    depths = list(range(1, config.init_depth + 1))
+    for i in range(config.population_size):
+        depth = depths[i % len(depths)]
+        builder = _grow if (i // len(depths)) % 2 == 0 else _full
+        population.append(builder(depth, n_features, config, rng))
+    return population
+
+
+# --- variation -------------------------------------------------------------------
+
+
+def _random_node_index(tree: Node, rng: random.Random) -> int:
+    return rng.randrange(tree.size())
+
+
+def _replace_node(tree: Node, index: int, replacement: Node) -> Node:
+    """Copy of `tree` with the node at preorder `index` swapped out."""
+    counter = {"i": -1}
+
+    def rebuild(node: Node) -> Node:
+        counter["i"] += 1
+        if counter["i"] == index:
+            return replacement.copy()
+        if node.is_terminal():
+            return Node(var=node.var, const=node.const)
+        return Node(op=node.op, children=[rebuild(c) for c in node.children])
+
+    return rebuild(tree)
+
+
+def _node_at(tree: Node, index: int) -> Node:
+    for i, node in enumerate(tree.nodes()):
+        if i == index:
+            return node
+    raise IndexError(index)
+
+
+def crossover(a: Node, b: Node, rng: random.Random) -> tuple:
+    """Swap random subtrees between two parents; returns two offspring."""
+    ia = _random_node_index(a, rng)
+    ib = _random_node_index(b, rng)
+    sub_a = _node_at(a, ia)
+    sub_b = _node_at(b, ib)
+    child_a = _replace_node(a, ia, sub_b)
+    child_b = _replace_node(b, ib, sub_a)
+    return child_a, child_b
+
+
+def _node_depth_at(tree: Node, index: int) -> int:
+    counter = {"i": -1}
+
+    def walk(node: Node, depth: int):
+        counter["i"] += 1
+        if counter["i"] == index:
+            return depth
+        for child in node.children:
+            found = walk(child, depth + 1)
+            if found is not None:
+                return found
+        return None
+
+    return walk(tree, 1)
+
+
+def mutate(tree: Node, n_features: int, config: GpConfig, rng: random.Random) -> Node:
+    """Replace a random subtree with a freshly grown one whose depth budget
+    keeps the whole tree within max_depth."""
+    index = _random_node_index(tree, rng)
+    at_depth = _node_depth_at(tree, index)
+    budget = max(1, config.max_depth - at_depth + 1)
+    replacement = _grow(min(budget, config.init_depth), n_features, config, rng)
+    return _replace_node(tree, index, replacement)
+
+
+
+def _fitness(tree: Node, x: np.ndarray, y: np.ndarray, task: str) -> float:
+    out = eval_tree_batch(tree, x)
+    if task == "classify":
+        predicted = np.where(out >= 0.0, 1.0, -1.0)
+        return float((predicted != y).sum())
+    return float(np.mean(np.abs(out - y)))
+
+
+def _tournament(fitnesses: list, config: GpConfig, rng: random.Random) -> int:
+    best = None
+    for _ in range(config.tournament_size):
+        i = rng.randrange(len(fitnesses))
+        if best is None or fitnesses[i] < fitnesses[best] or (
+            fitnesses[i] == fitnesses[best] and i < best
+        ):
+            best = i
+    return best
+
+
+def gp_evolve(config: GpConfig, x: np.ndarray, y: np.ndarray, task: str) -> GpRun:
+    """Evolve expression trees against the training rows.
+
+    task "classify": fitness is the misclassification count with prediction
+    sign(output) mapped to +-1 at threshold 0.  task "regress": fitness is
+    mean absolute error.  Per breeding draw: reproduction with probability
+    p_reproduction, otherwise crossover or mutation with the two remaining
+    probabilities renormalized.  Offspring deeper than max_depth are
+    rejected and the parents retained; the single best individual survives
+    unchanged (elitism of 1), so the best-so-far trace never increases.
+    """
+    if task not in ("classify", "regress"):
+        raise DataError(f"unknown GP task {task!r}")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape[0] == 0:
+        raise DataError("gp_evolve needs a non-empty training set")
+    rng = random.Random(config.seed)
+    n_features = x.shape[1]
+
+    population = gp_init_population(config, n_features, rng)
+    fitnesses = [_fitness(t, x, y, task) for t in population]
+    best_idx = min(range(len(population)), key=lambda i: (fitnesses[i], i))
+    best, best_fit = population[best_idx].copy(), fitnesses[best_idx]
+    trace = [best_fit]
+
+    p_cross = config.p_crossover / max(config.p_crossover + config.p_mutation, 1e-12)
+    for _ in range(config.generations):
+        next_population = [best.copy()]  # elitism of 1
+        while len(next_population) < config.population_size:
+            r = rng.random()
+            if r < config.p_reproduction:
+                winner = population[_tournament(fitnesses, config, rng)]
+                next_population.append(winner.copy())
+            elif rng.random() < p_cross:
+                pa = population[_tournament(fitnesses, config, rng)]
+                pb = population[_tournament(fitnesses, config, rng)]
+                ca, cb = crossover(pa, pb, rng)
+                for child, parent in ((ca, pa), (cb, pb)):
+                    if len(next_population) >= config.population_size:
+                        break
+                    keep = child if child.depth() <= config.max_depth else parent.copy()
+                    next_population.append(keep)
+            else:
+                parent = population[_tournament(fitnesses, config, rng)]
+                child = mutate(parent, n_features, config, rng)
+                if child.depth() > config.max_depth:
+                    child = parent.copy()
+                next_population.append(child)
+        population = next_population
+        fitnesses = [_fitness(t, x, y, task) for t in population]
+        gen_best = min(range(len(population)), key=lambda i: (fitnesses[i], i))
+        if fitnesses[gen_best] < best_fit:
+            best, best_fit = population[gen_best].copy(), fitnesses[gen_best]
+        trace.append(best_fit)
+
+    return GpRun(best=best, best_fitness=best_fit, trace=trace, task=task)

@@ -51,6 +51,7 @@ from oracles import (
     f_tail_quadrature,
     nested_loop_join,
     t_tail_two_sided_quadrature,
+    tree,
     two_way_f_oracle,
 )
 
@@ -315,10 +316,10 @@ def test_criterion_8_gp_engine():
         run = gp_evolve(GpConfig(seed=seed), x, y, "regress")
         wins += run.best_fitness < 0.1 * baseline
         monotone &= all(b <= a for a, b in zip(run.trace, run.trace[1:]))
-        depth_ok &= run.best.depth() <= 17
+        depth_ok &= tree(run.best).depth() <= 17
     r1 = gp_evolve(GpConfig(seed=123), x, y, "regress")
     r2 = gp_evolve(GpConfig(seed=123), x, y, "regress")
-    deterministic = str(r1.best) == str(r2.best) and r1.trace == r2.trace
+    deterministic = r1.best == r2.best and r1.trace == r2.trace
     elapsed = time.perf_counter() - start
     _criterion(
         8,

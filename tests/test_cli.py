@@ -441,7 +441,10 @@ def test_unparsable_extract_cell_is_data_error(tmp_path, capsys, name, column, c
 
 @pytest.mark.parametrize(
     "column, cell",
-    [("hadm_id", "-5"), ("subject_id", "-3"), ("hadm_id", "0"), ("subject_id", "0")],
+    [
+        ("hadm_id", "-5"), ("subject_id", "-3"), ("hadm_id", "0"), ("subject_id", "0"),
+        ("icustay_id", ""), ("icustay_id", "0"), ("icustay_id", "-1"),
+    ],
 )
 def test_non_positive_id_is_dropped_at_step_a(tmp_path, column, cell):
     config = tmp_path / "run.cfg"

@@ -3,12 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from icustudy import evoml
 from icustudy.errors import DegenerateK
 from icustudy.evoml import (
     ARITY,
     GpConfig,
-    Node,
     classification_metrics,
     crossover,
     eval_tree,
@@ -118,35 +121,70 @@ def test_gp_config_validation():
         GpConfig(init_depth=20, max_depth=17)
 
 
-# --- GP trees -----------------------------------------------------------------
+# --- GP programs -----------------------------------------------------------------
 
 
-def _valid(node: Node) -> bool:
-    if node.is_terminal():
-        return not node.children and (node.var is not None) != (node.const is not None)
-    if len(node.children) != ARITY[node.op]:
+def _var(i: int) -> tuple:
+    return ((None, i, None),)
+
+
+def _const(c: float) -> tuple:
+    return ((None, None, c),)
+
+
+def _apply(op: str, *args: tuple) -> tuple:
+    return sum(args, ((op, None, None),))
+
+
+def _valid(prog: tuple) -> bool:
+    """One whole program of well-formed triples, as a tuple of tuples."""
+    if not isinstance(prog, tuple) or not all(isinstance(t, tuple) and len(t) == 3 for t in prog):
         return False
-    return all(_valid(c) for c in node.children)
+    try:
+        node = oracles.tree(prog)
+    except ValueError:
+        return False
+
+    def valid(node) -> bool:
+        if node.is_terminal():
+            return not node.children and (node.var is not None) != (node.const is not None)
+        if len(node.children) != ARITY[node.op]:
+            return False
+        return all(valid(c) for c in node.children)
+
+    return valid(node)
+
+
+def _depth(prog: tuple) -> int:
+    return oracles.tree(prog).depth()
 
 
 def test_eval_identity_plus_zero():
-    tree = Node(op="+", children=[Node(var=0), Node(const=0.0)])
+    prog = _apply("+", _var(0), _const(0.0))
     x = np.array([[1.5], [-2.0], [7.0]])
-    assert eval_tree_batch(tree, x) == pytest.approx([1.5, -2.0, 7.0])
+    assert eval_tree_batch(prog, x) == pytest.approx([1.5, -2.0, 7.0])
+
+
+def test_eval_feature_and_constant_are_distinct_programs():
+    # feature 1 and constant 1.0 compare equal as bare numbers; as triples
+    # they are different programs with different outputs
+    assert _var(1) != _const(1.0)
+    assert eval_tree(_var(1), [0.0, 5.0]) == 5.0
+    assert eval_tree(_const(1.0), [0.0, 5.0]) == 1.0
 
 
 def test_eval_protected_division():
-    tree = Node(op="/", children=[Node(const=1.0), Node(const=0.0)])
-    assert eval_tree(tree, [0.0]) == 1.0
+    prog = _apply("/", _const(1.0), _const(0.0))
+    assert eval_tree(prog, [0.0]) == 1.0
 
 
 def test_eval_protected_log_and_sqrt():
-    log_tree = Node(op="log2", children=[Node(const=-4.0)])
-    assert eval_tree(log_tree, [0.0]) == 0.0
-    log8 = Node(op="log2", children=[Node(const=8.0)])
+    log_prog = _apply("log2", _const(-4.0))
+    assert eval_tree(log_prog, [0.0]) == 0.0
+    log8 = _apply("log2", _const(8.0))
     assert eval_tree(log8, [0.0]) == pytest.approx(3.0)
-    sqrt_tree = Node(op="sqrt", children=[Node(const=-9.0)])
-    assert eval_tree(sqrt_tree, [0.0]) == pytest.approx(3.0)
+    sqrt_prog = _apply("sqrt", _const(-9.0))
+    assert eval_tree(sqrt_prog, [0.0]) == pytest.approx(3.0)
 
 
 def test_eval_fuzz_always_finite():
@@ -156,8 +194,8 @@ def test_eval_fuzz_always_finite():
     x = data_rng.normal(0, 50, size=(100, 4))
     population = gp_init_population(GpConfig(population_size=1000, seed=8), 4, rng)
     total = 0
-    for tree in population:
-        out = eval_tree_batch(tree, x)
+    for prog in population:
+        out = eval_tree_batch(prog, x)
         total += out.size
         assert np.isfinite(out).all()
     assert total == 100000
@@ -166,9 +204,9 @@ def test_eval_fuzz_always_finite():
 def test_init_ramped_depths_span():
     rng = random.Random(9)
     population = gp_init_population(GpConfig(population_size=100, seed=9), 5, rng)
-    depths = {t.depth() for t in population}
+    depths = {_depth(t) for t in population}
     assert len(depths) >= 4
-    assert all(t.depth() <= 17 for t in population)
+    assert all(_depth(t) <= 17 for t in population)
     assert all(_valid(t) for t in population)
 
 
@@ -176,13 +214,13 @@ def test_init_max_depth_one_all_terminals():
     rng = random.Random(10)
     config = GpConfig(population_size=50, max_depth=1, init_depth=1, seed=10)
     population = gp_init_population(config, 3, rng)
-    assert all(t.is_terminal() for t in population)
+    assert all(len(t) == 1 and t[0][0] is None for t in population)
 
 
 def test_init_deterministic_under_seed():
     pop1 = gp_init_population(GpConfig(population_size=60, seed=11), 4, random.Random(11))
     pop2 = gp_init_population(GpConfig(population_size=60, seed=11), 4, random.Random(11))
-    assert [str(t) for t in pop1] == [str(t) for t in pop2]
+    assert pop1 == pop2
 
 
 def test_crossover_closure_many_random_pairs():
@@ -202,10 +240,10 @@ def test_mutation_respects_depth_budget():
     rng = random.Random(13)
     config = GpConfig(population_size=100, seed=13)
     population = gp_init_population(config, 4, rng)
-    for tree in population:
-        child = mutate(tree, 4, config, rng)
+    for prog in population:
+        child = mutate(prog, 4, config, rng)
         assert _valid(child)
-        assert child.depth() <= config.max_depth
+        assert _depth(child) <= config.max_depth
 
 
 # --- evolution -----------------------------------------------------------------
@@ -247,7 +285,7 @@ def test_evolve_depth_bound_holds_every_generation():
     y = x[:, 0] * x[:, 1]
     config = GpConfig(seed=7, max_depth=6, init_depth=4)
     run = gp_evolve(config, x, y, "regress")
-    assert run.best.depth() <= 6
+    assert _depth(run.best) <= 6
 
 
 def test_evolve_deterministic_under_seed():
@@ -256,8 +294,85 @@ def test_evolve_deterministic_under_seed():
     y = x[:, 2] + 1.0
     r1 = gp_evolve(GpConfig(seed=21), x, y, "regress")
     r2 = gp_evolve(GpConfig(seed=21), x, y, "regress")
-    assert str(r1.best) == str(r2.best)
+    assert r1.best == r2.best
     assert r1.trace == r2.trace
+
+
+def _evolve_data(task: str, seed: int):
+    rng = np.random.default_rng(100 + seed)
+    x = rng.normal(0.0, 3.0, size=(60, 4))
+    x[:6, 1] = 0.0
+    x[6:9, 2] = -1e200
+    if task == "classify":
+        return x, np.where(x[:, 0] - x[:, 3] > 0.5, 1.0, -1.0)
+    return x, x[:, 0] * x[:, 1] + 2.0
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {},
+        {"max_depth": 3, "init_depth": 3, "population_size": 40},  # deep offspring rejected
+        {"p_reproduction": 1.0, "population_size": 40},
+        {"p_crossover": 0.0, "population_size": 40},
+        {"tournament_size": 1, "population_size": 40},
+    ],
+    ids=["defaults", "max-depth-3", "reproduction-only", "mutation-only", "tournament-1"],
+)
+def test_evolve_matches_node_engine(options):
+    for task in ("classify", "regress"):
+        for seed in range(10):
+            x, y = _evolve_data(task, seed)
+            config = GpConfig(seed=seed, generations=6, **options)
+            got = gp_evolve(config, x, y, task)
+            want = oracles.gp_evolve(config, x, y, task)
+            assert got.best == oracles.prefix(want.best), (task, seed)
+            assert got.trace == want.trace and got.best_fitness == want.best_fitness
+            assert eval_tree_batch(got.best, x).tobytes() == oracles.eval_tree_batch(want.best, x).tobytes()
+
+
+def test_evolve_scores_each_program_once(monkeypatch):
+    scored = []
+    fitness = evoml._fitness
+    monkeypatch.setattr(evoml, "_fitness", lambda prog, *args: scored.append(prog) or fitness(prog, *args))
+    x, y = _evolve_data("regress", 3)
+    run = gp_evolve(GpConfig(seed=3), x, y, "regress")
+    assert len(scored) == len(set(scored))
+    assert run.best in scored
+
+
+_SAMPLE = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, -1.0, 1e-12, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_features=st.integers(1, 5),
+    max_depth=st.integers(1, 17),
+    init_depth=st.integers(1, 6),
+    rows=st.lists(st.lists(_SAMPLE, min_size=5, max_size=5), min_size=1, max_size=8),
+)
+def test_variation_and_evaluation_match_node_engine(seed, n_features, max_depth, init_depth, rows):
+    config = GpConfig(population_size=6, max_depth=max(max_depth, init_depth), init_depth=init_depth)
+    trees = oracles.gp_init_population(config, n_features, random.Random(seed))
+    progs = gp_init_population(config, n_features, random.Random(seed))
+    assert progs == [oracles.prefix(t) for t in trees]
+    x = np.array(rows)[:, :n_features]
+    for t, p in zip(trees, progs):
+        assert eval_tree_batch(p, x).tobytes() == oracles.eval_tree_batch(t, x).tobytes()
+
+    mine, theirs = random.Random(seed + 1), random.Random(seed + 1)
+    for (ta, tb), (pa, pb) in zip(zip(trees, trees[1:]), zip(progs, progs[1:])):
+        want = oracles.crossover(ta, tb, theirs)
+        assert crossover(pa, pb, mine) == tuple(map(oracles.prefix, want))
+        assert mine.getstate() == theirs.getstate()
+        want = oracles.mutate(ta, n_features, config, theirs)
+        got = mutate(pa, n_features, config, mine)
+        assert got == oracles.prefix(want) and mine.getstate() == theirs.getstate()
+        assert eval_tree_batch(got, x).tobytes() == oracles.eval_tree_batch(want, x).tobytes()
 
 
 def test_split_train_test_sizes():
@@ -275,8 +390,7 @@ def test_split_train_test_sizes():
 def test_metrics_perfect_predictor():
     x = np.array([[1.0], [-1.0], [2.0], [-2.0]])
     labels = np.array([1.0, -1.0, 1.0, -1.0])
-    tree = Node(var=0)
-    m = classification_metrics(tree, x, labels)
+    m = classification_metrics(_var(0), x, labels)
     assert m.success_rate == 1.0
     assert m.fp == 0 and m.fn == 0
     assert m.tp == 2 and m.tn == 2
@@ -287,8 +401,7 @@ def test_metrics_constant_negative_predictor():
     n = 100
     labels = np.array([1.0] * 30 + [-1.0] * 70)
     x = rng.normal(size=(n, 2))
-    tree = Node(const=-5.0)
-    m = classification_metrics(tree, x, labels)
+    m = classification_metrics(_const(-5.0), x, labels)
     assert m.tn == 70 and m.fn == 30 and m.tp == 0 and m.fp == 0
     assert m.sensitivity_paper is None  # TP / (TP + FP) undefined
     assert m.specificity_paper == pytest.approx(0.7)
@@ -300,8 +413,7 @@ def test_metrics_match_confusion_oracle():
     n = 500
     x = rng.normal(size=(n, 3))
     labels = rng.choice([-1.0, 1.0], size=n)
-    tree = Node(op="-", children=[Node(var=0), Node(var=1)])
-    m = classification_metrics(tree, x, labels)
+    m = classification_metrics(_apply("-", _var(0), _var(1)), x, labels)
     out = x[:, 0] - x[:, 1]
     predicted = np.where(out >= 0, 1.0, -1.0)
     assert m.tp == int(((predicted == 1) & (labels == 1)).sum())
@@ -320,16 +432,15 @@ def test_metrics_match_confusion_oracle():
 def test_counterfactual_treatment_blind_tree():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(50, 3))
-    tree = Node(op="*", children=[Node(var=1), Node(var=2)])  # ignores column 0
-    result = simulate_counterfactual(tree, x, 0, "regress")
+    prog = _apply("*", _var(1), _var(2))  # ignores column 0
+    result = simulate_counterfactual(prog, x, 0, "regress")
     assert result.outcome_treated == pytest.approx(result.outcome_untreated)
 
 
 def test_counterfactual_pure_treatment_tree():
     rng = np.random.default_rng(22)
     x = rng.normal(size=(30, 2))
-    tree = Node(var=0)
-    result = simulate_counterfactual(tree, x, 0, "classify")
+    result = simulate_counterfactual(_var(0), x, 0, "classify")
     assert (result.outcome_treated == 1.0).all()
     assert (result.outcome_untreated == -1.0).all()
     assert result.rate_treated == 1.0
@@ -342,13 +453,13 @@ def test_counterfactual_matches_double_evaluation():
     population = gp_init_population(config, 4, rng)
     data_rng = np.random.default_rng(23)
     x = data_rng.normal(size=(40, 4))
-    for tree in population[:10]:
-        result = simulate_counterfactual(tree, x, 0, "regress")
+    for prog in population[:10]:
+        result = simulate_counterfactual(prog, x, 0, "regress")
         x_plus = x.copy()
         x_plus[:, 0] = 1.0
         x_minus = x.copy()
         x_minus[:, 0] = -1.0
-        assert result.outcome_treated == pytest.approx(eval_tree_batch(tree, x_plus))
-        assert result.outcome_untreated == pytest.approx(eval_tree_batch(tree, x_minus))
+        assert result.outcome_treated == pytest.approx(eval_tree_batch(prog, x_plus))
+        assert result.outcome_untreated == pytest.approx(eval_tree_batch(prog, x_minus))
         # original matrix untouched
         assert (x == np.asarray(x)).all()

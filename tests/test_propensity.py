@@ -280,6 +280,12 @@ def test_refinement_all_constant_candidates_rejected(caplog):
         refined, _, log = refine_model(group, initial)
     assert refined == initial
     assert log and not any(a.accepted for a in log)
+    # one summary line for the pass names every skipped form; the per-form
+    # lines, with the model text, are DEBUG
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    forms = ", ".join(f"x{a.variable} {a.form}" for a in log)
+    assert warnings[0] == f"refinement: skipped forms: {len(log)} as RankDeficient ({forms})"
 
 
 def test_refinement_candidate_budget_is_quarter_of_excluded():
