@@ -89,17 +89,21 @@ class Run:
     config: RunConfig
     out: Path
     flags: dict = field(default_factory=dict)
-    survivors: list | None = None
+    survivors: cohort_mod.Cohort | None = None
     group: StudyGroup | None = None
     model: ModelSpec | None = None
     strata: prop_mod.Stratification | None = None
 
 
-def _survivor_records(run: Run, path: Path) -> list:
-    """The survivors' records, joined with only the extracts the study row uses."""
-    wanted = set(read_csv_rows(path, KEY_COLUMNS, row_key))
-    records = cohort_mod.load_extracts(Path(run.config.extracts_dir), study_only=True)
-    return [r for r in records if None not in r.ident and r.ident in wanted]
+def _survivor_records(run: Run, path: Path) -> cohort_mod.Cohort:
+    """The cohort's records whose three ids a row of survivors.csv holds,
+    joined with only the extracts the study row uses."""
+    keys = read_csv_rows(path, KEY_COLUMNS, lambda row: np.array(row_key(row), dtype=np.int64))
+    wanted = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    cohort = cohort_mod.load_extracts(Path(run.config.extracts_dir), study_only=True)
+    _, code = np.unique(np.concatenate([wanted, cohort.ids]), axis=0, return_inverse=True)
+    found = np.isin(code.ravel()[len(wanted) :], code.ravel()[: len(wanted)])
+    return cohort.select(np.flatnonzero(found & ~cohort.absent.any(axis=1)))
 
 
 #: input -> (file in the output directory, reader of (run, path)).  The
@@ -145,14 +149,16 @@ def stage_synth(run: Run) -> None:
 
 
 def stage_cohort(run: Run) -> None:
-    records = cohort_mod.load_extracts(_require_dir(run.config.extracts_dir))
+    extracts = _require_dir(run.config.extracts_dir)
     pipeline = run.flags.get("pipeline")
-    text = Path(pipeline).read_text() if pipeline else cohort_mod.DEFAULT_PIPELINE
-    survivors, trace = cohort_mod.run_filter_pipeline(records, cohort_mod.parse_pipeline(text))
+    if pipeline and not Path(pipeline).is_file():
+        raise DataError(f"pipeline file not found: {pipeline}")
+    steps = cohort_mod.parse_pipeline(Path(pipeline).read_text() if pipeline else cohort_mod.DEFAULT_PIPELINE)
+    survivors, trace = cohort_mod.run_filter_pipeline(cohort_mod.load_extracts(extracts), steps)
     for path in (run.out / "trace.csv", run.flags.get("trace_out")):
         if path:
             cohort_mod.write_trace_csv(trace, path)
-    _write_table(run.out / "survivors.csv", KEY_COLUMNS, [list(r.ident) for r in survivors])
+    _write_table(run.out / "survivors.csv", KEY_COLUMNS, survivors.idents())
     run.survivors = survivors
 
 

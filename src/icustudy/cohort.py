@@ -3,19 +3,20 @@ extract/intersect/filter pipeline with attrition accounting, and
 treatment-naive detection by lexicon search over discharge summaries.
 
 Extract files are headered CSVs keyed by one identifier component.  The
-pipeline works over in-memory records carrying an attribute dict; every
-step reports survivors plus percentages of the original set and of the
-previous step.
+cohort is one table: the id arrays of ids.csv and, per extract, its parsed
+payload, its runs of equal keys and each record's run.  Pipeline
+predicates are masks over that table; every step reports survivors plus
+percentages of the original set and of the previous step.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
+import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -27,7 +28,7 @@ from .errors import (
     UnknownSetReference,
     UnsortedInput,
 )
-from .group import PatientKey, read_numeric_csv
+from .group import read_numeric_csv
 
 # Diuretic generic and brand names used for the naive check; lowercase,
 # matched on word boundaries.
@@ -127,67 +128,84 @@ def detect_naive(
 
 # --- sorted merge join --------------------------------------------------------
 
-MISSING = None
-
 _COMPONENTS = ("subject_id", "hadm_id", "icustay_id")
 
 
-@dataclass
-class JoinResult:
-    groups: list  # (PatientKey, list-of-payloads or None)
+class JoinResult(NamedTuple):
+    index: np.ndarray  # per id, its key's first value row, -1 where none
     cursor_advances: int
 
 
-def sorted_merge_join(
-    ids: Sequence[PatientKey],
-    values: Sequence[tuple],
-    component: str = "icustay_id",
-) -> JoinResult:
-    """Join sorted id triples against sorted (key, payload) rows.
+def sorted_merge_join(ids: np.ndarray, values: np.ndarray) -> JoinResult:
+    """Join sorted id keys against sorted value keys.
 
-    Both inputs must be ascending in the chosen component; duplicates are
-    legal on either side.  Each id looks its key up in the value keys by
-    binary search and gets the payloads of that key's rows, or a None
-    payload group where there is none.  The cursor-advance total is what
-    a linear merge reads: every id, and every value row up to the largest
-    id key, so it never exceeds len(ids) + len(values).
+    Both inputs must be ascending; duplicates are legal on either side.
+    Each id looks its key up among the value keys by binary search and
+    gets the index of the first value row with that key, or -1 where there
+    is none.  The cursor-advance total is what a linear merge reads: every
+    id, and every value row up to the largest id key, so it never exceeds
+    len(ids) + len(values).
     """
-    if component not in _COMPONENTS:
-        raise DataError(f"unknown join component {component!r}")
-    id_keys = np.fromiter(map(attrgetter(component), ids), np.int64, len(ids))
-    value_keys, payloads = zip(*values) if values else ((), ())
-    value_keys, payloads = np.array(value_keys, dtype=np.int64), list(payloads)
-    for name, keys in (("ids", id_keys), ("values", value_keys)):
+    ids, values = np.asarray(ids, dtype=np.int64), np.asarray(values, dtype=np.int64)
+    for name, keys in (("ids", ids), ("values", values)):
         down = np.flatnonzero(np.diff(keys) < 0)
         if len(down):
             raise UnsortedInput(name, int(down[0]) + 1)
-    lo = np.searchsorted(value_keys, id_keys, "left").tolist()
-    hi = np.searchsorted(value_keys, id_keys, "right").tolist()
-    groups = [(pid, payloads[a:b] if a < b else MISSING) for pid, a, b in zip(ids, lo, hi)]
-    return JoinResult(groups=groups, cursor_advances=len(ids) + (hi[-1] if hi else 0))
+    lo = np.searchsorted(values, ids, "left")
+    hi = np.searchsorted(values, ids, "right")
+    index = np.where(lo < hi, lo, -1)
+    return JoinResult(index, len(ids) + (int(hi[-1]) if len(hi) else 0))
 
 
-# --- records and the filter pipeline -------------------------------------------
+# --- the cohort table -------------------------------------------------------------
+
+
+class Joined(NamedTuple):
+    """One extract joined onto the records of a cohort."""
+
+    table: np.ndarray  # the payload of every keyed row, in file order
+    bounds: np.ndarray  # run r of equal keys holds rows bounds[r]:bounds[r + 1]
+    run: np.ndarray  # each record's run, -1 where it joins no row
+
+    @property
+    def hit(self) -> np.ndarray:
+        return self.run >= 0
+
+    def spans(self) -> tuple:
+        """Each record's first row and row count (0 where it joins none)."""
+        hit = self.hit
+        lo = np.where(hit, self.bounds[self.run], 0)
+        return lo, np.where(hit, self.bounds[self.run + 1] - lo, 0)
+
+    def first(self, column: int = 0) -> np.ndarray:
+        """The `column` cell of each record's first row; NaN where none."""
+        values, hit = np.full(len(self.run), np.nan), self.hit
+        values[hit] = self.table[self.bounds[self.run[hit]], column]
+        return values
 
 
 @dataclass
-class Record:
-    subject_id: int | None
-    hadm_id: int | None
-    icustay_id: int | None
-    attrs: dict = field(default_factory=dict)
+class Cohort:
+    """The records of ids.csv as key arrays, with every extract joined on."""
 
-    @property
-    def ident(self) -> tuple:
-        return (self.subject_id, self.hadm_id, self.icustay_id)
+    ids: np.ndarray  # (n, 3) subject, hadm and icustay ids; 0 for a blank cell
+    absent: np.ndarray  # (n, 3) True for a blank cell, which is no id at all
+    extracts: dict  # extract name -> Joined
 
-    def key(self) -> PatientKey:
-        return PatientKey(self.subject_id, self.hadm_id, self.icustay_id)
+    def __len__(self) -> int:
+        return len(self.ids)
 
-    def need(self, predicate: str, name: str):
-        if name not in self.attrs or self.attrs[name] is None:
-            raise PredicateFailure(predicate, self.ident, name)
-        return self.attrs[name]
+    def select(self, rows) -> Cohort:
+        """The records at `rows`, in that order, sharing the parsed extracts."""
+        joined = {name: j._replace(run=j.run[rows]) for name, j in self.extracts.items()}
+        return Cohort(self.ids[rows], self.absent[rows], joined)
+
+    def idents(self) -> list:
+        """Each record's id triple, None for a blank cell."""
+        return list(map(tuple, np.where(self.absent, None, self.ids).tolist()))
+
+
+# --- the filter pipeline --------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -197,15 +215,29 @@ class FilterStep:
     label: str
     predicate: str | None = None  # extract/filter steps
     operands: tuple = ()  # intersect steps: two prior labels
-    args: tuple = ()
+    args: tuple = ()  # numbers, as written
 
     def __post_init__(self):
         if self.kind not in ("extract", "intersect", "filter"):
             raise DataError(f"unknown step kind {self.kind!r}")
-        if self.kind == "intersect" and len(self.operands) != 2:
-            raise DataError("intersect step needs exactly two operand labels")
-        if self.kind != "intersect" and not self.predicate:
-            raise DataError(f"{self.kind} step needs a predicate name")
+        if self.kind == "intersect":
+            if len(self.operands) != 2:
+                raise DataError("intersect step needs exactly two operand labels")
+            return
+        if self.predicate not in PREDICATES:
+            raise DataError(f"unknown predicate {self.predicate!r}" if self.predicate else f"{self.kind} step needs a predicate name")
+        try:
+            inspect.signature(PREDICATES[self.predicate]).bind(None, *self.args)
+        except TypeError:
+            n = len(self.args)
+            raise DataError(f"predicate {self.predicate!r} does not take {n} argument{'s' * (n != 1)}") from None
+        for arg in self.args:
+            try:
+                number = float(arg)
+            except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
+                raise DataError(f"predicate argument {arg!r} is not a number")
 
 
 @dataclass
@@ -224,50 +256,75 @@ class FilterTrace:
     steps: list
 
 
-# predicate registry: name -> callable(record, *args) -> bool
+# predicate registry: name -> callable(cohort, *args) -> mask over its records
 
 
-def _p_has_all_ids(r: Record) -> bool:
-    return all(v is not None and v > 0 for v in r.ident)
+def _p_has_all_ids(c: Cohort) -> np.ndarray:
+    return (c.ids > 0).all(axis=1)
 
 
-def _p_single_admission(r: Record) -> bool:
-    return r.need("single_admission", "n_admissions") == 1
+def _p_single_admission(c: Cohort) -> np.ndarray:
+    # a blank subject id counts as one admission of its own
+    subject, present = c.ids[:, 0], ~c.absent[:, 0]
+    ids, counts = np.unique(subject[present], return_counts=True)
+    admissions = np.ones(len(c), np.int64)
+    admissions[present] = counts[np.searchsorted(ids, subject[present])]
+    return admissions == 1
 
 
-def _p_full_day_data(r: Record) -> bool:
-    span = r.attrs.get("max_offset_hours")
-    return span is not None and span >= 24.0
+def _p_full_day_data(c: Cohort) -> np.ndarray:
+    # the largest offset over every timeline: NaN when any offset is NaN,
+    # and -inf without a timeline, so that both fail
+    span = np.full(len(c), -np.inf)
+    for name in TIMELINE_EXTRACTS:
+        j = c.extracts[name]
+        if len(j.table):
+            run_max = np.maximum.reduceat(j.table[:, 0], j.bounds[:-1])
+            span[j.hit] = np.maximum(span[j.hit], run_max[j.run[j.hit]])
+    return span >= 24.0
 
 
-def _p_age_at_least(r: Record, years: str = "18") -> bool:
-    return r.need("age_at_least", "age") >= float(years)
+def _p_age_at_least(c: Cohort, years: str = "18") -> np.ndarray:
+    # a record without three positive ids joins no row by the ids it
+    # lacks, and step A drops it: a missing age fails the test
+    lacking = ~c.extracts["demographics"].hit & _p_has_all_ids(c)
+    if lacking.any():
+        raise PredicateFailure("age_at_least", c.idents()[np.argmax(lacking)], "age")
+    return c.extracts["demographics"].first(EXTRACT_SCHEMAS["demographics"].columns.index("age")) >= float(years)
 
 
-def _p_sepsis(r: Record) -> bool:
-    return bool(r.attrs.get("sepsis"))
+def _p_sepsis(c: Cohort) -> np.ndarray:
+    return c.extracts["sepsis"].hit
 
 
-def _p_not_cmo(r: Record) -> bool:
-    return not r.attrs.get("cmo")
+def _p_not_cmo(c: Cohort) -> np.ndarray:
+    return ~c.extracts["cmo"].hit
 
 
-def _p_has_summary(r: Record) -> bool:
-    return bool(r.attrs.get("summary"))
+# a record that joins no summary has run -1, which indexes the value
+# appended after those of the runs
 
 
-def _p_naive(r: Record) -> bool:
-    naive = r.attrs.get("naive")
-    return True if naive is None else bool(naive)
+def _p_has_summary(c: Cohort) -> np.ndarray:
+    j = c.extracts["summaries"]
+    return np.append(j.table[j.bounds[:-1], 0] != "", False)[j.run]
 
 
-def _p_has_mandatory(r: Record) -> bool:
-    missing = r.attrs.get("missing_mandatory")
-    return not missing
+def _p_naive(c: Cohort) -> np.ndarray:
+    # one lexicon search per summary some record joins; naive without one
+    j = c.extracts["summaries"]
+    runs = np.unique(j.run[j.hit])
+    verdict = np.ones(len(j.bounds), bool)
+    verdict[runs] = [detect_naive(text) for text in j.table[j.bounds[runs], 0]]
+    return verdict[j.run]
 
 
-def _p_always_true(r: Record) -> bool:
-    return True
+def _p_has_mandatory(c: Cohort) -> np.ndarray:
+    return np.logical_and.reduce([c.extracts[n].hit for n, s in EXTRACT_SCHEMAS.items() if s.mandatory])
+
+
+def _p_always_true(c: Cohort) -> np.ndarray:
+    return np.ones(len(c), bool)
 
 
 PREDICATES: dict = {
@@ -287,93 +344,76 @@ PREDICATES: dict = {
 def parse_pipeline(text: str) -> list:
     """Parse a pipeline file: `index,kind,label,spec` per line.
 
-    `spec` is a predicate name (plus optional space-separated arguments)
-    for extract/filter steps, or two operand labels for intersect steps.
-    Blank lines and lines starting with # are skipped.
+    `spec` is a predicate name (plus optional space-separated numeric
+    arguments) for extract/filter steps, or two operand labels for
+    intersect steps.  Blank lines and lines starting with # are skipped.
+    A step that does not parse is a DataError naming its line.
     """
     steps = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 4:
-            raise DataError(f"bad pipeline line: {raw!r}")
-        index, kind, label, spec = int(parts[0]), parts[1].lower(), parts[2], parts[3]
-        if kind == "intersect":
-            operands = tuple(spec.split())
-            steps.append(FilterStep(index, kind, label, operands=operands))
-        else:
-            tokens = spec.split()
-            steps.append(
-                FilterStep(index, kind, label, predicate=tokens[0], args=tuple(tokens[1:]))
-            )
+        try:
+            if len(parts) != 4:
+                raise DataError(f"want 4 comma-separated cells, got {len(parts)}")
+            index, kind, label, spec = parts[0], parts[1].lower(), parts[2], parts[3].split()
+            try:
+                index = int(index)
+            except ValueError:
+                raise DataError(f"step index {index!r} is not an integer") from None
+            if kind == "intersect":
+                steps.append(FilterStep(index, kind, label, operands=tuple(spec)))
+            else:
+                steps.append(FilterStep(index, kind, label, *spec[:1], args=tuple(spec[1:])))
+        except DataError as exc:
+            raise DataError(f"pipeline line {number}: {exc}: {line!r}") from None
+    if not steps:
+        raise DataError("pipeline has no step")
     if [s.index for s in steps] != list(range(1, len(steps) + 1)):
         raise DataError("pipeline step indices must be contiguous from 1")
     return steps
 
 
-def run_filter_pipeline(base: Sequence[Record], steps: Sequence[FilterStep]):
-    """Run the extract/intersect/filter pipeline over the base record set.
+def run_filter_pipeline(base: Cohort, steps: Sequence[FilterStep]):
+    """Run the extract/intersect/filter pipeline over the base cohort.
 
-    Returns (final records, FilterTrace).  Extract steps evaluate their
-    predicate over the base set; intersect steps combine two prior results
-    preserving first-operand order; filter steps narrow the previous
-    result.  Percentages are exact fractions of the original set and of
-    the previous step's survivors.
+    Returns (the final records as a Cohort, FilterTrace).  Every result is
+    a mask over the base records.  Extract steps evaluate their predicate
+    over the base set; intersect steps keep the records in both prior
+    results (a record's predicates depend only on its ids, so this is the
+    first operand's records whose ids the second holds); filter steps
+    narrow the previous result.  Percentages are exact fractions of the
+    original set and of the previous step's survivors.
     """
     original = len(base)
     results: dict = {}
     trace_steps = []
-    previous: Sequence[Record] = base
-    current: Sequence[Record] = base
+    previous = current = np.ones(original, bool)
 
     for step in steps:
         if step.kind == "extract":
-            pred = _predicate(step)
-            current = [r for r in base if pred(r)]
+            current = PREDICATES[step.predicate](base, *step.args)
         elif step.kind == "intersect":
             for label in step.operands:
                 if label not in results:
                     raise UnknownSetReference(label)
             left, right = (results[label] for label in step.operands)
-            right_ids = {r.ident for r in right}
-            current = [r for r in left if r.ident in right_ids]
+            current = left & right
         else:  # filter
-            pred = _predicate(step)
-            current = [r for r in previous if pred(r)]
+            rows = np.flatnonzero(previous)
+            current = np.zeros(original, bool)
+            current[rows] = PREDICATES[step.predicate](base.select(rows), *step.args)
         results[step.label] = current
-        trace_steps.append(
-            StepTrace(
-                index=step.index,
-                kind=step.kind,
-                label=step.label,
-                surviving_count=len(current),
-                pct_of_original=len(current) / original if original else 0.0,
-                pct_of_previous=len(current) / len(previous) if len(previous) else 0.0,
-            )
-        )
+        surviving, before = int(current.sum()), int(previous.sum())
+        trace_steps.append(StepTrace(
+            step.index, step.kind, step.label, surviving,
+            surviving / original if original else 0.0, surviving / before if before else 0.0,
+        ))
         previous = current
 
-    return list(current), FilterTrace(original_count=original, steps=trace_steps)
-
-
-def _predicate(step: FilterStep) -> Callable[[Record], bool]:
-    if step.predicate not in PREDICATES:
-        raise UnknownSetReference(step.predicate)
-    fn, args = PREDICATES[step.predicate], step.args
-
-    def pred(r: Record) -> bool:
-        try:
-            return fn(r, *args)
-        except PredicateFailure:
-            # a record without three positive ids joins no row by the ids
-            # it lacks, and step A drops it: a missing field fails the test
-            if _p_has_all_ids(r):
-                raise
-            return False
-
-    return pred
+    return base.select(np.flatnonzero(current)), FilterTrace(original_count=original, steps=trace_steps)
 
 
 DEFAULT_PIPELINE = """\
@@ -427,39 +467,26 @@ ELIX_BINARY_FIELDS = (
 
 class ExtractSchema(NamedTuple):
     key: str  # the id component the file is keyed and sorted by
-    columns: tuple  # payload columns, read as floats unless attached as "text"
-    attrs: tuple  # the Record.attrs names it fills
-    attach: str  # how a patient's joined rows attach, see _attach
+    columns: tuple  # payload columns
     mandatory: bool = False  # joining no row fails the has_mandatory step
     study: bool = True  # the study row uses it, so `varprep run` reads it
+    text: bool = False  # the payload is kept as text, not read as floats
 
 
 #: every extract joined onto the id triples of ids.csv, in join order
 EXTRACT_SCHEMAS = {
-    "demographics": ExtractSchema(
-        "icustay_id", ("age", "gender"), ("age", "gender"), "first", True
-    ),
+    "demographics": ExtractSchema("icustay_id", ("age", "gender"), True),
+    **{name: ExtractSchema("hadm_id", ("value",), True) for name in ("race", "elixhauser")},
+    "elixhauser_binary": ExtractSchema("hadm_id", ELIX_BINARY_FIELDS, True),
     **{
-        name: ExtractSchema("hadm_id", ("value",), (name,), "first", True)
-        for name in ("race", "elixhauser")
-    },
-    "elixhauser_binary": ExtractSchema(
-        "hadm_id", ELIX_BINARY_FIELDS, ("elixhauser_binary",), "tuple", True
-    ),
-    **{
-        name: ExtractSchema("icustay_id", ("value",), (name,), "first", True)
+        name: ExtractSchema("icustay_id", ("value",), True)
         for name in ("vasopressors", "ventilation", "mortality", "los")
     },
-    "diuretics": ExtractSchema(
-        "icustay_id", ("first_dose_hours",), ("first_dose_hours",), "first"
-    ),
-    "summaries": ExtractSchema("hadm_id", ("text",), ("summary",), "text", study=False),
-    "sepsis": ExtractSchema("icustay_id", (), ("sepsis",), "flag", study=False),
-    "cmo": ExtractSchema("icustay_id", (), ("cmo",), "flag", study=False),
-    **{
-        name: ExtractSchema("icustay_id", ("offset_hours", "value"), (name,), "rows", True)
-        for name in TIMELINE_EXTRACTS
-    },
+    "diuretics": ExtractSchema("icustay_id", ("first_dose_hours",)),
+    "summaries": ExtractSchema("hadm_id", ("text",), study=False, text=True),
+    "sepsis": ExtractSchema("icustay_id", (), study=False),
+    "cmo": ExtractSchema("icustay_id", (), study=False),
+    **{name: ExtractSchema("icustay_id", ("offset_hours", "value"), True) for name in TIMELINE_EXTRACTS},
 }
 
 
@@ -511,9 +538,11 @@ def _cell_error(path: Path, at: Sequence[int], parse: Callable) -> DataError:
     raise AssertionError(f"{path}: no cell fails to parse")
 
 
-def _int_or_none(raw: str) -> int | None:
-    raw = raw.strip()
-    return int(raw) if raw else None
+def _ids(cells: np.ndarray) -> tuple:
+    """The (n, 3) int64 ids of ids.csv's (n, 3) text cells, 0 for a blank
+    cell, and the mask of the blank cells."""
+    absent = np.frompyfunc(str.strip, 1, 1)(cells) == ""
+    return np.where(absent, "0", cells).astype(np.int64), absent
 
 
 def _parse_cells(path: Path, at: Sequence[int], payload: type) -> tuple:
@@ -541,23 +570,20 @@ def _parse_extract(directory: Path, name: str, schema: ExtractSchema) -> tuple:
     numpy's C reader for numbers, by csv.reader for text and for a file the
     C reader rejects (see `read_numeric_csv`)."""
     path, at = _locate(directory, name, (schema.key, *schema.columns))
-    if schema.attach == "text":
+    if schema.text:
         return _parse_cells(path, at, object)
     row = np.dtype([("key", np.int64), ("payload", float, (len(schema.columns),))])
     rows = read_numeric_csv(path, row, at)
     if rows is None:
         return _parse_cells(path, at, float)
-    # a copy, so that the timeline views do not hold the key column too
+    # a copy, so that the cohort does not hold the key column too
     return rows["key"], np.ascontiguousarray(rows["payload"])
 
 
-def _key_runs(directory: Path, name: str, schema: ExtractSchema) -> list:
-    """(key, payload) for each distinct key of `name`.csv, in file order.
-
-    The key column must ascend over every row.  The payload is an (m, 2)
-    array view of the key's run of (offset, value) rows for a timeline,
-    else the run's first row as a tuple.
-    """
+def _key_runs(directory: Path, name: str, schema: ExtractSchema) -> tuple:
+    """The key of each run of equal keys of `name`.csv, in file order, the
+    run bounds (run r holds rows bounds[r]:bounds[r + 1]) and the payload
+    table.  The key column must ascend over every row."""
     keys, table = _parse_extract(directory, name, schema)
     # extract files must arrive sorted by their key component; a re-sort
     # here would mask corrupt extracts
@@ -565,82 +591,40 @@ def _key_runs(directory: Path, name: str, schema: ExtractSchema) -> list:
     if (step < 0).any():
         raise UnsortedInput(f"{name}.csv", int(np.argmax(step < 0)))
     starts = np.flatnonzero(step)
-    if schema.attach == "rows":
-        bounds = np.append(starts, len(keys)).tolist()
-        payloads = [table[a:b] for a, b in zip(bounds, bounds[1:])]
-    else:
-        payloads = map(tuple, table[starts].tolist())
-    return list(zip(keys[starts].tolist(), payloads))
+    return keys[starts], np.append(starts, len(keys)), table
 
 
-def _attach(rec: Record, schema: ExtractSchema, rows: list | None) -> None:
-    how, attrs = schema.attach, schema.attrs
-    first = rows[0] if rows else None  # the payload of the record's key run
-    if how == "flag":  # presence
-        rec.attrs[attrs[0]] = bool(rows)
-    elif how in ("rows", "tuple"):  # the (offset, value) rows as one array; one tuple
-        rec.attrs[attrs[0]] = first
-    else:  # "first", "text": the first row spread over the attrs
-        rec.attrs.update(zip(attrs, first or [None] * len(attrs)))
-
-
-def load_extracts(directory: str | Path, study_only: bool = False) -> list:
+def load_extracts(directory: str | Path, study_only: bool = False) -> Cohort:
     """Read ids.csv and join the extracts of EXTRACT_SCHEMAS onto its triples.
 
     Each extract is parsed into arrays (see `_parse_extract`) and checked
-    sorted by its key over every row; the join then looks each record's
-    key up among the extract's run keys and attaches that key's run of
-    rows.  Returns records with attributes filled:
-    demographics, flags, outcome values, timelines as (offset, value) array
-    views, the naive decision and the missing-mandatory marker used by the
-    final pipeline step.  With `study_only`, only the extracts the study
-    row uses are read and the pipeline's own attributes are left unset.
+    sorted by its key over every row; one join then looks each record's
+    key up among the extract's run keys.  Returns the Cohort holding, per
+    extract, the payload table, its runs and each record's run.  With
+    `study_only`, only the extracts the study row uses are read.
     """
     directory = Path(directory)
     path, at = _locate(directory, "ids", _COMPONENTS)
-    try:  # a blank cell is an absent id
-        records = [Record(*map(_int_or_none, row)) for row in zip(*_read_extract(path, at))]
-    except ValueError:
-        raise _cell_error(path, at, lambda *ids: list(map(_int_or_none, ids))) from None
-    admissions = Counter(r.subject_id for r in records if r.subject_id is not None)
-    for rec in records:
-        rec.attrs["n_admissions"] = admissions.get(rec.subject_id, 1)
+    cells = np.array(_read_extract(path, at), dtype=object).T
+    try:
+        ids, absent = _ids(cells)
+    except (ValueError, OverflowError):
+        raise _cell_error(path, at, lambda *row: _ids(np.array(row, dtype=object))) from None
+    cohort = Cohort(ids, absent, {})
 
     # joins run before step A drops the records without three positive ids:
-    # an absent or non-positive component joins no row, and 1 stands in for
-    # it in the record's join key
-    def joinable(value):
-        return value is not None and value > 0
-
-    keyed = [
-        (rec, PatientKey(*(v if joinable(v) else 1 for v in rec.ident)))
-        for rec in records
-        if joinable(rec.hadm_id) or joinable(rec.icustay_id)
-    ]
-    sides = {}  # component -> (records with it, ascending; their join keys)
-    for component in {schema.key for schema in EXTRACT_SCHEMAS.values()}:
-        side = [pair for pair in keyed if joinable(getattr(pair[0], component))]
-        side.sort(key=lambda pair: getattr(pair[0], component))
-        sides[component] = ([rec for rec, _ in side], [key for _, key in side])
-
+    # an absent or non-positive component joins no row.  Each side holds
+    # the records with a positive id of its component, ascending by it
+    sides = {}
+    for c, component in enumerate(_COMPONENTS):
+        side = np.flatnonzero(ids[:, c] > 0)
+        sides[component] = side[np.argsort(ids[side, c], kind="stable")], c
     for name, schema in EXTRACT_SCHEMAS.items():
         if study_only and not schema.study:
             continue
-        side, keys = sides[schema.key]
-        result = sorted_merge_join(keys, _key_runs(directory, name, schema), schema.key)
-        for rec, (_, rows) in zip(side, result.groups):
-            _attach(rec, schema, rows)
-    if study_only:
-        return records
-
-    mandatory = [(name, s.attrs[0]) for name, s in EXTRACT_SCHEMAS.items() if s.mandatory]
-    for rec in records:
-        # the largest timeline offset, NaN when any offset is NaN
-        spans = [rec.attrs[name][:, 0].max() for name in TIMELINE_EXTRACTS if rec.attrs.get(name) is not None]
-        rec.attrs["max_offset_hours"] = float(np.max(spans)) if spans else None
-        rec.attrs["naive"] = detect_naive(rec.attrs.get("summary") or "")
-        # an extract joined no row when its first attr is absent or None
-        rec.attrs["missing_mandatory"] = next(
-            (name for name, attr in mandatory if rec.attrs.get(attr) is None), None
-        )
-    return records
+        run_keys, bounds, table = _key_runs(directory, name, schema)
+        side, c = sides[schema.key]
+        run = np.full(len(ids), -1)
+        run[side] = sorted_merge_join(ids[side, c], run_keys).index
+        cohort.extracts[name] = Joined(table, bounds, run)
+    return cohort

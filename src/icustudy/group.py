@@ -231,7 +231,7 @@ def read_csv_rows(path: str | Path, columns: Sequence[str], parse) -> list:
             raise DataError(f"{path}: missing columns {missing}")
         try:
             return [parse(row) for row in reader]
-        except (TypeError, ValueError, DataError) as exc:  # a short row leaves None cells
+        except (TypeError, ValueError, OverflowError, DataError) as exc:  # a short row leaves None cells
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 

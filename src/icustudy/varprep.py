@@ -14,7 +14,6 @@ segments of one flattened sample array.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +34,6 @@ BLOCK_COLUMNS = np.array([start - 1 + slot for start in BLOCK_START for slot in 
 SCALAR_COLUMNS = np.array([1, 2, 3, 4, 15, *range(16, 25), 45, 46, 57, 58]) - 1
 #: records assembled at once
 RECORD_BLOCK = 1024
-
-
-def _samples(timeline) -> np.ndarray:
-    """A timeline (None, a list of pairs or an (m, 2) array) as an (m, 2) array."""
-    samples = np.asarray(() if timeline is None else timeline, dtype=float)
-    return samples.reshape(len(samples), 2)
 
 
 def _faults(samples: np.ndarray, owner: np.ndarray) -> tuple:
@@ -99,8 +92,8 @@ def _daily_values(segment, samples, summed):
     return cell[starts] // len(days), cell[starts] % len(days), value, days
 
 
-def _regularize(timeline, summed: bool) -> dict:
-    samples = _samples(timeline)
+def _regularize(samples, summed: bool) -> dict:
+    samples = np.asarray(samples, dtype=float).reshape(-1, 2)
     owner = np.zeros(len(samples), np.int64)
     _, faults = _faults(samples, owner)
     if faults:
@@ -160,44 +153,59 @@ class AssemblyOptions:
     mandatory: tuple = tuple(range(1, N_VARIABLES + 1))
 
 
-def _binary(value: float | None, name: str) -> float | None:
-    if value is None:
-        return None
-    if value not in (-1.0, 1.0):
-        raise DataError(f"{name} must be -1 or +1, got {value}")
-    return float(value)
+def _first_dose(cohort) -> tuple:
+    """Each record's first dose hours (NaN for none), whether it has one,
+    and the day of a finite dose."""
+    joined = cohort.extracts["diuretics"]
+    dose = joined.first()
+    return dose, joined.hit, np.floor_divide(np.where(np.isfinite(dose), dose, 0.0), HOURS_PER_DAY) + 1
 
 
-def _finite(value: float | None, name: str) -> float | None:
-    if value is not None and not math.isfinite(value):
-        raise DataError(f"{name} must be finite, got {value}")
-    return value
+def _scalars(cohort, options: AssemblyOptions, fault: np.ndarray, fault_reason: dict) -> tuple:
+    """The values of SCALAR_COLUMNS of each record (NaN where unavailable),
+    their presence, and the reason of the record's first failed check in
+    the fixed order (None for none).  `fault` is the series of the record's
+    first faulty timeline sample (len(TIMELINE_EXTRACTS) for none), and
+    `fault_reason` holds its reason."""
 
+    def column(name, at=0):
+        joined = cohort.extracts[name]
+        return joined.first(at), joined.hit
 
-def _scalars(attrs: dict, options: AssemblyOptions, fault: tuple | None) -> tuple:
-    """The decision day T1 and the values of SCALAR_COLUMNS (None where
-    unavailable), checked in the fixed order; `fault` is the series and
-    reason of the record's first faulty timeline sample."""
-    first_dose_hours = _finite(attrs.get("first_dose_hours"), "first dose hours")
-    treated = first_dose_hours is not None
-    first_dose_day = int(first_dose_hours // HOURS_PER_DAY) + 1 if treated else None
-    t1 = decision_timepoint(first_dose_day, options.t1_default)
-    age = _finite(attrs.get("age"), "age")
-    gender = _binary(attrs.get("gender"), "gender")
-    race = _binary(attrs.get("race"), "race")
-    if fault and fault[0] < MEDIAN_SERIES:
-        raise DataError(fault[1])
-    elixhauser = _finite(attrs.get("elixhauser"), "Elixhauser score")
-    elix_bin = attrs.get("elixhauser_binary") or (None,) * len(ELIX_BINARY_FIELDS)
-    elix = [_binary(v, name) for v, name in zip(elix_bin, ELIX_BINARY_FIELDS, strict=True)]
-    if fault:  # in a fluid timeline
-        raise DataError(fault[1])
-    binaries = [_binary(attrs.get(name), name) for name in ("vasopressors", "ventilation", "mortality")]
-    los = _finite(attrs.get("los"), "length of stay")
-    if los is not None and los < 0:
-        raise DataError(f"length of stay must be >= 0, got {los}")
-    values = [1.0 if treated else -1.0, age, gender, race, elixhauser]
-    return t1, values + elix + binaries + [los]
+    def finite(name, value, have):
+        return have & ~np.isfinite(value), lambda r: f"{name} must be finite, got {value[r]}"
+
+    def binary(name, value, have):
+        return have & ~np.isin(value, (-1.0, 1.0)), lambda r: f"{name} must be -1 or +1, got {value[r]}"
+
+    n = len(cohort)
+    dose, treated, first_dose_day = _first_dose(cohort)
+    age, gender, race, elixhauser = column("demographics"), column("demographics", 1), column("race"), column("elixhauser")
+    elix = [column("elixhauser_binary", i) for i in range(len(ELIX_BINARY_FIELDS))]
+    binaries = {name: column(name) for name in ("vasopressors", "ventilation", "mortality")}
+    los, has_los = column("los")
+    checks = [
+        finite("first dose hours", dose, treated),
+        (np.full(n, options.t1_default < 1), lambda r: "default decision day must be >= 1"),
+        (treated & (first_dose_day < 1), lambda r: "first dose day must be >= 1"),
+        finite("age", *age),
+        binary("gender", *gender),
+        binary("race", *race),
+        (fault < MEDIAN_SERIES, fault_reason.get),
+        finite("Elixhauser score", *elixhauser),
+        *(binary(name, *values) for name, values in zip(ELIX_BINARY_FIELDS, elix, strict=True)),
+        (fault < len(TIMELINE_EXTRACTS), fault_reason.get),  # in a fluid timeline
+        *(binary(name, *values) for name, values in binaries.items()),
+        finite("length of stay", los, has_los),
+        (has_los & (los < 0), lambda r: f"length of stay must be >= 0, got {los[r]}"),
+    ]
+    reasons = [None] * n
+    for failing, reason in checks:
+        for r in np.flatnonzero(failing).tolist():
+            reasons[r] = reasons[r] or reason(r)
+    scalars = [(np.where(treated, 1.0, -1.0), np.ones(n, bool)), age, gender, race, elixhauser,
+               *elix, *binaries.values(), (los, has_los)]
+    return *(np.column_stack(a) for a in zip(*scalars)), reasons
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -235,37 +243,28 @@ def _blocks(segment, samples, t1, options: AssemblyOptions) -> tuple:
     return (a.reshape(len(t1), len(BLOCK_COLUMNS)) for a in (values, have))
 
 
-def _rows(records: list, options: AssemblyOptions) -> tuple:
-    """The rejection reasons so far (None for none), values and presence
-    mask of the study rows of `records`."""
-    n, k = len(records), len(TIMELINE_EXTRACTS)
-    timelines = [_samples(rec.attrs.get(name)) for rec in records for name in TIMELINE_EXTRACTS]
-    samples = np.concatenate(timelines) if timelines else np.empty((0, 2))
-    segment = np.repeat(np.arange(n * k), [len(t) for t in timelines])  # record * k + series
-    faulty, first = _faults(samples, segment // k)
-    faults = {r: (segment[i] % k, reason) for r, (i, reason) in first.items()}  # (series, reason)
-
-    reasons, scalars = [None] * n, []
-    t1 = np.ones(n, dtype=np.int64)
-    for r, rec in enumerate(records):
-        try:
-            t1[r], values = _scalars(rec.attrs, options, faults.get(r))
-        except DataError as exc:
-            reasons[r], values = str(exc), [None] * len(SCALAR_COLUMNS)
-        scalars.append(values)
-
-    # a None left by a non-default mandatory list becomes NaN
-    x, have = np.empty((n, N_VARIABLES)), np.empty((n, N_VARIABLES), bool)
-    x[:, SCALAR_COLUMNS] = np.array(scalars, float).reshape(n, len(SCALAR_COLUMNS))
-    present = [[v is not None for v in row] for row in scalars]
-    have[:, SCALAR_COLUMNS] = np.array(present, bool).reshape(n, len(SCALAR_COLUMNS))
-    values, have[:, BLOCK_COLUMNS] = _blocks(segment[~faulty], samples[~faulty], t1, options)
-    x[:, BLOCK_COLUMNS] = np.where(have[:, BLOCK_COLUMNS], values, np.nan)
-    return reasons, x, have
+def _timelines(cohort) -> tuple:
+    """The samples of every record's timelines, one segment per record and
+    series (record * len(TIMELINE_EXTRACTS) + series) in that order, each
+    segment's rows in file order, and the segment of each sample."""
+    spans = [cohort.extracts[name].spans() for name in TIMELINE_EXTRACTS]
+    lengths = np.column_stack([count for _, count in spans]).ravel()
+    starts = np.cumsum(lengths) - lengths
+    samples = np.empty((lengths.sum(), 2))
+    for series, (name, (lo, count)) in enumerate(zip(TIMELINE_EXTRACTS, spans)):
+        at = starts[series :: len(TIMELINE_EXTRACTS)]
+        samples[_ranges(at, count)] = cohort.extracts[name].table[_ranges(lo, count)]
+    return samples, np.repeat(np.arange(len(lengths)), lengths)
 
 
-def assemble_study_group(records, options: AssemblyOptions | None = None):
-    """Build the study group from joined per-patient records.
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions starts[i] .. starts[i] + counts[i] - 1 of every i, in order."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def assemble_study_group(cohort, options: AssemblyOptions | None = None):
+    """Build the study group from the joined records of a cohort.
 
     Each record is checked in one fixed order (first dose, age, gender,
     race, the median timelines, the Elixhauser score, the Elixhauser
@@ -274,22 +273,31 @@ def assemble_study_group(records, options: AssemblyOptions | None = None):
     faults is always rejected for the same one; a record that passes is
     rejected for the first mandatory variable left without a value.
     Rejections are returned as data, not raised.  Output rows are sorted
-    by patient key.  Records are assembled RECORD_BLOCK at a time, which
-    bounds the memory of the flattened timelines.
+    by patient key.  Timelines are assembled RECORD_BLOCK records at a
+    time, which bounds the memory of the flattened samples.
     """
     options = options or AssemblyOptions()
-    records = list(records)
-    n, keys, reasons = len(records), [rec.key() for rec in records], []
+    n, k = len(cohort), len(TIMELINE_EXTRACTS)
+    keys = [PatientKey(*ident) for ident in cohort.idents()]
+    _, treated, first_dose_day = _first_dose(cohort)
+    t1 = np.where(treated, first_dose_day, options.t1_default).astype(np.int64)
+    fault, fault_reason = np.full(n, k), {}  # the series and reason of a record's first faulty sample
     x, have = np.empty((n, N_VARIABLES)), np.empty((n, N_VARIABLES), bool)
     for lo in range(0, n, RECORD_BLOCK):
         block = slice(lo, lo + RECORD_BLOCK)
-        block_reasons, x[block], have[block] = _rows(records[block], options)
-        reasons += block_reasons
+        samples, segment = _timelines(cohort.select(block))
+        faulty, first = _faults(samples, segment // k)
+        for r, (i, reason) in first.items():
+            fault[lo + r], fault_reason[lo + r] = segment[i] % k, reason
+        values, have[block, BLOCK_COLUMNS] = _blocks(segment[~faulty], samples[~faulty], t1[block], options)
+        x[block, BLOCK_COLUMNS] = np.where(have[block, BLOCK_COLUMNS], values, np.nan)
+    x[:, SCALAR_COLUMNS], have[:, SCALAR_COLUMNS], reasons = _scalars(cohort, options, fault, fault_reason)
 
     mandatory = sorted(options.mandatory)
     lacking = ~have[:, np.array(mandatory, dtype=int) - 1]
     for r in np.flatnonzero(lacking.any(axis=1)):
         reasons[r] = reasons[r] or f"x{mandatory[np.argmax(lacking[r])]} missing"
     rejections = [Rejection(key, reason) for key, reason in zip(keys, reasons) if reason]
-    kept = sorted((r for r in range(n) if reasons[r] is None), key=keys.__getitem__)
+    kept = np.flatnonzero([reason is None for reason in reasons])
+    kept = kept[np.lexsort(cohort.ids[kept].T[::-1])]  # by key, as PatientKeys sort
     return StudyGroup([keys[r] for r in kept], x[kept]), rejections

@@ -339,14 +339,10 @@ def f_tail_quadrature(stat, d1, d2):
 # --- joins ------------------------------------------------------------------------
 
 
-def nested_loop_join(ids, values, component):
-    """Quadratic reference join: one full scan of values per id."""
-    out = []
-    for key in ids:
-        k = getattr(key, component)
-        matches = [payload for vk, payload in values if vk == k]
-        out.append((key, matches if matches else None))
-    return out
+def nested_loop_join(ids, values):
+    """Quadratic reference join: for each id key, one full scan of the value
+    keys for the first row with that key; -1 where there is none."""
+    return [next((j for j, key in enumerate(values) if key == k), -1) for k in ids]
 
 
 # --- lexicon search -----------------------------------------------------------------
@@ -422,24 +418,52 @@ def stepwise_oracle(group, candidates, y, p_enter=0.05):
 
 # --- per-record study rows ------------------------------------------------------------
 #
-# The study-row assembly as it was before timelines were regularized as
-# segments of one flattened array: one `_by_day` pass per timeline, dicts of
-# daily values, and one `build_row_values` list per record.  It reads
-# timelines as lists of (offset, value) pairs (`timelines_as_lists`).
+# The study-row assembly as it was before the cohort became one table:
+# records carrying an attribute dict (`cohort_records`), one `_by_day` pass
+# per timeline, dicts of daily values, and one `build_row_values` list per
+# record.
 
 
-def timelines_as_lists(records):
-    """Copies of `records` whose timeline attrs are lists of (offset, value) tuples."""
-    from icustudy.cohort import TIMELINE_EXTRACTS, Record
+class Record:
+    """A patient of the cohort with its joined extracts as attributes."""
 
-    out = []
-    for rec in records:
-        attrs = dict(rec.attrs)
-        for name in TIMELINE_EXTRACTS:
-            if attrs.get(name) is not None:
-                attrs[name] = [tuple(sample) for sample in np.asarray(attrs[name]).tolist()]
-        out.append(Record(rec.subject_id, rec.hadm_id, rec.icustay_id, attrs))
-    return out
+    def __init__(self, ident, attrs):
+        self.ident = ident
+        self.subject_id, self.hadm_id, self.icustay_id = ident
+        self.attrs = attrs
+
+    def key(self):
+        from icustudy.group import PatientKey
+
+        return PatientKey(*self.ident)
+
+
+def cohort_records(cohort):
+    """One Record per record of `cohort`, its attributes filled from its
+    joined rows, as `load_extracts` once attached them: a timeline as its
+    (offset, value) rows in a list, a flag as whether it joined, the
+    Elixhauser binaries as one tuple, any other extract's first row spread
+    over its value names; None where the record joined no row."""
+    from helpers import EXTRACT_VALUES
+    from icustudy.cohort import TIMELINE_EXTRACTS
+
+    records = []
+    for r, ident in enumerate(cohort.idents()):
+        attrs = {}
+        for name, joined in cohort.extracts.items():
+            run = int(joined.run[r])
+            rows = joined.table[joined.bounds[run] : joined.bounds[run + 1]].tolist() if run >= 0 else None
+            names = EXTRACT_VALUES.get(name, (name,))
+            if name in TIMELINE_EXTRACTS:
+                attrs[name] = None if rows is None else [tuple(row) for row in rows]
+            elif not joined.table.shape[1]:  # a flag
+                attrs[name] = rows is not None
+            elif name == "elixhauser_binary":
+                attrs[name] = None if rows is None else tuple(rows[0])
+            else:
+                attrs.update(zip(names, rows[0] if rows else [None] * len(names)))
+        records.append(Record(ident, attrs))
+    return records
 
 
 HOURS_PER_DAY = 24.0
@@ -553,7 +577,8 @@ def build_row_values(rec, options) -> list:
 
 
 def assemble_study_group_oracle(records, options=None):
-    """The study group and rejections, one `build_row_values` per record."""
+    """The study group and rejections of Records (see `cohort_records`),
+    one `build_row_values` per record."""
     from icustudy.errors import DataError
     from icustudy.group import N_VARIABLES, StudyGroup
     from icustudy.varprep import AssemblyOptions, Rejection
@@ -562,7 +587,7 @@ def assemble_study_group_oracle(records, options=None):
     mandatory = sorted(options.mandatory)
     rows = []
     rejections = []
-    for rec in timelines_as_lists(records):
+    for rec in records:
         key = rec.key()
         try:
             values = build_row_values(rec, options)
@@ -581,14 +606,14 @@ def assemble_study_group_oracle(records, options=None):
 
 
 def survivor_records_oracle(extracts_dir, survivors_path) -> list:
-    """The survivors of survivors.csv from a full reload of every extract."""
+    """The records of survivors.csv from a full reload of every extract."""
     from pathlib import Path
 
     from icustudy.cohort import load_extracts
     from icustudy.group import KEY_COLUMNS, read_csv_rows, row_key
 
     wanted = set(read_csv_rows(survivors_path, KEY_COLUMNS, row_key))
-    records = load_extracts(Path(extracts_dir))
+    records = cohort_records(load_extracts(Path(extracts_dir)))
     return [r for r in records if None not in r.ident and r.ident in wanted]
 
 

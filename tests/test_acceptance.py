@@ -277,10 +277,10 @@ def test_criterion_7_join_and_pipeline(tmp_path):
     for _ in range(200):
         n = int(rng.integers(0, 80))
         m = int(rng.integers(0, 120))
-        ids = [PatientKey(9, 9, int(v)) for v in np.sort(rng.integers(1, 60, size=n))]
-        values = sorted((int(k), int(p)) for k, p in zip(rng.integers(1, 60, size=m), rng.integers(0, 9, size=m)))
-        result = sorted_merge_join(ids, values, component="icustay_id")
-        join_ok &= [(k, g) for k, g in result.groups] == nested_loop_join(ids, values, "icustay_id")
+        ids = np.sort(rng.integers(1, 60, size=n)).tolist()
+        values = np.sort(rng.integers(1, 60, size=m)).tolist()
+        result = sorted_merge_join(ids, values)
+        join_ok &= result.index.tolist() == nested_loop_join(ids, values)
         cursor_ok &= result.cursor_advances <= n + m
 
     spec = SynthSpec(n=120, seed=6, attrition={kind: 2 for kind in ATTRITION_KINDS})

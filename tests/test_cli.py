@@ -381,6 +381,17 @@ def test_corrupt_handoff_file_is_data_error(fixture_dirs, tmp_path, capsys, name
     assert f"{tmp_path / name}: line 3: " in capsys.readouterr().err
 
 
+def test_survivor_id_beyond_64_bits_is_data_error(fixture_dirs, tmp_path, capsys):
+    root, config = fixture_dirs
+    with open(root / "out" / "survivors.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[2][0] = str(2**63)
+    with open(tmp_path / "survivors.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["varprep", "run", "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert f"{tmp_path / 'survivors.csv'}: line 3: " in capsys.readouterr().err
+
+
 def test_empty_study_group_is_data_error(fixture_dirs, tmp_path, capsys):
     root, config = fixture_dirs
     with open(root / "out" / "survivors.csv", newline="") as fh:
@@ -470,3 +481,41 @@ def test_non_positive_id_is_dropped_at_step_a(tmp_path, column, cell):
 
     assert step_a(tmp_path / "after") == step_a(tmp_path / "before") - 1
     assert survivors(tmp_path / "after") == survivors(tmp_path / "before") - {dropped}
+
+
+@pytest.mark.parametrize(
+    "step, reason",
+    [
+        ("2,extract,B,age_at_least abc", "predicate argument 'abc' is not a number"),
+        ("2,extract,B,age_at_least nan", "predicate argument 'nan' is not a number"),
+        ("x,extract,B,has_all_ids", "step index 'x' is not an integer"),
+        ("2,extract,B,has_all_ids 5", "predicate 'has_all_ids' does not take 1 argument"),
+        ("2,extract,B,age_at_least 18 65", "predicate 'age_at_least' does not take 2 arguments"),
+        ("2,extract,B,no_such_predicate", "unknown predicate 'no_such_predicate'"),
+        ("2,merge,B,has_all_ids", "unknown step kind 'merge'"),
+        ("2,intersect,B,A", "intersect step needs exactly two operand labels"),
+        ("2,extract,B", "want 4 comma-separated cells"),
+    ],
+)
+def test_bad_pipeline_step_is_data_error_naming_its_line(tmp_path, capsys, step, reason):
+    # no extract file exists: the pipeline is checked before any is read
+    (tmp_path / "extracts").mkdir()
+    pipeline = tmp_path / "pipeline.txt"
+    pipeline.write_text(f"# steps\n1,extract,A,has_all_ids\n{step}\n")
+    argv = ["cohort", "run", "--extracts", str(tmp_path / "extracts"), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--pipeline", str(pipeline)]) == 3
+    err = capsys.readouterr().err
+    assert f"pipeline line 3: {reason}" in err, err
+
+
+@pytest.mark.parametrize(
+    "text, reason", [("# no step\n\n", "pipeline has no step"), (None, "pipeline file not found")]
+)
+def test_empty_or_missing_pipeline_file_is_data_error(tmp_path, capsys, text, reason):
+    (tmp_path / "extracts").mkdir()
+    pipeline = tmp_path / "pipeline.txt"
+    if text is not None:
+        pipeline.write_text(text)
+    argv = ["cohort", "run", "--extracts", str(tmp_path / "extracts"), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--pipeline", str(pipeline)]) == 3
+    assert reason in capsys.readouterr().err

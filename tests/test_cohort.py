@@ -8,14 +8,15 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from icustudy import cohort
+from icustudy.cli import main
 from icustudy.cohort import (
     DEFAULT_DIURETIC_LEXICON,
     DEFAULT_LEXICON,
     DEFAULT_PIPELINE,
     EXTRACT_SCHEMAS,
+    TIMELINE_EXTRACTS,
     DrugLexicon,
     FilterStep,
-    Record,
     detect_naive,
     load_extracts,
     parse_pipeline,
@@ -28,89 +29,71 @@ from icustudy.errors import (
     UnknownSetReference,
     UnsortedInput,
 )
-from icustudy.group import PatientKey
 from icustudy.synth import ATTRITION_KINDS, SynthSpec, synth_generate
 
-from oracles import mentions_drug_oracle, nested_loop_join
-
-
-def _keys(ids):
-    return [PatientKey(i, 100 + i, 1000 + i) for i in ids]
-
-
-def _keys_by_icustay(ids):
-    return [PatientKey(9999, 9999, i) for i in ids]
+from helpers import patient, write_extracts
+from oracles import cohort_records, mentions_drug_oracle, nested_loop_join
 
 
 # --- sorted merge join ------------------------------------------------------
 
 
 def test_join_single_match():
-    ids = _keys([1, 2, 3])
-    result = sorted_merge_join(ids, [(2, "a")], component="subject_id")
-    assert result.groups == [(ids[0], None), (ids[1], ["a"]), (ids[2], None)]
+    result = sorted_merge_join([1, 2, 3], [2])
+    assert result.index.tolist() == [-1, 0, -1]
 
 
 def test_join_empty_ids():
-    result = sorted_merge_join([], [(5, "x")], component="subject_id")
-    assert result.groups == []
+    assert sorted_merge_join([], [5]).index.tolist() == []
 
 
 def test_join_duplicate_value_keys_grouped():
-    ids = _keys([1, 2])
-    result = sorted_merge_join(ids, [(1, "a"), (1, "b"), (1, "c")], component="subject_id")
-    assert result.groups[0] == (ids[0], ["a", "b", "c"])
-    assert result.groups[1] == (ids[1], None)
+    # an id joins the run of equal keys from its first row
+    result = sorted_merge_join([1, 2], [1, 1, 1])
+    assert result.index.tolist() == [0, -1]
 
 
 def test_join_duplicate_ids_share_group():
-    # two stays of one subject joined against a subject-keyed extract
-    ids = [PatientKey(7, 1, 1), PatientKey(7, 2, 2)]
-    result = sorted_merge_join(ids, [(7, "v")], component="subject_id")
-    assert result.groups == [(ids[0], ["v"]), (ids[1], ["v"])]
+    # two stays of one admission joined against an admission-keyed extract
+    result = sorted_merge_join([7, 7], [3, 7])
+    assert result.index.tolist() == [1, 1]
 
 
 def test_join_unsorted_ids_raises_with_index():
-    ids = _keys([1, 3, 2])
     with pytest.raises(UnsortedInput) as excinfo:
-        sorted_merge_join(ids, [], component="subject_id")
+        sorted_merge_join([1, 3, 2], [])
     assert excinfo.value.index == 2
     assert excinfo.value.name == "ids"
 
 
 def test_join_unsorted_values_raises_with_index():
-    ids = _keys([1, 2, 3])
     with pytest.raises(UnsortedInput) as excinfo:
-        sorted_merge_join(ids, [(2, "a"), (1, "b")], component="subject_id")
+        sorted_merge_join([1, 2, 3], [2, 1])
     assert excinfo.value.name == "values"
     assert excinfo.value.index == 1
 
 
 def test_join_large_random_matches_nested_loop_oracle():
     rng = np.random.default_rng(31)
-    ids = _keys_by_icustay(sorted(rng.integers(1, 2000, size=1000).tolist()))
-    values = sorted(
-        (int(k), f"p{j}") for j, k in enumerate(rng.integers(1, 2000, size=5000))
-    )
-    result = sorted_merge_join(ids, values, component="icustay_id")
-    want = nested_loop_join(ids, values, "icustay_id")
-    assert [(k, g) for k, g in result.groups] == want
+    ids = sorted(rng.integers(1, 2000, size=1000).tolist())
+    values = sorted(rng.integers(1, 2000, size=5000).tolist())
+    result = sorted_merge_join(ids, values)
+    assert result.index.tolist() == nested_loop_join(ids, values)
     assert result.cursor_advances <= len(ids) + len(values)
 
 
 @given(
     st.lists(st.integers(1, 60), min_size=0, max_size=40),
-    st.lists(st.tuples(st.integers(1, 60), st.integers(0, 9)), min_size=0, max_size=60),
+    st.lists(st.integers(1, 60), min_size=0, max_size=60),
 )
 @settings(max_examples=200)
 def test_join_equals_oracle_property(raw_ids, raw_values):
-    ids = _keys_by_icustay(sorted(raw_ids))
-    values = sorted(raw_values)
-    result = sorted_merge_join(ids, values, component="icustay_id")
-    assert [(k, g) for k, g in result.groups] == nested_loop_join(ids, values, "icustay_id")
+    ids, values = sorted(raw_ids), sorted(raw_values)
+    result = sorted_merge_join(ids, values)
+    assert result.index.tolist() == nested_loop_join(ids, values)
     assert result.cursor_advances <= len(ids) + len(values)
     # what a linear merge reads: every id, and the values up to the largest id key
-    read = sum(key <= max(raw_ids) for key, _ in values) if ids else 0
+    read = sum(key <= max(raw_ids) for key in values) if ids else 0
     assert result.cursor_advances == len(ids) + read
 
 
@@ -202,23 +185,13 @@ def test_detect_naive_agrees_with_per_entry_search_on_synthetic_summaries(
 # --- filter pipeline -----------------------------------------------------------
 
 
-def _record(i, **attrs):
-    defaults = {
-        "n_admissions": 1,
-        "age": 50.0,
-        "sepsis": True,
-        "cmo": False,
-        "summary": "ok",
-        "naive": True,
-        "max_offset_hours": 60.0,
-        "missing_mandatory": None,
-    }
-    defaults.update(attrs)
-    return Record(i, 100 + i, 1000 + i, defaults)
+def _cohort(directory, patients):
+    write_extracts(directory, patients)
+    return load_extracts(directory)
 
 
-def test_pipeline_always_true_extract():
-    base = [_record(i) for i in range(1, 11)]
+def test_pipeline_always_true_extract(tmp_path):
+    base = _cohort(tmp_path, [patient(i) for i in range(1, 11)])
     steps = [FilterStep(1, "extract", "A", predicate="always_true")]
     final, trace = run_filter_pipeline(base, steps)
     assert len(final) == 10
@@ -226,62 +199,75 @@ def test_pipeline_always_true_extract():
     assert trace.steps[0].pct_of_original == 1.0
 
 
-def test_pipeline_intersection_set_algebra():
+def test_pipeline_intersection_set_algebra(tmp_path):
     # extracts of sizes 8 and 6 overlapping in 5 records
-    base = [_record(i) for i in range(1, 10)]
-    for r in base[:3]:
-        r.attrs["age"] = 10.0  # fails age filter -> in B-complement
+    patients = [patient(i) for i in range(1, 10)]
+    for p in patients[:3]:
+        p["age"] = 10.0  # fails age filter -> in B-complement
     # A: records 1..8 (drop record 9 via sepsis), B: age >= 18
-    for r in base[8:]:
-        r.attrs["sepsis"] = False
+    for p in patients[8:]:
+        p["sepsis"] = False
     steps = parse_pipeline(
         "1,extract,A,sepsis\n2,extract,B,age_at_least 18\n3,intersect,C,A B\n"
     )
-    final, trace = run_filter_pipeline(base, steps)
+    final, trace = run_filter_pipeline(_cohort(tmp_path, patients), steps)
     assert trace.steps[0].surviving_count == 8
     assert trace.steps[1].surviving_count == 6
     assert trace.steps[2].surviving_count == 5
     assert len(final) == 5
+    assert [ident[0] for ident in final.idents()] == [4, 5, 6, 7, 8]
 
 
-def test_pipeline_unknown_set_reference():
-    base = [_record(1)]
+def test_pipeline_unknown_set_reference(tmp_path):
+    base = _cohort(tmp_path, [patient(1)])
     steps = [FilterStep(1, "intersect", "C", operands=("A", "B"))]
     with pytest.raises(UnknownSetReference):
         run_filter_pipeline(base, steps)
 
 
-def test_pipeline_predicate_failure_carries_key():
-    record = _record(2)
-    del record.attrs["age"]
+def test_pipeline_predicate_failure_carries_key(tmp_path):
+    # record 3 lacks an age too, but it has no hadm_id: step A drops it
+    patients = [patient(1), patient(2, age=None), patient(3, age=None, hadm_id=None)]
     steps = parse_pipeline("1,extract,F,age_at_least 18")
     with pytest.raises(PredicateFailure) as excinfo:
-        run_filter_pipeline([record], steps)
+        run_filter_pipeline(_cohort(tmp_path, patients), steps)
     assert excinfo.value.key == (2, 102, 1002)
     assert excinfo.value.field == "age"
+    final, _ = run_filter_pipeline(_cohort(tmp_path, [patients[0], patients[2]]), steps)
+    assert final.idents() == [(1, 101, 1001)]
 
 
-def test_pipeline_monotone_after_intersections():
+def test_pipeline_predicate_failure_in_a_filter_step_names_a_record_it_filters(tmp_path):
+    patients = [patient(1, age=None, sepsis=False), patient(2), patient(3, age=None)]
+    steps = parse_pipeline("1,extract,H,sepsis\n2,filter,F,age_at_least 18")
+    with pytest.raises(PredicateFailure) as excinfo:
+        run_filter_pipeline(_cohort(tmp_path, patients), steps)
+    assert excinfo.value.key == (3, 103, 1003)
+
+
+def test_pipeline_monotone_after_intersections(tmp_path):
     rng = np.random.default_rng(41)
-    base = []
+    patients = []
     for i in range(1, 201):
-        base.append(
-            _record(
+        patients.append(
+            patient(
                 i,
                 age=float(rng.integers(5, 90)),
                 sepsis=bool(rng.random() < 0.5),
                 cmo=bool(rng.random() < 0.1),
-                n_admissions=int(rng.integers(1, 3)),
                 summary="ok" if rng.random() < 0.9 else None,
-                naive=bool(rng.random() < 0.9),
             )
         )
+        if rng.random() < 0.1:  # not naive
+            patients[-1]["summary"] = "ON ADMISSION: lasix 20mg"
+        if rng.random() < 0.3:  # one of several admissions of a subject
+            patients[-1]["subject_id"] = int(rng.integers(1, 30))
     steps = parse_pipeline(DEFAULT_PIPELINE)
-    final, trace = run_filter_pipeline(base, steps)
+    final, trace = run_filter_pipeline(_cohort(tmp_path, patients), steps)
     counts = {s.label: s.surviving_count for s in trace.steps}
     chain = ["C", "E", "G", "I", "M", "O", "Q", "R"]
     assert all(counts[b] <= counts[a] for a, b in zip(chain, chain[1:]))
-    assert trace.steps[-1].surviving_count == len(final)
+    assert 0 < trace.steps[-1].surviving_count == len(final) < counts["C"] < 200
     # exact fraction bookkeeping
     for s in trace.steps:
         assert s.pct_of_original == s.surviving_count / 200
@@ -316,6 +302,30 @@ def test_load_extracts_rejects_unsorted_rows_past_the_last_id(tmp_path):
     with pytest.raises(UnsortedInput) as excinfo:
         load_extracts(tmp_path)
     assert (excinfo.value.name, excinfo.value.index) == ("saps.csv", n_rows + 1)
+
+
+def test_full_day_data_takes_the_largest_offset_of_all_seven_timelines(tmp_path):
+    short = [(1.0, 5.0), (20.0, 5.0)]
+
+    def with_timelines(i, **timelines):
+        return patient(i, **{**dict.fromkeys(TIMELINE_EXTRACTS, short), **timelines})
+
+    # each timeline in turn is the only one that reaches 24 hours
+    patients = [with_timelines(i, **{name: short + [(30.0, 5.0)]}) for i, name in enumerate(TIMELINE_EXTRACTS, 1)]
+    patients += [
+        with_timelines(8),  # every offset below 24
+        with_timelines(9, saps=short + [(30.0, 5.0)], fluids_in=[(float("nan"), 1.0)]),  # NaN in another timeline
+        with_timelines(10, bp=[(30.0, 5.0), (float("nan"), 5.0)]),  # NaN beside the largest
+        patient(11, **dict.fromkeys(TIMELINE_EXTRACTS)),  # no timeline
+        with_timelines(12, sofa=[(24.0, 5.0)]),
+        with_timelines(13, creatinine=[(30.0, 5.0), (2.0, 5.0)]),  # the largest is not the last row
+    ]
+    write_extracts(tmp_path / "extracts", patients)
+    (tmp_path / "pipeline.txt").write_text("1,extract,D,full_day_data\n")
+    argv = ["cohort", "run", "--extracts", str(tmp_path / "extracts"), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--pipeline", str(tmp_path / "pipeline.txt")]) == 0
+    with open(tmp_path / "out" / "survivors.csv", newline="") as fh:
+        assert [int(row["subject_id"]) for row in csv.DictReader(fh)] == [1, 2, 3, 4, 5, 6, 7, 12, 13]
 
 
 # --- extract validation ---------------------------------------------------------
@@ -357,18 +367,11 @@ def test_load_extracts_names_a_dropped_column(synth_extracts, tmp_path, name):
 
 
 def _same_records(got, want) -> bool:
-    """Record lists equal field by field; timelines are arrays, compared exactly."""
-
-    def same(a, b):
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
-        return a == b
-
+    """Cohorts whose records have equal ids and equal joined rows, cell for
+    cell (so that NaN equals NaN)."""
+    got, want = cohort_records(got), cohort_records(want)
     return len(got) == len(want) and all(
-        a.ident == b.ident
-        and a.attrs.keys() == b.attrs.keys()
-        and all(same(value, b.attrs[name]) for name, value in a.attrs.items())
-        for a, b in zip(got, want)
+        a.ident == b.ident and repr(a.attrs) == repr(b.attrs) for a, b in zip(got, want)
     )
 
 
@@ -428,9 +431,9 @@ def test_header_only_numeric_extract_loads_without_a_warning(synth_extracts, tmp
         (tmp_path / f"{name}.csv").write_text(header + "\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        records = load_extracts(tmp_path)
-    assert len(records) == len(synth_extracts[1])
-    assert all(r.attrs["saps"] is None and r.attrs["cmo"] is False for r in records)
+        loaded = load_extracts(tmp_path)
+    assert len(loaded) == len(synth_extracts[1])
+    assert not loaded.extracts["saps"].hit.any() and not loaded.extracts["cmo"].hit.any()
 
 
 # --- the two extract parsers ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Path and representation invariance: the cohort and varprep outputs must
-not depend on the order of rows that share a key, nor on whether the
-stages hand off in memory (`run-all`) or through survivors.csv."""
+not depend on the order of rows that share a key, and no output may depend
+on whether the stages hand off in memory (`run-all`) or through their
+files."""
 
 import csv
 import itertools
@@ -59,10 +60,27 @@ def test_shuffling_rows_within_equal_keys_keeps_outputs(extracts, tmp_path):
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
 
-def test_staged_cohort_and_varprep_equal_run_all(extracts, tmp_path):
+#: every stage as its own commands, in run-all's order; run-all keeps the
+#: balance assessed before refinement as balance_initial*.csv
+STAGED_COMMANDS = (
+    ["cohort", "run"], ["varprep", "run"],
+    ["propensity", "fit"], ["propensity", "stratify"], ["propensity", "balance"],
+    ["propensity", "refine"], ["propensity", "balance"],
+    ["outcome", "run"], ["ml", "run"],
+)
+
+
+def test_stage_by_stage_equals_run_all(extracts, tmp_path):
     root, config = extracts
-    argv = ["run-all", "--config", str(config), "--out", str(tmp_path / "all"), "--stages", "cohort,varprep"]
-    assert main(argv) == 0
-    _staged(config, root / "extracts", tmp_path / "staged")
-    for name in ETL_OUTPUTS:
-        assert (tmp_path / "staged" / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
+    assert main(["run-all", "--config", str(config), "--out", str(tmp_path / "all")]) == 0
+    staged = tmp_path / "staged"
+    for k, command in enumerate(STAGED_COMMANDS):
+        assert main(command + ["--config", str(config), "--out", str(staged)]) == 0, command
+        if k == 4:
+            for name in ("balance", "balance_summary"):
+                (staged / f"{name}.csv").rename(staged / f"{name.replace('balance', 'balance_initial')}.csv")
+    names = sorted(p.name for p in (tmp_path / "all").iterdir())
+    assert sorted(p.name for p in staged.iterdir()) == names
+    assert {"balance_initial.csv", "counterfactual.csv", *ETL_OUTPUTS} <= set(names)
+    for name in names:
+        assert (staged / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name

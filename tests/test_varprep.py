@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import patient, write_extracts
 from icustudy import varprep
 from icustudy.cli import Run, _survivor_records
-from icustudy.cohort import DEFAULT_PIPELINE, TIMELINE_EXTRACTS, Record, load_extracts
+from icustudy.cohort import DEFAULT_PIPELINE, TIMELINE_EXTRACTS, load_extracts
 from icustudy.cohort import parse_pipeline, run_filter_pipeline
 from icustudy.config import RunConfig
 from icustudy.errors import DataError, MissingDay, ZeroDenominator
@@ -143,33 +144,17 @@ def test_decision_timepoint_configured_default():
 
 
 def _full_record(i=1, treated=False, first_dose_day=2, days=6):
-    attrs = {
-        "age": 60.0,
-        "gender": 1.0,
-        "race": -1.0,
-        "elixhauser": 3.0,
-        "elixhauser_binary": [1.0, -1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0],
-        "vasopressors": 1.0,
-        "ventilation": -1.0,
-        "mortality": -1.0,
-        "los": 5.5,
-        "first_dose_hours": 24.0 * (first_dose_day - 1) + 4.0 if treated else None,
-    }
-    for name, level in (
-        ("saps", 15.0),
-        ("sofa", 8.0),
-        ("creatinine", 1.5),
-        ("bp", 110.0),
-        ("bp_mean", 78.0),
-    ):
-        attrs[name] = [(24.0 * (d - 1) + 6.0, level) for d in range(1, days + 1)]
-    attrs["fluids_in"] = [(24.0 * (d - 1) + 6.0, 2.0) for d in range(1, days + 1)]
-    attrs["fluids_out"] = [(24.0 * (d - 1) + 6.0, 1.0) for d in range(1, days + 1)]
-    return Record(i, 100 + i, 1000 + i, attrs)
+    return patient(i, days, first_dose_hours=24.0 * (first_dose_day - 1) + 4.0 if treated else None)
 
 
-def test_assembly_constant_series_all_timepoints_equal():
-    group, rejections = assemble_study_group([_full_record()])
+def _assemble(directory, patients, options=None):
+    """The study group and rejections of `patients` written as extract files."""
+    write_extracts(directory, patients)
+    return assemble_study_group(load_extracts(directory, study_only=True), options)
+
+
+def test_assembly_constant_series_all_timepoints_equal(tmp_path):
+    group, rejections = _assemble(tmp_path, [_full_record()])
     assert not rejections
     row = group.x[0]
     assert all(row[i] == 15.0 for i in range(4, 9))  # x5..x9
@@ -177,20 +162,18 @@ def test_assembly_constant_series_all_timepoints_equal():
     assert group.col(1)[0] == -1.0  # untreated
 
 
-def test_assembly_fluids_balance_example():
+def test_assembly_fluids_balance_example(tmp_path):
     rec = _full_record()
-    rec.attrs["fluids_in"] = [(0.0, 2.0), (72.5, 1.0)]  # days 1 and 4
-    rec.attrs["fluids_out"] = [(0.0, 1.0), (72.5, 1.0)]
-    group, rejections = assemble_study_group(
-        [rec], AssemblyOptions(mandatory=(1, 2, 3, 57, 58))
-    )
+    rec["fluids_in"] = [(0.0, 2.0), (72.5, 1.0)]  # days 1 and 4
+    rec["fluids_out"] = [(0.0, 1.0), (72.5, 1.0)]
+    group, rejections = _assemble(tmp_path, [rec], AssemblyOptions(mandatory=(1, 2, 3, 57, 58)))
     assert not rejections
     # x41 = day-1 balance, x42 = balance at T1 (day 4 for untreated)
     assert group.col(41)[0] == pytest.approx(1.0)
     assert group.col(42)[0] == pytest.approx(0.0)
 
 
-def test_assembly_balance_identity():
+def test_assembly_balance_identity(tmp_path):
     # coverage differs by side: some days carry inputs with no output
     # record (and the reverse), which the shared day grid zero-fills
     rng = np.random.default_rng(11)
@@ -199,20 +182,20 @@ def test_assembly_balance_identity():
         rec = _full_record(i, treated=bool(rng.random() < 0.4))
         skip_in = {int(rng.integers(2, 7))} if i % 3 == 0 else set()
         skip_out = {int(rng.integers(2, 7))} if i % 3 == 1 else set()
-        rec.attrs["fluids_in"] = [
+        rec["fluids_in"] = [
             (24.0 * (d - 1) + float(h), float(rng.uniform(0, 1)))
             for d in range(1, 7)
             if d not in skip_in
             for h in (2, 9, 15)
         ]
-        rec.attrs["fluids_out"] = [
+        rec["fluids_out"] = [
             (24.0 * (d - 1) + float(h), float(rng.uniform(0, 1)))
             for d in range(1, 7)
             if d not in skip_out
             for h in (4, 12)
         ]
         records.append(rec)
-    group, rejections = assemble_study_group(records)
+    group, rejections = _assemble(tmp_path, records)
     assert not rejections
     for offset in range(5):
         balance = group.col(40 + offset)
@@ -220,40 +203,40 @@ def test_assembly_balance_identity():
         assert balance == pytest.approx(diff, abs=1e-9)
 
 
-def test_assembly_average_within_daily_range():
+def test_assembly_average_within_daily_range(tmp_path):
     rng = np.random.default_rng(13)
     rec = _full_record(treated=True, first_dose_day=4)
     daily = {d: float(rng.uniform(10, 20)) for d in range(1, 7)}
-    rec.attrs["saps"] = [(24.0 * (d - 1) + 1.0, v) for d, v in daily.items()]
-    group, _ = assemble_study_group([rec])
+    rec["saps"] = [(24.0 * (d - 1) + 1.0, v) for d, v in daily.items()]
+    group, _ = _assemble(tmp_path, [rec])
     x5 = group.col(5)[0]
     used = [daily[d] for d in range(1, 5)]
     assert min(used) <= x5 <= max(used)
     assert x5 == pytest.approx(np.mean(used), rel=1e-12)
 
 
-def test_assembly_rejects_first_missing_variable():
+def test_assembly_rejects_first_missing_variable(tmp_path):
     rec = _full_record()
-    rec.attrs["creatinine"] = []  # x25..x29 all missing
-    group, rejections = assemble_study_group([rec])
+    rec["creatinine"] = []  # x25..x29 all missing
+    group, rejections = _assemble(tmp_path, [rec])
     assert group.n == 0
     assert len(rejections) == 1
     assert rejections[0].reason == "x25 missing"
 
 
-def test_assembly_mandatory_list_is_configuration():
+def test_assembly_mandatory_list_is_configuration(tmp_path):
     rec = _full_record()
-    rec.attrs["creatinine"] = []
+    rec["creatinine"] = []
     options = AssemblyOptions(mandatory=tuple(i for i in range(1, 59) if not 25 <= i <= 29))
-    group, rejections = assemble_study_group([rec], options)
+    group, rejections = _assemble(tmp_path, [rec], options)
     assert group.n == 1
     assert not rejections
 
 
-def test_assembly_binary_encoding_enforced():
+def test_assembly_binary_encoding_enforced(tmp_path):
     rec = _full_record()
-    rec.attrs["gender"] = 0.5
-    group, rejections = assemble_study_group([rec])
+    rec["gender"] = 0.5
+    group, rejections = _assemble(tmp_path, [rec])
     assert group.n == 0
     assert "gender" in rejections[0].reason
 
@@ -267,10 +250,10 @@ def test_assembly_binary_encoding_enforced():
         ("fluids_in", (float("inf"), 1.0), "timeline offset must be finite and >= 0, got inf"),
     ],
 )
-def test_assembly_rejects_non_finite_timeline_sample(name, sample, reason):
+def test_assembly_rejects_non_finite_timeline_sample(tmp_path, name, sample, reason):
     rec = _full_record()
-    rec.attrs[name] = rec.attrs[name] + [sample]
-    group, rejections = assemble_study_group([rec])
+    rec[name] = rec[name] + [sample]
+    group, rejections = _assemble(tmp_path, [rec])
     assert group.n == 0
     assert [r.reason for r in rejections] == [reason]
 
@@ -286,33 +269,33 @@ def test_assembly_rejects_non_finite_timeline_sample(name, sample, reason):
         ("los", float("inf"), "length of stay must be finite, got inf"),
     ],
 )
-def test_assembly_rejects_non_finite_scalar(name, value, reason):
+def test_assembly_rejects_non_finite_scalar(tmp_path, name, value, reason):
     # the record is rejected alone; it must not reach the study matrix,
     # where an infinite cell fails the whole group and a NaN passes
     records = [_full_record(1), _full_record(2)]
-    records[1].attrs[name] = value
-    group, rejections = assemble_study_group(records)
+    records[1][name] = value
+    group, rejections = _assemble(tmp_path, records)
     assert [k.subject_id for k in group.keys] == [1]
     assert [(r.key.subject_id, r.reason) for r in rejections] == [(2, reason)]
 
 
-def test_assembly_checks_gender_before_timelines():
+def test_assembly_checks_gender_before_timelines(tmp_path):
     rec = _full_record()
-    rec.attrs["gender"] = 0.0
-    rec.attrs["saps"] = rec.attrs["saps"] + [(30.0, float("nan"))]
-    _, rejections = assemble_study_group([rec])
+    rec["gender"] = 0.0
+    rec["saps"] = rec["saps"] + [(30.0, float("nan"))]
+    _, rejections = _assemble(tmp_path, [rec])
     assert [r.reason for r in rejections] == ["gender must be -1 or +1, got 0.0"]
 
 
-def test_assembly_checks_fluid_offsets_before_los():
+def test_assembly_checks_fluid_offsets_before_los(tmp_path):
     rec = _full_record()
-    rec.attrs["los"] = -1.0
-    rec.attrs["fluids_in"] = [(-2.0, 1.0)] + rec.attrs["fluids_in"]
-    _, rejections = assemble_study_group([rec])
+    rec["los"] = -1.0
+    rec["fluids_in"] = [(-2.0, 1.0)] + rec["fluids_in"]
+    _, rejections = _assemble(tmp_path, [rec])
     assert [r.reason for r in rejections] == ["timeline offset must be finite and >= 0, got -2.0"]
 
 
-def test_assembly_check_order_is_fixed():
+def test_assembly_check_order_is_fixed(tmp_path):
     # each fault alone, then every pair: the one earlier in this list names the rejection
     faults = [
         ("age", float("inf")),
@@ -333,24 +316,24 @@ def test_assembly_check_order_is_fixed():
     reasons = []
     for name, value in faults:
         rec = _full_record()
-        rec.attrs[name] = value
-        _, rejections = assemble_study_group([rec])
+        rec[name] = value
+        _, rejections = _assemble(tmp_path, [rec])
         reasons.append(rejections[0].reason)
     assert len(set(reasons)) == len(reasons)
     for a in range(len(faults)):
         for b in range(a + 1, len(faults)):
             rec = _full_record()
             for name, value in (faults[b], faults[a]):
-                rec.attrs[name] = value
-            _, rejections = assemble_study_group([rec])
+                rec[name] = value
+            _, rejections = _assemble(tmp_path, [rec])
             assert rejections[0].reason == reasons[a], (faults[a][0], faults[b][0])
 
 
-def test_assembly_treated_t1_from_first_dose():
+def test_assembly_treated_t1_from_first_dose(tmp_path):
     rec = _full_record(treated=True, first_dose_day=2)
     daily = {d: float(d * 10) for d in range(1, 7)}
-    rec.attrs["saps"] = [(24.0 * (d - 1), v) for d, v in daily.items()]
-    group, _ = assemble_study_group([rec])
+    rec["saps"] = [(24.0 * (d - 1), v) for d, v in daily.items()]
+    group, _ = _assemble(tmp_path, [rec])
     assert group.col(1)[0] == 1.0
     assert group.col(7)[0] == 20.0  # value at T1 = day 2
     assert group.col(5)[0] == pytest.approx(15.0)  # mean of days 1..2
@@ -358,9 +341,9 @@ def test_assembly_treated_t1_from_first_dose():
     assert group.col(9)[0] == 40.0  # T3 = day 4
 
 
-def test_assembly_sorted_by_key():
+def test_assembly_sorted_by_key(tmp_path):
     records = [_full_record(i) for i in (5, 2, 9, 1)]
-    group, _ = assemble_study_group(records)
+    group, _ = _assemble(tmp_path, records)
     subjects = [k.subject_id for k in group.keys]
     assert subjects == sorted(subjects)
 
@@ -399,7 +382,8 @@ def _crowd(rng, samples):
 
 
 def _inject_faults(rng, rec):
-    """A copy of `rec` with crowded days in every timeline and 0-4 faults."""
+    """The values of `rec` (an oracle Record) with crowded days in every
+    timeline and 0-4 faults, as a patient for `write_extracts`."""
     attrs = dict(rec.attrs)
     for name in TIMELINE_EXTRACTS:
         if attrs.get(name) is not None:
@@ -428,12 +412,12 @@ def _inject_faults(rng, rec):
             attrs[str(rng.choice(["age", "elixhauser", "los", "first_dose_hours"]))] = None
         else:  # a NaN or infinite scalar
             attrs[str(rng.choice(["age", "elixhauser", "los"]))] = float(rng.choice([np.nan, np.inf, -np.inf]))
-    return Record(rec.subject_id, rec.hadm_id, rec.icustay_id, attrs)
+    return dict(zip(KEY_COLUMNS, rec.ident), **attrs)
 
 
-def _assert_same_assembly(records, options):
-    got, got_rejections = assemble_study_group(records, options)
-    want, want_rejections = oracles.assemble_study_group_oracle(records, options)
+def _assert_same_assembly(cohort, options):
+    got, got_rejections = assemble_study_group(cohort, options)
+    want, want_rejections = oracles.assemble_study_group_oracle(oracles.cohort_records(cohort), options)
     assert got.keys == want.keys
     assert got.x.shape == want.x.shape and got.x.tobytes() == want.x.tobytes()
     assert [(r.key, r.reason) for r in got_rejections] == [(r.key, r.reason) for r in want_rejections]
@@ -451,10 +435,12 @@ _ORACLE_OPTIONS = [
 @pytest.mark.parametrize("seed, record_block", [(0, 1024), (1, 7), (2, 50)])
 def test_assembly_matches_per_record_oracle(tmp_path, monkeypatch, seed, record_block):
     monkeypatch.setattr(varprep, "RECORD_BLOCK", record_block)
-    synth_generate(SynthSpec(n=120, seed=seed, attrition={k: 2 for k in ATTRITION_KINDS}), tmp_path)
-    loaded = [r for r in load_extracts(tmp_path) if None not in r.ident]
+    synth_generate(SynthSpec(n=120, seed=seed, attrition={k: 2 for k in ATTRITION_KINDS}), tmp_path / "synth")
+    loaded = load_extracts(tmp_path / "synth")
+    loaded = loaded.select(np.flatnonzero(~loaded.absent.any(axis=1)))
     rng = np.random.default_rng(seed)
-    injected = [_inject_faults(rng, rec) for rec in loaded]
+    write_extracts(tmp_path / "injected", [_inject_faults(rng, rec) for rec in oracles.cohort_records(loaded)])
+    injected = load_extracts(tmp_path / "injected")
     for options in _ORACLE_OPTIONS:
         group, _ = _assert_same_assembly(loaded, options)
         assert group.n > 100
@@ -468,12 +454,12 @@ def test_staged_survivors_assemble_like_a_full_reload(tmp_path):
     synth_generate(SynthSpec(n=150, seed=4, attrition={k: 2 for k in ATTRITION_KINDS}), extracts)
     survivors, _ = run_filter_pipeline(load_extracts(extracts), parse_pipeline(DEFAULT_PIPELINE))
     path = tmp_path / "survivors.csv"
-    path.write_text(",".join(KEY_COLUMNS) + "\n" + "".join(",".join(map(str, r.ident)) + "\n" for r in survivors))
+    path.write_text(",".join(KEY_COLUMNS) + "\n" + "".join(",".join(map(str, ident)) + "\n" for ident in survivors.idents()))
     config = RunConfig()
     config.set_option("extracts_dir", str(extracts))
     got = _survivor_records(Run(config, tmp_path), path)
     want = oracles.survivor_records_oracle(extracts, path)
-    assert [r.ident for r in got] == [r.ident for r in want] == [r.ident for r in survivors]
+    assert got.idents() == [r.ident for r in want] == survivors.idents()
     group, _ = assemble_study_group(got)
     oracle_group, oracle_rejections = oracles.assemble_study_group_oracle(want)
     assert group.keys == oracle_group.keys and group.x.tobytes() == oracle_group.x.tobytes()
