@@ -190,6 +190,7 @@ class Cohort:
 
     ids: np.ndarray  # (n, 3) subject, hadm and icustay ids; 0 for a blank cell
     absent: np.ndarray  # (n, 3) True for a blank cell, which is no id at all
+    admissions: np.ndarray  # each record's subject's admissions over all of ids.csv
     extracts: dict  # extract name -> Joined
 
     def __len__(self) -> int:
@@ -198,7 +199,7 @@ class Cohort:
     def select(self, rows) -> Cohort:
         """The records at `rows`, in that order, sharing the parsed extracts."""
         joined = {name: j._replace(run=j.run[rows]) for name, j in self.extracts.items()}
-        return Cohort(self.ids[rows], self.absent[rows], joined)
+        return Cohort(self.ids[rows], self.absent[rows], self.admissions[rows], joined)
 
     def idents(self) -> list:
         """Each record's id triple, None for a blank cell."""
@@ -264,12 +265,7 @@ def _p_has_all_ids(c: Cohort) -> np.ndarray:
 
 
 def _p_single_admission(c: Cohort) -> np.ndarray:
-    # a blank subject id counts as one admission of its own
-    subject, present = c.ids[:, 0], ~c.absent[:, 0]
-    ids, counts = np.unique(subject[present], return_counts=True)
-    admissions = np.ones(len(c), np.int64)
-    admissions[present] = counts[np.searchsorted(ids, subject[present])]
-    return admissions == 1
+    return c.admissions == 1
 
 
 def _p_full_day_data(c: Cohort) -> np.ndarray:
@@ -545,6 +541,16 @@ def _ids(cells: np.ndarray) -> tuple:
     return np.where(absent, "0", cells).astype(np.int64), absent
 
 
+def _admissions(ids: np.ndarray, absent: np.ndarray) -> np.ndarray:
+    """Each record's count of records with its subject id; a blank subject
+    id counts as one admission of its own."""
+    subject, present = ids[:, 0], ~absent[:, 0]
+    distinct, counts = np.unique(subject[present], return_counts=True)
+    admissions = np.ones(len(ids), np.int64)
+    admissions[present] = counts[np.searchsorted(distinct, subject[present])]
+    return admissions
+
+
 def _parse_cells(path: Path, at: Sequence[int], payload: type) -> tuple:
     """The int64 keys and the (n, c) `payload` table of the keyed rows, by
     csv.reader; rows without a key are skipped before they are parsed."""
@@ -610,7 +616,7 @@ def load_extracts(directory: str | Path, study_only: bool = False) -> Cohort:
         ids, absent = _ids(cells)
     except (ValueError, OverflowError):
         raise _cell_error(path, at, lambda *row: _ids(np.array(row, dtype=object))) from None
-    cohort = Cohort(ids, absent, {})
+    cohort = Cohort(ids, absent, _admissions(ids, absent), {})
 
     # joins run before step A drops the records without three positive ids:
     # an absent or non-positive component joins no row.  Each side holds

@@ -127,18 +127,6 @@ def fluids_ratio(inputs: dict, outputs: dict, t: int) -> float:
     return (inputs[t - 1] + inputs[t]) / denom
 
 
-def decision_timepoint(first_dose_day: int | None, default_untreated: int = 4) -> int:
-    """Day of the treatment decision: actual first-dose day when treated,
-    the configured default otherwise."""
-    if default_untreated < 1:
-        raise DataError("default decision day must be >= 1")
-    if first_dose_day is not None:
-        if first_dose_day < 1:
-            raise DataError("first dose day must be >= 1")
-        return int(first_dose_day)
-    return int(default_untreated)
-
-
 @dataclass
 class Rejection:
     key: PatientKey
@@ -155,7 +143,7 @@ class AssemblyOptions:
 
 def _first_dose(cohort) -> tuple:
     """Each record's first dose hours (NaN for none), whether it has one,
-    and the day of a finite dose."""
+    and the day of a finite dose, as a float: it may not fit int64."""
     joined = cohort.extracts["diuretics"]
     dose = joined.first()
     return dose, joined.hit, np.floor_divide(np.where(np.isfinite(dose), dose, 0.0), HOURS_PER_DAY) + 1
@@ -186,6 +174,7 @@ def _scalars(cohort, options: AssemblyOptions, fault: np.ndarray, fault_reason: 
     los, has_los = column("los")
     checks = [
         finite("first dose hours", dose, treated),
+        (treated & (first_dose_day >= 2.0**63), lambda r: f"first dose day must be < 2**63, got {first_dose_day[r]}"),
         (np.full(n, options.t1_default < 1), lambda r: "default decision day must be >= 1"),
         (treated & (first_dose_day < 1), lambda r: "first dose day must be >= 1"),
         finite("age", *age),
@@ -280,7 +269,11 @@ def assemble_study_group(cohort, options: AssemblyOptions | None = None):
     n, k = len(cohort), len(TIMELINE_EXTRACTS)
     keys = [PatientKey(*ident) for ident in cohort.idents()]
     _, treated, first_dose_day = _first_dose(cohort)
-    t1 = np.where(treated, first_dose_day, options.t1_default).astype(np.int64)
+    # the decision day T1: the first-dose day when treated, else the default.
+    # A day outside int64 is rejected (see _scalars); the clip only keeps
+    # the cast defined
+    t1 = np.where(treated, first_dose_day, options.t1_default)
+    t1 = t1.clip(-(2.0**63), np.nextafter(2.0**63, 0)).astype(np.int64)
     fault, fault_reason = np.full(n, k), {}  # the series and reason of a record's first faulty sample
     x, have = np.empty((n, N_VARIABLES)), np.empty((n, N_VARIABLES), bool)
     for lo in range(0, n, RECORD_BLOCK):

@@ -515,6 +515,18 @@ def _binary(value, name):
     return float(value)
 
 
+def decision_timepoint(first_dose_day: int | None, default_untreated: int = 4) -> int:
+    """Day of the treatment decision: actual first-dose day when treated,
+    the configured default otherwise."""
+    if default_untreated < 1:
+        raise DataError("default decision day must be >= 1")
+    if first_dose_day is not None:
+        if first_dose_day < 1:
+            raise DataError("first dose day must be >= 1")
+        return int(first_dose_day)
+    return int(default_untreated)
+
+
 def build_row_values(rec, options) -> list:
     """The 58 per-patient values (None where unavailable), in x order.
 
@@ -525,7 +537,6 @@ def build_row_values(rec, options) -> list:
     """
     from icustudy.cohort import ELIX_BINARY_FIELDS
     from icustudy.errors import DataError
-    from icustudy.varprep import decision_timepoint
 
     attrs = rec.attrs
     first_dose_hours = attrs.get("first_dose_hours")
@@ -533,6 +544,8 @@ def build_row_values(rec, options) -> list:
     if treated and not math.isfinite(first_dose_hours):
         raise DataError(f"first dose hours must be finite, got {first_dose_hours}")
     first_dose_day = int(first_dose_hours // HOURS_PER_DAY) + 1 if treated else None
+    if treated and first_dose_day >= 2**63:
+        raise DataError(f"first dose day must be < 2**63, got {first_dose_hours // HOURS_PER_DAY + 1}")
     days = (decision_timepoint(first_dose_day, options.t1_default), options.t2, options.t3)
     age = attrs.get("age")
     if age is not None and not math.isfinite(age):

@@ -245,6 +245,19 @@ def test_pipeline_predicate_failure_in_a_filter_step_names_a_record_it_filters(t
     assert excinfo.value.key == (3, 103, 1003)
 
 
+def test_single_admission_in_a_filter_step_counts_every_row_of_ids_csv(tmp_path):
+    # subject 1's second admission and subject 0's second row fail step A;
+    # step B still counts them, a blank subject id counts once
+    patients = [
+        patient(1), patient(2, subject_id=1, sepsis=False), patient(3),
+        patient(4, subject_id=None), patient(5, subject_id=0), patient(6, subject_id=0, sepsis=False),
+    ]
+    steps = parse_pipeline("1,extract,A,sepsis\n2,filter,B,single_admission")
+    final, trace = run_filter_pipeline(_cohort(tmp_path, patients), steps)
+    assert [s.surviving_count for s in trace.steps] == [4, 2]
+    assert final.idents() == [(3, 103, 1003), (None, 104, 1004)]
+
+
 def test_pipeline_monotone_after_intersections(tmp_path):
     rng = np.random.default_rng(41)
     patients = []

@@ -20,7 +20,6 @@ from icustudy.varprep import (
     assemble_study_group,
     daily_median,
     daily_sum,
-    decision_timepoint,
     fluids_ratio,
 )
 
@@ -125,21 +124,6 @@ def test_fluids_ratio_zero_denominator():
         fluids_ratio({1: 1.0, 2: 1.0}, {1: 0.0, 2: 0.0}, 2)
 
 
-# --- decision timepoint --------------------------------------------------------------
-
-
-def test_decision_timepoint_treated():
-    assert decision_timepoint(2) == 2
-
-
-def test_decision_timepoint_untreated_default():
-    assert decision_timepoint(None) == 4
-
-
-def test_decision_timepoint_configured_default():
-    assert decision_timepoint(None, default_untreated=5) == 5
-
-
 # --- assembly ---------------------------------------------------------------------
 
 
@@ -151,6 +135,48 @@ def _assemble(directory, patients, options=None):
     """The study group and rejections of `patients` written as extract files."""
     write_extracts(directory, patients)
     return assemble_study_group(load_extracts(directory, study_only=True), options)
+
+
+# --- decision timepoint --------------------------------------------------------------
+
+
+def _decision_day(directory, options=None, **values):
+    """The decision day T1 of one patient, read off x7 (SAPS on day T1) of
+    a SAPS series that holds 10 d on day d."""
+    rec = patient(1, 6, **values)
+    rec["saps"] = [(24.0 * (d - 1), 10.0 * d) for d in range(1, 7)]
+    group, rejections = _assemble(directory, [rec], options)
+    assert not rejections
+    return group.col(7)[0] / 10.0
+
+
+def test_decision_timepoint_treated(tmp_path):
+    assert _decision_day(tmp_path, first_dose_hours=28.0) == 2
+
+
+def test_decision_timepoint_untreated_default(tmp_path):
+    assert _decision_day(tmp_path) == 4
+
+
+def test_decision_timepoint_configured_default(tmp_path):
+    assert _decision_day(tmp_path, AssemblyOptions(t1_default=5)) == 5
+
+
+@pytest.mark.parametrize(
+    "options, dose, reason",
+    [
+        (AssemblyOptions(t1_default=0), None, "default decision day must be >= 1"),
+        (None, -30.0, "first dose day must be >= 1"),
+        # the largest day that fits int64 is a decision day no sample reaches
+        (None, 24.0 * 2.0**62, "x7 missing"),
+        (None, 24.0 * 2.0**63, "first dose day must be < 2**63, got 9.223372036854776e+18"),
+        (None, 1e300, "first dose day must be < 2**63, got 4.166666666666667e+298"),
+    ],
+)
+def test_decision_timepoint_rejections(tmp_path, options, dose, reason):
+    group, rejections = _assemble(tmp_path, [patient(1, first_dose_hours=dose)], options)
+    assert group.n == 0
+    assert [r.reason for r in rejections] == [reason]
 
 
 def test_assembly_constant_series_all_timepoints_equal(tmp_path):
@@ -298,6 +324,9 @@ def test_assembly_checks_fluid_offsets_before_los(tmp_path):
 def test_assembly_check_order_is_fixed(tmp_path):
     # each fault alone, then every pair: the one earlier in this list names the rejection
     faults = [
+        ("first_dose_hours", float("nan")),
+        ("first_dose_hours", 24.0 * 2.0**63),
+        ("first_dose_hours", -30.0),
         ("age", float("inf")),
         ("gender", 0.5),
         ("race", 2.0),
