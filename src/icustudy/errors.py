@@ -50,17 +50,6 @@ class PredicateFailure(DataError):
         )
 
 
-class MissingDay(DataError):
-    def __init__(self, day: int, which: str):
-        self.day = day
-        self.which = which
-        super().__init__(f"no {which} value for day {day}")
-
-
-class ZeroDenominator(DataError):
-    pass
-
-
 class EmptyInput(DataError):
     pass
 

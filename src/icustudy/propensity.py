@@ -129,17 +129,17 @@ def assess_balance(group: StudyGroup, strat: Stratification) -> BalanceReport:
     two-way primary/secondary F's within it.  Degenerate covariates are
     carried with warnings instead of failing the report."""
     treated = group.treated
+    values = group.x[:, np.subtract(COVARIATE_INDICES, 1)]
+    pre = one_way_anova([values[treated], values[~treated]])
     two_way = _covariate_anova(group, strat, COVARIATE_INDICES)
     out = []
-    for idx, f_primary, f_secondary, warnings in zip(
-        COVARIATE_INDICES, two_way.f_primary.tolist(), two_way.f_secondary.tolist(), two_way.warnings
+    for idx, f_pre, flag, f_primary, f_secondary, warnings in zip(
+        COVARIATE_INDICES, pre.statistic.tolist(), pre.flag,
+        two_way.f_primary.tolist(), two_way.f_secondary.tolist(), two_way.warnings,
     ):
-        values = group.col(idx)
-        pre = one_way_anova([values[treated], values[~treated]])
-        f_pre = pre.statistic
-        if pre.flag == "degenerate" and math.isnan(f_pre):
+        if flag == "degenerate" and math.isnan(f_pre):
             f_pre = 0.0
-        out.append(CovariateBalance(idx, float(f_pre), f_primary, f_secondary, warnings))
+        out.append(CovariateBalance(idx, f_pre, f_primary, f_secondary, warnings))
 
     def _summary(values):
         finite = [v for v in values if math.isfinite(v)]

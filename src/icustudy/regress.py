@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -181,7 +182,6 @@ class LogitFit:
     separation: bool
     term_names: list
     n_obs: int
-    gradient_tol: float = GRADIENT_TOL
 
     def linear_predictor(self, design: np.ndarray) -> np.ndarray:
         return design @ self.coefficients
@@ -367,25 +367,19 @@ def coefficient_p_values(fit) -> list:
     if isinstance(fit, LogitFit):
         if not fit.converged:
             raise NotConverged("logistic fit did not converge; p-values unavailable")
-        results = []
-        for coef, se in zip(fit.coefficients, fit.standard_errors):
-            if se <= 0:
-                results.append(TestResult(float("inf"), 0.0, (float("inf"),)))
-                continue
-            zstat = coef / se
-            results.append(TestResult(float(zstat), normal_tail_two_sided(zstat), (float("inf"),)))
-        return results
-    if isinstance(fit, LinearFit):
+        dof, tail = float("inf"), normal_tail_two_sided
+    elif isinstance(fit, LinearFit):
         dof = fit.dof_resid
-        results = []
-        for coef, se in zip(fit.coefficients, fit.standard_errors):
-            if se <= 0:
-                results.append(TestResult(float("inf"), 0.0, (dof,)))
-                continue
-            tstat = coef / se
-            results.append(TestResult(float(tstat), t_tail_two_sided(tstat, dof), (dof,)))
-        return results
-    raise DataError(f"unsupported fit type {type(fit).__name__}")
+        tail = partial(t_tail_two_sided, df=dof)
+    else:
+        raise DataError(f"unsupported fit type {type(fit).__name__}")
+    results = []
+    for coef, se in zip(fit.coefficients, fit.standard_errors):
+        if se <= 0:
+            results.append(TestResult(float("inf"), 0.0, (dof,)))
+        else:
+            results.append(TestResult(float(coef / se), tail(coef / se), (dof,)))
+    return results
 
 
 # --- stepwise selection ---------------------------------------------------------
@@ -418,102 +412,120 @@ def _rank_deficient(z, norms, sigma, p, cols):
     q = np.linalg.qr(z[:, :p])[0]
     resid = np.empty(cols.size)
     for b in _row_blocks(cols.size, z.shape[0]):
-        zc = z[:, cols[b]]
-        zc -= q @ (q.T @ zc)
-        resid[b] = np.linalg.norm(zc, axis=0)
+        zc = z.T[cols[b]]
+        zc -= (zc @ q) @ q.T
+        resid[b] = np.linalg.norm(zc, axis=1)
     return resid * sigma[cols] <= RANK_TOL * np.maximum(norms[:p].max(), norms[cols])
 
 
-def _trial_blocks(z, p, cols, beta, width):
-    """Per row block of the designs [z[:, :p], z[:, c]] for c in `cols`:
-    the rows, base block, candidate columns and fitted probabilities at
-    each design's row of `beta`."""
-    for r in _row_blocks(z.shape[0], width):
-        zb, zc = np.ascontiguousarray(z[r, :p]), z[r][:, cols]
-        mu = zb @ beta[:, :p].T
-        mu += zc * beta[:, p]
-        yield r, zb, zc, _expit_inplace(mu)
-
-
-def _trial_log_likelihood(z, y, p, cols, beta):
-    """`_log_likelihood` of each design at its row of `beta`."""
-    ll = np.zeros(cols.size)
-    sign, flip = 2.0 * y - 1.0, 1.0 - y
-    for r, _, _, mu in _trial_blocks(z, p, cols, beta, max(cols.size, p)):
-        np.clip(mu, 1e-12, 1.0 - 1e-12, out=mu)
-        mu *= sign[r, None]  # mu where y = 1, 1 - mu where y = 0
-        mu += flip[r, None]
-        ll += np.log(mu, out=mu).sum(axis=0)
-    return ll
-
-
-def _trial_score(z, y, p, cols, beta):
-    """Score and observed information of each design at its row of `beta`.
-    Each row block's base blocks of all K informations are one product
-    w' Q, row i of Q the upper triangle of z_i z_i'."""
+def _trial_score(zt, y, p, cols, mu):
+    """Score of each design [z[:, :p], z[:, c]] at its row of fitted
+    probabilities `mu`, and the candidate parts of its information: the
+    products with the base columns and the diagonal.  `mu` is overwritten
+    with the weights mu (1 - mu)."""
     k = cols.size
+    grad, cross, diag = np.empty((k, p + 1)), np.empty((k, p)), np.empty(k)
+    zb = zt[:p].T
+    for b in _row_blocks(k, y.size):
+        zc, w = zt[cols[b]], mu[b]
+        resid = y - w
+        grad[b, :p] = resid @ zb
+        grad[b, p] = np.einsum("ij,ij->i", resid, zc)
+        np.clip(np.multiply(w, 1.0 - w, out=w), 1e-12, None, out=w)
+        wz = zc * w
+        cross[b] = wz @ zb
+        diag[b] = np.einsum("ij,ij->i", wz, zc)
+    return grad, cross, diag
+
+
+def _trial_information(zt, p, w, cross, diag):
+    """Observed information of each design from its row of weights `w`: the
+    base blocks of all K are one product w Q' per block of patients, column
+    i of Q the upper triangle of z_i z_i'."""
+    k = w.shape[0]
     iu, ju = np.triu_indices(p)
-    grad = np.zeros((k, p + 1))
-    base, cross, diag = np.zeros((k, iu.size)), np.zeros((k, p)), np.zeros(k)
-    for r, zb, zc, mu in _trial_blocks(z, p, cols, beta, max(k, iu.size)):
-        resid = y[r, None] - mu
-        grad[:, :p] += resid.T @ zb
-        grad[:, p] += np.einsum("ij,ij->j", resid, zc)
-        w = np.clip(np.multiply(mu, 1.0 - mu, out=mu), 1e-12, None, out=mu)
-        q = zb[:, iu]
-        q *= zb[:, ju]
-        base += w.T @ q
-        w *= zc
-        cross += w.T @ zb
-        diag += np.einsum("ij,ij->j", w, zc)
+    base = np.zeros((k, iu.size))
+    for r in _row_blocks(w.shape[1], iu.size):
+        q = zt[iu, r]
+        q *= zt[ju, r]
+        base += w[:, r] @ q.T
     info = np.empty((k, p + 1, p + 1))
     info[:, iu, ju] = info[:, ju, iu] = base
     info[:, :p, p] = info[:, p, :p] = cross
     info[:, p, p] = diag
-    return grad, info
+    return info
+
+
+def _trial_steps(zt, y, p, cols, step, eta, mu, ll):
+    """Step-halving along each design's direction d = Z step: the first
+    trial eta + s d, s = 1, 1/2, ..., whose log-likelihood is within 1e-12
+    of `ll`, or else the 40th, replaces the rows of `eta`, `mu` and `ll`;
+    returns each s and `ll`.  A row's `_log_likelihood` is summed along
+    that row alone, so no value depends on the other candidates."""
+    scale, sign = np.ones(cols.size), 2.0 * y - 1.0
+    for b in _row_blocks(cols.size, y.size):
+        d = step[b, :p] @ zt[:p]
+        d += step[b, p, None] * zt[cols[b]]
+        rows, trial = np.arange(cols.size)[b], eta[b] + d
+        for attempt in range(40):
+            m = _expit_inplace(trial.copy())
+            t = np.clip(m, 1e-12, 1.0 - 1e-12)
+            t *= sign  # mu where y = 1, 1 - mu where y = 0
+            t += 1.0 - y
+            ll_new = np.log(t, out=t).sum(axis=1)
+            ok = (ll_new >= ll[rows] - 1e-12) | (attempt == 39)
+            eta[rows[ok]], mu[rows[ok]], ll[rows[ok]] = trial[ok], m[ok], ll_new[ok]
+            rows, d = rows[~ok], d[~ok]
+            if not rows.size:
+                break
+            scale[rows] *= 0.5
+            trial = eta[rows] + scale[rows, None] * d
+    return scale, ll
+
+
+def _keep_rows(a, keep):
+    """`a[keep]` in place, a block of rows at a time: no row moves down."""
+    if keep.all():
+        return a
+    rows = np.flatnonzero(keep)
+    kept = a[: rows.size]
+    for b in _row_blocks(rows.size, a.shape[1]):
+        kept[b] = a[rows[b]]
+    return kept
 
 
 def _trial_fits(z, y, p, cols):
     """`fit_logistic_design`'s Newton iteration on the designs
     [z[:, :p], z[:, c]] for all candidate columns c at once.  Each starts
-    at zero coefficients; step-halving, convergence and the separation
-    bound are masks over the candidates.  Returns each candidate's
-    log-likelihood and whether its fit converged."""
-    k = cols.size
-    beta = np.zeros((k, p + 1))
-    ll = np.full(k, _log_likelihood(y, np.full(y.size, 0.5)))
+    at zero coefficients and carries its linear predictor and fitted
+    probabilities (rows of `eta` and `mu`) from step to step; step-halving,
+    convergence and the separation bound are masks over the candidates.
+    Returns each candidate's log-likelihood and whether it converged."""
+    zt, k, n = z.T, cols.size, y.size
+    beta, eta, mu = np.zeros((k, p + 1)), np.zeros((k, n)), np.full((k, n), 0.5)
+    ll = np.full(k, _log_likelihood(y, np.full(n, 0.5)))
     converged = np.zeros(k, dtype=bool)
-    live = np.arange(k)  # neither converged nor separated
-    for _ in range(MAX_ITER):
-        grad, info = _trial_score(z, y, p, cols[live], beta[live])
+    live = np.arange(k)  # neither converged nor separated: the rows of eta and mu
+    for iteration in range(MAX_ITER + 1):
+        grad, cross, diag = _trial_score(zt, y, p, cols[live], mu)
         done = np.abs(grad).max(axis=1) < GRADIENT_TOL
         converged[live[done]] = True
-        live, grad, info = live[~done], grad[~done], info[~done]
-        if not live.size:
+        if done.all() or iteration == MAX_ITER:  # the limit: a last score check
             break
+        keep = ~done
+        live, grad, cross, diag = live[keep], grad[keep], cross[keep], diag[keep]
+        eta, mu = _keep_rows(eta, keep), _keep_rows(mu, keep)
+        info = _trial_information(zt, p, mu, cross, diag)
         try:
             step = np.linalg.solve(info, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
             step = np.array([np.linalg.lstsq(h, g, rcond=None)[0] for h, g in zip(info, grad)])
-        scale = np.ones(live.size)
-        ll_new = np.empty(live.size)
-        halving = np.arange(live.size)
-        for _ in range(40):
-            at = live[halving]
-            trial = beta[at] + scale[halving, None] * step[halving]
-            ll_new[halving] = _trial_log_likelihood(z, y, p, cols[at], trial)
-            halving = halving[~(ll_new[halving] >= ll[at] - 1e-12)]
-            if not halving.size:
-                break
-            scale[halving] *= 0.5
+        scale, ll[live] = _trial_steps(zt, y, p, cols[live], step, eta, mu, ll[live])
         beta[live] += scale[:, None] * step
-        ll[live] = ll_new
-        live = live[~(np.abs(beta[live]).max(axis=1) > SEPARATION_BOUND)]
+        keep = ~(np.abs(beta[live]).max(axis=1) > SEPARATION_BOUND)
+        live, eta, mu = live[keep], _keep_rows(eta, keep), _keep_rows(mu, keep)
         if not live.size:
             break
-    else:  # iteration limit: converged if the score vanished at the last step
-        grad = _trial_score(z, y, p, cols[live], beta[live])[0]
-        converged[live[np.abs(grad).max(axis=1) < GRADIENT_TOL]] = True
     return ll, converged
 
 
@@ -536,6 +548,7 @@ def _forward_pass(group, y, spec, candidates, p_enter):
     _check_finite(raw, [t.label() for t in terms])
     z, mu, sigma = _standardize(raw)
     del raw
+    z = np.asfortranarray(z)  # a candidate's column is one contiguous row of z.T
     norms = np.sqrt(y.size) * np.hypot(mu, sigma)  # raw column norms
     column = {t: c for c, t in enumerate(terms)}
     deficient, skipped = [], {}
@@ -597,10 +610,6 @@ def stepwise_select(
     survivors = spec.main_indices()
     if survivors:
         phase2 = [square(i) for i in survivors]
-        phase2.extend(
-            interaction(a, b)
-            for idx, a in enumerate(survivors)
-            for b in survivors[idx + 1 :]
-        )
+        phase2 += [interaction(a, b) for idx, a in enumerate(survivors) for b in survivors[idx + 1 :]]
         spec = _forward_pass(group, outcome, spec, phase2, p_enter)
     return spec

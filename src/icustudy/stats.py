@@ -157,25 +157,40 @@ def one_way_anova(groups) -> TestResult:
     within-group sum of squares.  Degenerate layouts (S2 == 0) are flagged
     rather than raised: F is +inf when the groups differ, NaN when every
     value is identical.
+
+    Groups may also be (n_g, m) matrices, m columns analysed in one call:
+    the statistic and p-value are then length-m arrays and `flag` holds one
+    flag per column.  Each group's column is summed as a C-contiguous row,
+    so every column's F is bit-equal to its own one-column call.
     """
     arrays = [np.asarray(g, dtype=float) for g in groups]
-    if len(arrays) < 2 or any(a.size == 0 for a in arrays):
+    if len(arrays) < 2 or any(len(a) == 0 for a in arrays):
         raise EmptyInput("one_way_anova needs at least two non-empty groups")
-    n = sum(a.size for a in arrays)
+    n = sum(len(a) for a in arrays)
     k = len(arrays)
     if n <= k:
         raise EmptyInput("one_way_anova needs more observations than groups")
-    grand = sum(a.sum() for a in arrays) / n
-    s1 = sum(a.size * (a.mean() - grand) ** 2 for a in arrays)
-    s2 = sum(((a - a.mean()) ** 2).sum() for a in arrays)
+    rows = [np.ascontiguousarray(a.reshape(len(a), -1).T) for a in arrays]  # (m, n_g)
+    means = [r.mean(axis=1) for r in rows]
+    grand = sum(r.sum(axis=1) for r in rows) / n
+    s1 = sum(r.shape[1] * (m - grand) ** 2 for r, m in zip(rows, means))
+    s2 = sum(((r - m[:, None]) ** 2).sum(axis=1) for r, m in zip(rows, means))
     dof = (k - 1, n - k)
-    tol = _ss_noise_floor(np.concatenate(arrays))
-    if s2 <= tol:
-        if s1 <= tol:
-            return TestResult(float("nan"), float("nan"), dof, flag="degenerate")
-        return TestResult(float("inf"), 0.0, dof, flag="degenerate")
-    f = (s1 / dof[0]) / (s2 / dof[1])
-    return TestResult(float(f), f_tail(f, *dof), dof)
+    tol = _ss_noise_floor(np.concatenate(rows, axis=1))
+    out = []
+    for ss1, ss2, floor in zip(s1.tolist(), s2.tolist(), tol.tolist()):
+        if not ss2 <= floor:  # a NaN is not degenerate
+            f = (ss1 / dof[0]) / (ss2 / dof[1])
+            out.append((f, f_tail(f, *dof), None))
+        elif ss1 <= floor:
+            out.append((float("nan"), float("nan"), "degenerate"))
+        else:
+            out.append((float("inf"), 0.0, "degenerate"))
+    if arrays[0].ndim == 1:  # one column: floats and one flag
+        f, p, flag = out[0]
+        return TestResult(f, p, dof, flag)
+    f, p, flags = zip(*out)
+    return TestResult(np.array(f), np.array(p), dof, flags)
 
 
 def _ss_noise_floor(values: np.ndarray):

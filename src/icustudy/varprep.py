@@ -1,6 +1,5 @@
 """Variable preparation: daily regularization of irregular timelines,
-decision timepoints, the fluids ratio, and assembly of the 58-variable
-study rows.
+decision timepoints and assembly of the 58-variable study rows.
 
 Days are half-open 24-hour windows from ICU admission: day d covers
 offsets in [24*(d-1), 24*d).  A timeline is a sequence of (offset_hours,
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, MissingDay, ZeroDenominator
+from .errors import DataError
 from .group import N_VARIABLES, PatientKey, StudyGroup
 from .cohort import ELIX_BINARY_FIELDS, TIMELINE_EXTRACTS
 
@@ -110,21 +109,6 @@ def daily_median(samples) -> dict:
 def daily_sum(samples) -> dict:
     """Day -> sum of that day's samples (amounts); absent when empty."""
     return _regularize(samples, summed=True)
-
-
-def fluids_ratio(inputs: dict, outputs: dict, t: int) -> float:
-    """(in(t-1) + in(t)) / (out(t-1) + out(t)) over daily sums."""
-    if t < 2:
-        raise DataError(f"fluids ratio needs t >= 2, got {t}")
-    for day in (t - 1, t):
-        if day not in inputs:
-            raise MissingDay(day, "inputs")
-        if day not in outputs:
-            raise MissingDay(day, "outputs")
-    denom = outputs[t - 1] + outputs[t]
-    if denom == 0.0:
-        raise ZeroDenominator(f"outputs({t-1}) + outputs({t}) = 0")
-    return (inputs[t - 1] + inputs[t]) / denom
 
 
 @dataclass

@@ -11,6 +11,7 @@ from icustudy.regress import (
     _check_rank,
     _rank_deficient,
     _standardize,
+    _trial_fits,
     coefficient_p_values,
     fit_linear,
     fit_linear_design,
@@ -380,6 +381,28 @@ def test_rank_screen_agrees_with_pivoted_qr():
         except RankDeficient:
             expected.append(True)
     assert screened.tolist() == expected == [True, False, True, False, False, False]
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_trial_fits_do_not_depend_on_the_batch(seed):
+    # a candidate's fit must not depend on which candidates share its call:
+    # its log-likelihoods were once summed in row blocks sized by the batch,
+    # so near the optimum every step failed the 1e-12 acceptance slack and
+    # the fit ran out to MAX_ITER unconverged
+    rng = np.random.default_rng(seed)
+    n = 3000
+    x = np.column_stack([rng.normal(size=(n, 27)), (rng.random((n, 28)) < 0.3).astype(float)])
+    y = (rng.random(n) < _sigmoid(-2.0 + 0.5 * x[:, 0])).astype(float)
+    z = _standardize(np.column_stack([np.ones(n), x]))[0]
+    cols = np.arange(1, 56)
+    ll, ok = _trial_fits(z, y, 1, cols)
+    alone = [_trial_fits(z, y, 1, cols[c : c + 1]) for c in range(cols.size)]
+    blocks = [_trial_fits(z, y, 1, cols[s : s + 7]) for s in range(0, cols.size, 7)]
+    tol = 1e-12 * np.maximum(1.0, np.abs(ll))
+    for part_ll, part_ok in (map(np.concatenate, zip(*fits)) for fits in (alone, blocks)):
+        assert part_ok.tolist() == ok.tolist()
+        assert (np.abs(part_ll - ll) <= tol).all()
+    assert ok.all()
 
 
 @pytest.mark.parametrize("n, seed", [(300, s) for s in range(10)] + [(1000, 5)])

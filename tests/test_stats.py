@@ -90,6 +90,31 @@ def test_one_way_matches_definitional_oracle():
     assert res.statistic == pytest.approx(one_way_f_oracle(groups), rel=1e-12)
 
 
+def test_one_way_matrix_columns_equal_their_own_calls():
+    # balance takes f_pre for every covariate from one call; each column
+    # must keep the bits of its own call, degenerate and NaN columns too
+    rng = np.random.default_rng(21)
+    n = 40
+    arm = rng.random(n) < 0.3
+    values = np.column_stack([
+        rng.normal(size=n) * 1e3,
+        rng.normal(size=n) * 1e-4 + 7.0,
+        np.full(n, 2.5),  # constant: NaN, degenerate
+        np.where(arm, 1.0, 0.0),  # constant within each arm: inf, degenerate
+        np.where(np.arange(n) == 5, np.nan, rng.normal(size=n)),
+        (rng.random(n) < 0.5).astype(float),
+    ])
+    got = one_way_anova([values[arm], values[~arm]])
+    assert got.statistic.shape == got.p_value.shape == (values.shape[1],)
+    assert got.flag == (None, None, "degenerate", "degenerate", None, None)
+    for j in range(values.shape[1]):
+        alone = one_way_anova([values[arm, j], values[~arm, j]])
+        assert type(alone.statistic) is float and alone.flag == got.flag[j] and alone.dof == got.dof
+        for a, b in ((alone.statistic, got.statistic[j]), (alone.p_value, got.p_value[j])):
+            assert a == b or (math.isnan(a) and math.isnan(b))
+    assert math.isnan(got.statistic[2]) and math.isinf(got.statistic[3]) and math.isnan(got.statistic[4])
+
+
 def test_one_way_decomposition_identity():
     # S1 + S2 equals the total sum of squares about the grand mean
     rng = np.random.default_rng(3)

@@ -12,7 +12,7 @@ from icustudy.cli import Run, _survivor_records
 from icustudy.cohort import DEFAULT_PIPELINE, TIMELINE_EXTRACTS, load_extracts
 from icustudy.cohort import parse_pipeline, run_filter_pipeline
 from icustudy.config import RunConfig
-from icustudy.errors import DataError, MissingDay, ZeroDenominator
+from icustudy.errors import DataError
 from icustudy.group import KEY_COLUMNS
 from icustudy.synth import ATTRITION_KINDS, SynthSpec, synth_generate
 from icustudy.varprep import (
@@ -20,7 +20,6 @@ from icustudy.varprep import (
     assemble_study_group,
     daily_median,
     daily_sum,
-    fluids_ratio,
 )
 
 
@@ -92,36 +91,6 @@ def test_timeline_rejects_non_finite_value(value):
 
 def test_window_boundary_is_half_open():
     assert daily_median([(24.0, 9.0), (23.999, 1.0)]) == {1: 1.0, 2: 9.0}
-
-
-# --- fluids ratio -----------------------------------------------------------------
-
-
-def test_fluids_ratio_symmetric_is_one():
-    assert fluids_ratio({1: 2.0, 2: 3.0}, {1: 2.0, 2: 3.0}, 2) == 1.0
-
-
-def test_fluids_ratio_value():
-    assert fluids_ratio({1: 2.0, 2: 2.0}, {1: 1.0, 2: 1.0}, 2) == 2.0
-
-
-def test_fluids_ratio_matches_formula():
-    rng = np.random.default_rng(7)
-    inputs = {d: float(v) for d, v in enumerate(rng.uniform(0.5, 3, 8), start=1)}
-    outputs = {d: float(v) for d, v in enumerate(rng.uniform(0.5, 3, 8), start=1)}
-    for t in range(2, 9):
-        want = (inputs[t - 1] + inputs[t]) / (outputs[t - 1] + outputs[t])
-        assert fluids_ratio(inputs, outputs, t) == pytest.approx(want, rel=1e-12)
-
-
-def test_fluids_ratio_missing_day():
-    with pytest.raises(MissingDay):
-        fluids_ratio({2: 1.0}, {1: 1.0, 2: 1.0}, 2)
-
-
-def test_fluids_ratio_zero_denominator():
-    with pytest.raises(ZeroDenominator):
-        fluids_ratio({1: 1.0, 2: 1.0}, {1: 0.0, 2: 0.0}, 2)
 
 
 # --- assembly ---------------------------------------------------------------------
