@@ -16,7 +16,6 @@ Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
@@ -31,7 +30,7 @@ from . import synth as synth_mod
 from . import varprep
 from .config import RunConfig
 from .errors import ConfigError, DataError, IcuStudyError, NumericError
-from .group import COVARIATE_INDICES, KEY_COLUMNS, StudyGroup, fnum, key_cells, read_csv_rows, row_key
+from .group import COVARIATE_INDICES, KEY_COLUMNS, StudyGroup, key_cells, read_csv_rows, row_key, write_table
 from .group import read_strata_csv, read_studygroup_csv, write_strata_csv, write_studygroup_csv
 from .regress import ModelSpec, coefficient_p_values, fit_logistic, stepwise_select
 from .stats import evidence_band
@@ -45,22 +44,6 @@ ML_SUBCOMMANDS = {
     "simulate": ("simulate",),
     "run": ("kmeans", "classify", "regress", "simulate"),
 }
-
-
-def _cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return fnum(value)
-    return value  # csv writes None as an empty cell
-
-
-def _write_table(path: Path, header: list, rows) -> None:
-    """A report CSV: floats through fnum, booleans as 0/1, None as empty."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 EXIT_CODES = {ConfigError: 2, DataError: 3, NumericError: 4}
@@ -158,7 +141,7 @@ def stage_cohort(run: Run) -> None:
     for path in (run.out / "trace.csv", run.flags.get("trace_out")):
         if path:
             cohort_mod.write_trace_csv(trace, path)
-    _write_table(run.out / "survivors.csv", KEY_COLUMNS, survivors.idents())
+    write_table(run.out / "survivors.csv", KEY_COLUMNS, survivors.idents())
     run.survivors = survivors
 
 
@@ -167,7 +150,7 @@ def stage_varprep(run: Run) -> None:
     config = run.config
     options = varprep.AssemblyOptions(config.t1_default, t2=config.t2_day, t3=config.t3_day)
     group, rejections = varprep.assemble_study_group(_input(run, "survivors"), options)
-    _write_table(
+    write_table(
         run.out / "rejections.csv",
         [*KEY_COLUMNS, "reason"],
         [key_cells(r.key) + [r.reason] for r in rejections],
@@ -183,7 +166,7 @@ def stage_varprep(run: Run) -> None:
 def _write_strata(run: Run, strat) -> None:
     group = _input(run, "group")
     write_strata_csv(group, strat.scores, strat.assignment, run.out / "strata.csv")
-    _write_table(
+    write_table(
         run.out / "quintile_table.csv",
         ["quintile", "score_low", "score_high", "n_treated", "n_untreated",
          "deaths_pct_treated", "deaths_pct_untreated", "mean_los_treated", "mean_los_untreated"],
@@ -200,7 +183,7 @@ def propensity_fit(run: Run) -> None:
     (run.out / "model.txt").write_text(spec.to_text() + "\n")
     pvals = [r.p_value for r in coefficient_p_values(fit)]
     bands = [evidence_band(p) for p in pvals]
-    _write_table(
+    write_table(
         run.out / "propensity_fit.csv",
         ["term", "coef", "se", "p_value", "band"],
         zip(spec.term_names(), fit.coefficients, fit.standard_errors, pvals, bands),
@@ -216,7 +199,7 @@ def propensity_stratify(run: Run) -> None:
 
 def propensity_balance(run: Run, name: str = "balance") -> None:
     report = prop_mod.assess_balance(_input(run, "group"), _input(run, "strata"))
-    _write_table(
+    write_table(
         run.out / f"{name}.csv",
         ["covariate", "f_pre", "f_primary_main_effect", "f_secondary_interaction", "warnings"],
         [
@@ -224,7 +207,7 @@ def propensity_balance(run: Run, name: str = "balance") -> None:
             for c in report.covariates
         ],
     )
-    _write_table(
+    write_table(
         run.out / f"{name}_summary.csv",
         ["column", "min", "q1", "median", "q3", "max"],
         [
@@ -245,7 +228,7 @@ def propensity_refine(run: Run) -> None:
         fraction=config.refine_fraction, max_passes=config.refine_passes, n_strata=config.n_strata,
     )
     (run.out / "model_refined.txt").write_text(refined_spec.to_text() + "\n")
-    _write_table(
+    write_table(
         run.out / "refinement_log.csv",
         ["variable", "form", "f_before", "f_after", "accepted"],
         [[f"x{a.variable}", a.form, a.f_before, a.f_after, a.accepted] for a in log_entries],
@@ -273,13 +256,13 @@ def stage_outcome(run: Run) -> None:
             reports.append(result.report)
         else:
             subset_rows.append([result.subset, result.error])
-    _write_table(
+    write_table(
         run.out / "outcome_models.csv",
         ["model", "term", "beta", "p", "band"],
         [[r.model_id, t.name, t.beta, t.p_value, t.band] for r in reports for t in r.terms],
     )
     if subset_rows:
-        _write_table(run.out / "outcome_errors.csv", ["model", "error"], subset_rows)
+        write_table(run.out / "outcome_errors.csv", ["model", "error"], subset_rows)
 
     test_rows, variant = [], run.config.t_test_variant
     for kind in ("mortality", "los"):
@@ -289,7 +272,7 @@ def stage_outcome(run: Run) -> None:
                 test_rows.append([kind, qt.quintile, 1, stat, p, evidence_band(p), ""])
             else:
                 test_rows.append([kind, qt.quintile, 0, "", "", "", qt.untestable_reason])
-    _write_table(
+    write_table(
         run.out / "stratified_tests.csv",
         ["outcome", "quintile", "testable", "statistic", "p", "band", "reason"],
         test_rows,
@@ -312,7 +295,7 @@ def stage_ml(run: Run) -> None:
             np.column_stack([group.col(i) for i in (2, 3, 5, 10, 15)])
         )
         km = evoml.kmeans_cluster(cluster_features, config.kmeans_k, seed=config.seed)
-        _write_table(
+        write_table(
             run.out / "clusters.csv",
             [*KEY_COLUMNS, "cluster"],
             [key_cells(k) + [int(c) + 1] for k, c in zip(group.keys, km.assignment)],
@@ -350,10 +333,10 @@ def stage_ml(run: Run) -> None:
                 for key, plus, minus in zip(group.keys, cf.outcome_treated, cf.outcome_untreated)
             ]
 
-    _write_table(run.out / "gp_run.csv", ["task", "generation", "best_fitness"], run_rows)
-    _write_table(run.out / "gp_metrics.csv", ["task", "split", "metric", "value"], metric_rows)
+    write_table(run.out / "gp_run.csv", ["task", "generation", "best_fitness"], run_rows)
+    write_table(run.out / "gp_metrics.csv", ["task", "split", "metric", "value"], metric_rows)
     if "simulate" in parts:
-        _write_table(
+        write_table(
             run.out / "counterfactual.csv",
             [*KEY_COLUMNS, "task", "outcome_treated", "outcome_untreated"],
             cf_rows,

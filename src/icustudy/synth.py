@@ -11,25 +11,35 @@ treatment assignment is a logistic model over a configurable set of
 planted covariate values, and the two outcomes follow configurable models
 (the mortality cross term is applied centered at the cohort SAPS mean so
 a pure interaction plants no average treatment effect).
+
+Records are columns: a (records, 58) study matrix, which also holds the
+planted attributes, and a (records, 7, DAYS) array of daily values.  The
+bytes written for a seed are fixed by the order of the draws, record by
+record: the n clean records, then the records of each kind of
+ATTRITION_KINDS in turn (a multi_admission record and then its twin).
+Each draws 44 normals (severity, the 36 daily values day by day, six SAPS
+values, age), 2 uniforms (gender, race), 1 normal (Elixhauser) and 11
+uniforms (the nine comorbidities, vasopressors, ventilation); a minor
+then draws its age.  After all records come the treatment draws (a
+uniform, and the first-dose day of a treated record), record by record,
+and then the outcome draws (a uniform for mortality, a normal for LOS).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from .cohort import EXTRACT_SCHEMAS, TIMELINE_EXTRACTS
 from .errors import InvalidSpec
-from .group import PatientKey, StudyGroup, T1_DEPENDENT_INDICES
-from .cohort import ELIX_BINARY_FIELDS
+from .group import KEY_COLUMNS, N_VARIABLES, PatientKey, StudyGroup, T1_DEPENDENT_INDICES, write_table
 
 DAYS = 6
-MEDIAN_SERIES = ("saps", "sofa", "creatinine", "bp", "bp_mean")
-SUM_SERIES = ("fluids_in", "fluids_out")
 
 ATTRITION_KINDS = (
     "missing_ids",
@@ -60,6 +70,10 @@ class LosModel:
     noise_sd: float = 3.0
 
 
+def _within(value, lo: int, hi: int) -> bool:
+    return isinstance(value, (int, np.integer)) and lo <= value <= hi
+
+
 @dataclass
 class SynthSpec:
     n: int = 200
@@ -82,22 +96,22 @@ class SynthSpec:
                 raise InvalidSpec(
                     f"treatment driver x{idx} depends on the per-patient decision day"
                 )
+            if not _within(idx, 2, N_VARIABLES - 2):  # x1 is the treatment itself
+                raise InvalidSpec(f"x{idx} cannot drive treatment assignment")
+        for idx in [*self.mortality.beta, *self.los.beta]:
+            if not _within(idx, 1, N_VARIABLES - 2):  # the outcomes are x57 and x58
+                raise InvalidSpec(f"outcome models read x1..x{N_VARIABLES - 2}, not x{idx}")
         for kind in self.attrition:
             if kind not in ATTRITION_KINDS:
                 raise InvalidSpec(f"unknown attrition kind {kind!r}")
         if self.prevalence_target is not None and not 0.0 < self.prevalence_target < 1.0:
             raise InvalidSpec("prevalence target must be inside (0, 1)")
-
-
-@dataclass
-class SynthPatient:
-    subject_id: int
-    hadm_id: int | None
-    icustay_id: int
-    violation: str | None  # which pipeline condition this record breaks
-    attrs: dict = field(default_factory=dict)
-    daily: dict = field(default_factory=dict)  # series -> {day: value}
-    x: list | None = None  # ground-truth study-row values for survivors
+        for day in [d for d, _ in self.first_dose_days] + [self.t1_default]:
+            if not _within(day, 1, DAYS):
+                raise InvalidSpec(f"decision day {day!r} is not a day 1..{DAYS}")
+        weights = [w for _, w in self.first_dose_days]
+        if not (all(w >= 0.0 for w in weights) and sum(weights) > 0.0):
+            raise InvalidSpec("first-dose day weights must be >= 0 with a positive total")
 
 
 @dataclass
@@ -138,7 +152,13 @@ NOT_NAIVE_SUMMARY = (
 
 
 def _sigmoid(v: float) -> float:
+    # math.exp, not np.exp: the two can differ in the last bit, which can
+    # flip the draw compared against the probability
     return 1.0 / (1.0 + math.exp(-v))
+
+
+def _sigmoids(v: np.ndarray) -> np.ndarray:
+    return np.array([_sigmoid(e) for e in v.tolist()])
 
 
 def _calibrate_alpha(linear: np.ndarray, target: float) -> float:
@@ -153,361 +173,197 @@ def _calibrate_alpha(linear: np.ndarray, target: float) -> float:
     return (lo + hi) / 2.0
 
 
-def _plant_daily(rng: np.random.Generator, severity: float) -> dict:
-    # saps is filled by the caller, which owns the configurable spread
-    daily: dict = {name: {} for name in MEDIAN_SERIES + SUM_SERIES}
+#: the timelines of TIMELINE_EXTRACTS after saps, in the order of their
+#: daily draws: level, change per day, loading on severity, noise sd, floor
+_DAILY = (
+    (8.0, 0.0, 3.0, 1.0, 0.0),
+    (1.8, 0.0, 0.8, 0.3, 0.2),
+    (113.0, 0.0, -8.0, 4.0, -np.inf),
+    (78.0, 0.0, -6.0, 3.0, -np.inf),
+    (2.6, -0.25, 0.5, 0.4, 0.0),
+    (1.4, 0.05, -0.1, 0.3, 0.0),
+)
+
+#: the 0-based first study column of each timeline's five-slot block, in
+#: TIMELINE_EXTRACTS order and then fluid balance
+_BLOCKS = np.array([5, 10, 25, 47, 52, 30, 35, 40]) - 1
+
+
+def _fill_timelines(x: np.ndarray, daily: np.ndarray, t1: np.ndarray) -> None:
+    """Write each block of x: mean of days 1..T1, day 1, day T1, day T2 = 3, day T3 = 4."""
+    series = np.concatenate([daily, daily[:, 5:6] - daily[:, 6:7]], axis=1)
+    x[:, _BLOCKS + 1] = series[:, :, 0]
+    x[:, _BLOCKS + 2] = series[np.arange(len(x)), :, t1 - 1]
+    x[:, _BLOCKS + 3] = series[:, :, 2]
+    x[:, _BLOCKS + 4] = series[:, :, 3]
     for day in range(1, DAYS + 1):
-        daily["sofa"][day] = max(0.0, 8.0 + 3.0 * severity + rng.normal(0.0, 1.0))
-        daily["creatinine"][day] = max(0.2, 1.8 + 0.8 * severity + rng.normal(0.0, 0.3))
-        daily["bp"][day] = 113.0 - 8.0 * severity + rng.normal(0.0, 4.0)
-        daily["bp_mean"][day] = 78.0 - 6.0 * severity + rng.normal(0.0, 3.0)
-        daily["fluids_in"][day] = max(0.0, 2.6 - 0.25 * day + 0.5 * severity + rng.normal(0.0, 0.4))
-        daily["fluids_out"][day] = max(0.0, 1.4 + 0.05 * day - 0.1 * severity + rng.normal(0.0, 0.3))
-    return daily
+        rows = t1 == day
+        x[np.ix_(rows, _BLOCKS)] = series[rows, :, :day].mean(axis=2)
 
 
-def _ground_truth_x(patient: SynthPatient, t1_default: int) -> list:
-    """Expected study-row values from the planted daily data."""
-    a = patient.attrs
-    treated = a["treated"]
-    t1 = a["first_dose_day"] if treated else t1_default
-    t2, t3 = 3, 4
-    x: list = [None] * 58
-
-    def put(i, v):
-        x[i - 1] = None if v is None else float(v)
-
-    put(1, 1.0 if treated else -1.0)
-    put(2, a["age"])
-    put(3, a["gender"])
-    put(4, a["race"])
-    for start, name in ((5, "saps"), (10, "sofa"), (25, "creatinine"), (47, "bp"), (52, "bp_mean")):
-        series = patient.daily[name]
-        put(start, np.mean([series[d] for d in range(1, t1 + 1)]))
-        put(start + 1, series[1])
-        put(start + 2, series[t1])
-        put(start + 3, series[t2])
-        put(start + 4, series[t3])
-    put(15, a["elixhauser"])
-    for k in range(9):
-        put(16 + k, a["elixhauser_binary"][k])
-    fin = patient.daily["fluids_in"]
-    fout = patient.daily["fluids_out"]
-    fbal = {d: fin[d] - fout[d] for d in fin}
-    for start, series in ((30, fin), (35, fout), (40, fbal)):
-        put(start, np.mean([series[d] for d in range(1, t1 + 1)]))
-        put(start + 1, series[1])
-        put(start + 2, series[t1])
-        put(start + 3, series[t2])
-        put(start + 4, series[t3])
-    put(45, a["vasopressors"])
-    put(46, a["ventilation"])
-    put(57, a.get("mortality"))
-    put(58, a.get("los"))
-    return x
+class _Planted(NamedTuple):
+    kind: np.ndarray  # "" for a clean record, else the attrition kind it plants
+    ids: np.ndarray  # (records, 3) subject, hadm (0 for none) and icustay ids
+    x: np.ndarray  # (records, 58) the study rows their planted values give
+    daily: np.ndarray  # (records, 7, DAYS) daily values in TIMELINE_EXTRACTS order
+    t1: np.ndarray  # decision day
+    alpha: float  # treatment intercept used
+    saps_mean: float  # center of the mortality cross term
 
 
-def _build_patients(spec: SynthSpec, rng: np.random.Generator) -> list:
-    patients: list[SynthPatient] = []
-    next_id = [1]
-
-    def fresh_ids():
-        i = next_id[0]
-        next_id[0] += 1
-        return 10000 + i, 20000 + i, 30000 + i
-
-    def base_patient(violation: str | None) -> SynthPatient:
-        sid, hid, iid = fresh_ids()
-        severity = float(rng.normal())
-        p = SynthPatient(sid, hid, iid, violation)
-        p.daily = _plant_daily(rng, severity)
-        saps_base = 15.8 + spec.saps_sd * severity
-        for day in range(1, DAYS + 1):
-            p.daily["saps"][day] = max(0.0, saps_base + float(rng.normal(0.0, 0.8)))
-        p.attrs = {
-            "severity": severity,
-            "age": float(np.clip(66.0 + 10.0 * severity + rng.normal(0.0, 12.0), 18.0, 95.0)),
-            "gender": 1.0 if rng.random() < 0.425 else -1.0,
-            "race": 1.0 if rng.random() < 0.02 else -1.0,
-            "elixhauser": float(np.clip(round(3.0 + 1.3 * severity + rng.normal(0.0, 1.0)), 0, 12)),
-            "elixhauser_binary": [
-                1.0 if rng.random() < _sigmoid(-1.0 + 0.9 * severity) else -1.0
-                for _ in range(9)
-            ],
-            "vasopressors": 1.0 if rng.random() < _sigmoid(0.6 + 0.9 * severity) else -1.0,
-            "ventilation": 1.0 if rng.random() < _sigmoid(0.8 + 0.8 * severity) else -1.0,
-            "sepsis": True,
-            "cmo": False,
-            "summary": NAIVE_SUMMARY,
-        }
-        return p
-
-    for _ in range(spec.n):
-        patients.append(base_patient(None))
-
+def _plant(spec: SynthSpec) -> _Planted:
+    rng = np.random.default_rng(spec.seed)
+    plan = [""] * spec.n
     for kind in ATTRITION_KINDS:
-        for _ in range(int(spec.attrition.get(kind, 0))):
-            p = base_patient(kind)
-            if kind == "missing_ids":
-                p.hadm_id = None
-                p.attrs["summary"] = None  # hadm-keyed extracts cannot join
-            elif kind == "multi_admission":
-                p2 = base_patient(kind)
-                p2.subject_id = p.subject_id
-                patients.append(p)
-                p = p2
-            elif kind == "short_stay":
-                pass  # handled at emission: day-1 samples only
-            elif kind == "minor":
-                p.attrs["age"] = float(rng.uniform(1.0, 17.0))
-            elif kind == "no_sepsis":
-                p.attrs["sepsis"] = False
-            elif kind == "cmo":
-                p.attrs["cmo"] = True
-            elif kind == "no_summary":
-                p.attrs["summary"] = None
-            elif kind == "not_naive":
-                p.attrs["summary"] = NOT_NAIVE_SUMMARY
-            elif kind == "missing_data":
-                pass  # handled at emission: creatinine file omits this patient
-            patients.append(p)
-    return patients
+        plan += [kind] * (int(spec.attrition.get(kind, 0)) * (2 if kind == "multi_admission" else 1))
+    kind = np.array(plan, dtype=str)
+    n = len(plan)
 
+    normals, coins, elix, flags = np.empty((n, 44)), np.empty((n, 2)), np.empty(n), np.empty((n, 11))
+    minors = []
+    for i, k in enumerate(plan):  # the draws of one record, in the order the docstring gives
+        normals[i] = rng.normal(size=44)
+        coins[i] = rng.random(2)
+        elix[i] = rng.normal()
+        flags[i] = rng.random(11)
+        if k == "minor":
+            minors.append((i, rng.uniform(1.0, 17.0)))
 
-def _assign_treatment_and_outcomes(spec: SynthSpec, patients: list, rng: np.random.Generator):
-    """Treatment from the planted logistic model, then outcomes."""
-    # driver values are T1-independent, so they exist before assignment
-    linear = []
-    for p in patients:
-        total = 0.0
-        for idx, coef in sorted(spec.treatment_beta.items()):
-            total += coef * _driver_value(p, idx)
-        linear.append(total)
-    linear = np.array(linear)
+    serial = np.arange(1, n + 1)
+    subject = 10000 + serial
+    subject[np.flatnonzero(kind == "multi_admission")[1::2]] -= 1  # a twin shares its subject
+    ids = np.stack([subject, np.where(kind == "missing_ids", 0, 20000 + serial), 30000 + serial], axis=1)
+
+    severity = normals[:, 0]
+    table = np.array([(15.8, 0.0, spec.saps_sd, 0.8, 0.0), *_DAILY])[:, :, None]
+    level, slope, load, sd, floor = table.transpose(1, 0, 2)
+    by_day = normals[:, 1:37].reshape(n, DAYS, 6).transpose(0, 2, 1)
+    noise = np.concatenate([normals[:, None, 37:43], by_day], axis=1)
+    days = np.arange(1, DAYS + 1)
+    daily = np.maximum(floor, level + slope * days + load * severity[:, None, None] + sd * noise)
+
+    x = np.full((n, N_VARIABLES), np.nan)
+    x[:, 1] = np.clip(66.0 + 10.0 * severity + 12.0 * normals[:, 43], 18.0, 95.0)
+    for i, age in minors:
+        x[i, 1] = age
+    x[:, 2] = np.where(coins[:, 0] < 0.425, 1.0, -1.0)
+    x[:, 3] = np.where(coins[:, 1] < 0.02, 1.0, -1.0)
+    x[:, 14] = np.clip(np.round(3.0 + 1.3 * severity + elix), 0.0, 12.0) + 0.0  # + 0.0 turns -0.0 into 0.0
+    comorbid = _sigmoids(-1.0 + 0.9 * severity)
+    odds = np.stack([comorbid] * 9 + [_sigmoids(0.6 + 0.9 * severity), _sigmoids(0.8 + 0.8 * severity)], axis=1)
+    x[:, [*range(15, 24), 44, 45]] = np.where(flags < odds, 1.0, -1.0)
+
+    # drivers do not depend on the decision day, so any day gives them
+    t1 = np.full(n, spec.t1_default)
+    _fill_timelines(x, daily, t1)
+    linear = np.zeros(n)
+    for idx, coef in sorted(spec.treatment_beta.items()):
+        linear += coef * x[:, idx - 1]
     alpha = spec.treatment_alpha
-    if spec.prevalence_target is not None and len(patients):
+    if spec.prevalence_target is not None and n:
         alpha = _calibrate_alpha(linear, spec.prevalence_target)
-
     dose_days = [d for d, _ in spec.first_dose_days]
-    dose_probs = [w for _, w in spec.first_dose_days]
-    total_w = sum(dose_probs)
-    dose_probs = [w / total_w for w in dose_probs]
+    total_w = sum(w for _, w in spec.first_dose_days)
+    dose_probs = [w / total_w for _, w in spec.first_dose_days]
+    treated = np.zeros(n, dtype=bool)
+    for i, lin in enumerate(linear.tolist()):
+        if rng.random() < _sigmoid(alpha + lin):
+            treated[i] = True
+            t1[i] = int(rng.choice(dose_days, p=dose_probs))
+    x[:, 0] = np.where(treated, 1.0, -1.0)
+    _fill_timelines(x, daily, t1)
 
-    for p, lin in zip(patients, linear):
-        p.attrs["treated"] = bool(rng.random() < _sigmoid(alpha + float(lin)))
-        p.attrs["first_dose_day"] = (
-            int(rng.choice(dose_days, p=dose_probs)) if p.attrs["treated"] else None
-        )
-
-    # provisional ground-truth rows give the outcome models their regressors
-    for p in patients:
-        p.x = _ground_truth_x(p, spec.t1_default)
-
-    saps_values = np.array([p.x[4] for p in patients])  # x5
-    saps_mean = float(saps_values.mean()) if len(patients) else 0.0
-
-    for p in patients:
-        treated01 = 1.0 if p.attrs["treated"] else 0.0
-        eta = spec.mortality.alpha + spec.mortality.treated_effect * treated01
-        for idx, coef in sorted(spec.mortality.beta.items()):
-            eta += coef * p.x[idx - 1]
-        eta += spec.mortality.interaction_treated_saps * (p.x[4] - saps_mean) * treated01
-        p.attrs["mortality"] = 1.0 if rng.random() < _sigmoid(eta) else -1.0
-
-        los = spec.los.alpha + spec.los.treated_effect * treated01
-        for idx, coef in sorted(spec.los.beta.items()):
-            los += coef * p.x[idx - 1]
-        los += float(rng.normal(0.0, spec.los.noise_sd))
-        p.attrs["los"] = max(0.0, los)
-        p.x = _ground_truth_x(p, spec.t1_default)
-    return alpha, saps_mean
-
-
-def _driver_value(p: SynthPatient, idx: int) -> float:
-    """Planted value of a T1-independent study variable."""
-    a = p.attrs
-    if idx == 2:
-        return a["age"]
-    if idx == 3:
-        return a["gender"]
-    if idx == 4:
-        return a["race"]
-    if idx == 15:
-        return a["elixhauser"]
-    if 16 <= idx <= 24:
-        return a["elixhauser_binary"][idx - 16]
-    if idx == 45:
-        return a["vasopressors"]
-    if idx == 46:
-        return a["ventilation"]
-    block = {
-        5: ("saps", "median"), 10: ("sofa", "median"), 25: ("creatinine", "median"),
-        30: ("fluids_in", "sum"), 35: ("fluids_out", "sum"), 40: ("balance", "sum"),
-        47: ("bp", "median"), 52: ("bp_mean", "median"),
-    }
-    for start, (name, _) in block.items():
-        if start <= idx <= start + 4:
-            offset = idx - start
-            day = {1: 1, 3: 3, 4: 4}.get(offset)  # offsets 1, 3, 4 = days 1, T2, T3
-            if day is None:
-                raise InvalidSpec(f"x{idx} depends on the decision day")
-            if name == "balance":
-                return p.daily["fluids_in"][day] - p.daily["fluids_out"][day]
-            return p.daily[name][day]
-    raise InvalidSpec(f"x{idx} cannot drive treatment assignment")
-
-
-# --- file emission ----------------------------------------------------------------
-
-
-def _emit(out_dir: Path, name: str, header: list, rows: list) -> None:
-    with open(out_dir / f"{name}.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _sample_offsets(day: int) -> tuple:
-    base = 24.0 * (day - 1)
-    return (base + 3.0, base + 11.0, base + 20.0)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".12g")
+    saps_mean = float(x[:, 4].mean()) if n else 0.0
+    t01 = treated.astype(float)
+    eta = spec.mortality.alpha + spec.mortality.treated_effect * t01
+    for idx, coef in sorted(spec.mortality.beta.items()):
+        eta += coef * x[:, idx - 1]
+    eta += spec.mortality.interaction_treated_saps * (x[:, 4] - saps_mean) * t01
+    los = spec.los.alpha + spec.los.treated_effect * t01
+    for idx, coef in sorted(spec.los.beta.items()):
+        los += coef * x[:, idx - 1]
+    dies, los_noise = np.zeros(n, dtype=bool), np.empty(n)
+    for i, e in enumerate(eta.tolist()):
+        dies[i] = rng.random() < _sigmoid(e)
+        los_noise[i] = rng.normal(0.0, spec.los.noise_sd)
+    x[:, 56] = np.where(dies, 1.0, -1.0)
+    x[:, 57] = np.maximum(0.0, los + los_noise)
+    return _Planted(kind, ids, x, daily, t1, alpha, saps_mean)
 
 
 def synth_generate(spec: SynthSpec, out_dir: str | Path) -> SynthManifest:
     """Write the extract files and the ground-truth manifest for `spec`."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(spec.seed)
+    p = _plant(spec)
+    kind, x, n = p.kind, p.x, len(p.kind)
+    subject, hadm, icu = p.ids.T
 
-    patients = _build_patients(spec, rng)
-    alpha_used, saps_mean = (
-        _assign_treatment_and_outcomes(spec, patients, rng) if patients else (spec.treatment_alpha, 0.0)
-    )
+    # ids.csv keeps plan order; every other file sorts by its key, which plan order already does
+    hadm_cells = [h or None for h in hadm.tolist()]
+    write_table(out_dir / "ids.csv", KEY_COLUMNS, zip(subject.tolist(), hadm_cells, icu.tolist()))
+    has_hadm = hadm > 0
+    everyone = np.ones(n, dtype=bool)
+    summaries = np.where(kind == "not_naive", NOT_NAIVE_SUMMARY, NAIVE_SUMMARY)
+    payload = {  # extract -> (which rows it has, their payload cells)
+        "demographics": (everyone, x[:, 1:3]),
+        "race": (has_hadm, x[:, 3:4]),
+        "elixhauser": (has_hadm, x[:, 14:15]),
+        "elixhauser_binary": (has_hadm, x[:, 15:24]),
+        "vasopressors": (everyone, x[:, 44:45]),
+        "ventilation": (everyone, x[:, 45:46]),
+        "mortality": (everyone, x[:, 56:57]),
+        "los": (everyone, x[:, 57:58]),
+        "diuretics": (x[:, 0] > 0, 24.0 * (p.t1[:, None] - 1) + 6.0),
+        "summaries": (has_hadm & (kind != "no_summary"), summaries[:, None]),
+        "sepsis": (kind != "no_sepsis", x[:, :0]),
+        "cmo": (kind == "cmo", x[:, :0]),
+    }
+    # timelines have (record, day, sample) rows: a short stay samples day 1
+    # only, and a missing_data record has no creatinine
+    sampled = np.ones((n, DAYS, 1), dtype=bool)
+    sampled[kind == "short_stay", 1:] = False
+    offsets = 24.0 * np.arange(DAYS)[:, None] + (3.0, 11.0, 20.0)
+    split = p.daily.copy()
+    for s, name in enumerate(TIMELINE_EXTRACTS):
+        v = p.daily[:, s, :, None]
+        if name.startswith("fluids"):  # a daily total in three parts, read back as their float sum
+            samples = v * (0.2, 0.3, 0.5)
+            split[:, s] = samples.sum(axis=2)
+        else:  # three samples whose median is the daily value
+            delta = 0.1 * np.abs(v) + 0.01
+            samples = np.concatenate([v - delta, v, v + delta], axis=2)
+        rows = sampled & (kind != "missing_data")[:, None, None] if name == "creatinine" else sampled
+        rows = np.broadcast_to(rows, samples.shape)
+        payload[name] = (rows, np.stack(np.broadcast_arrays(offsets, samples), axis=3))
+    for name, schema in EXTRACT_SCHEMAS.items():
+        rows, cells = payload[name]
+        keys = (icu if schema.key == "icustay_id" else hadm)[np.nonzero(rows)[0]]
+        header = [schema.key, *schema.columns]
+        write_table(out_dir / f"{name}.csv", header, zip(keys.tolist(), *cells[rows].T.tolist()))
 
-    # ids.csv keeps insertion order; every other file sorts by its key
-    _emit(
-        out_dir,
-        "ids",
-        ["subject_id", "hadm_id", "icustay_id"],
-        [
-            [p.subject_id, p.hadm_id if p.hadm_id is not None else "", p.icustay_id]
-            for p in patients
-        ],
-    )
-    by_icu = sorted(patients, key=lambda p: p.icustay_id)
-    by_hadm = sorted((p for p in patients if p.hadm_id is not None), key=lambda p: p.hadm_id)
-
-    _emit(
-        out_dir,
-        "demographics",
-        ["icustay_id", "age", "gender"],
-        [[p.icustay_id, _fmt(p.attrs["age"]), _fmt(p.attrs["gender"])] for p in by_icu],
-    )
-    _emit(out_dir, "race", ["hadm_id", "value"], [[p.hadm_id, _fmt(p.attrs["race"])] for p in by_hadm])
-    _emit(
-        out_dir,
-        "elixhauser",
-        ["hadm_id", "value"],
-        [[p.hadm_id, _fmt(p.attrs["elixhauser"])] for p in by_hadm],
-    )
-    _emit(
-        out_dir,
-        "elixhauser_binary",
-        ["hadm_id"] + list(ELIX_BINARY_FIELDS),
-        [
-            [p.hadm_id] + [_fmt(v) for v in p.attrs["elixhauser_binary"]]
-            for p in by_hadm
-        ],
-    )
-    for name, attr in (("vasopressors", "vasopressors"), ("ventilation", "ventilation"), ("mortality", "mortality")):
-        _emit(
-            out_dir,
-            name,
-            ["icustay_id", "value"],
-            [[p.icustay_id, _fmt(p.attrs[attr])] for p in by_icu],
-        )
-    _emit(out_dir, "los", ["icustay_id", "value"], [[p.icustay_id, _fmt(p.attrs["los"])] for p in by_icu])
-    _emit(
-        out_dir,
-        "diuretics",
-        ["icustay_id", "first_dose_hours"],
-        [
-            [p.icustay_id, _fmt(24.0 * (p.attrs["first_dose_day"] - 1) + 6.0)]
-            for p in by_icu
-            if p.attrs["treated"]
-        ],
-    )
-    _emit(
-        out_dir,
-        "summaries",
-        ["hadm_id", "text"],
-        [[p.hadm_id, p.attrs["summary"]] for p in by_hadm if p.attrs["summary"]],
-    )
-    _emit(out_dir, "sepsis", ["icustay_id"], [[p.icustay_id] for p in by_icu if p.attrs["sepsis"]])
-    _emit(out_dir, "cmo", ["icustay_id"], [[p.icustay_id] for p in by_icu if p.attrs["cmo"]])
-
-    for series in MEDIAN_SERIES:
-        rows = []
-        for p in by_icu:
-            if p.violation == "missing_data" and series == "creatinine":
-                continue
-            days = [1] if p.violation == "short_stay" else range(1, DAYS + 1)
-            for day in days:
-                value = p.daily[series][day]
-                delta = 0.1 * abs(value) + 0.01
-                offsets = _sample_offsets(day)
-                for off, v in zip(offsets, (value - delta, value, value + delta)):
-                    rows.append([p.icustay_id, _fmt(off), _fmt(v)])
-        _emit(out_dir, series, ["icustay_id", "offset_hours", "value"], rows)
-
-    for series in SUM_SERIES:
-        rows = []
-        for p in by_icu:
-            days = [1] if p.violation == "short_stay" else range(1, DAYS + 1)
-            for day in days:
-                total = p.daily[series][day]
-                parts = (0.2 * total, 0.3 * total, 0.5 * total)
-                for off, v in zip(_sample_offsets(day), parts):
-                    rows.append([p.icustay_id, _fmt(off), _fmt(v)])
-                # the planted daily value becomes the float sum of its parts
-                p.daily[series][day] = float(np.sum(parts))
-        _emit(out_dir, series, ["icustay_id", "offset_hours", "value"], rows)
-
-    # recompute ground truth with the emitted (post-split) fluid totals
-    for p in patients:
-        if p.x is not None:
-            p.x = _ground_truth_x(p, spec.t1_default)
-
-    step_counts = _expected_step_counts(patients)
-    survivors = [p for p in patients if p.violation is None]
-    survivors.sort(key=lambda p: (p.subject_id, p.hadm_id, p.icustay_id))
+    # the study rows the extracts give: fluid totals are the sums of their parts
+    truth = x.copy()
+    _fill_timelines(truth, split, p.t1)
+    clean = kind == ""
     expected_rows = [
-        {
-            "subject_id": p.subject_id,
-            "hadm_id": p.hadm_id,
-            "icustay_id": p.icustay_id,
-            "x": [float(v) for v in p.x],
-        }
-        for p in survivors
+        {"subject_id": s, "hadm_id": h, "icustay_id": i, "x": row}
+        for (s, h, i), row in zip(p.ids[clean].tolist(), truth[clean].tolist())
     ]
-    n_treated = sum(1 for p in survivors if p.attrs["treated"])
     manifest = SynthManifest(
         seed=spec.seed,
         n_requested=spec.n,
-        n_records=len(patients),
-        prevalence=n_treated / len(survivors) if survivors else 0.0,
+        n_records=n,
+        prevalence=int((x[clean, 0] > 0).sum()) / len(expected_rows) if expected_rows else 0.0,
         params={
-            "treatment_alpha": alpha_used,
+            "treatment_alpha": p.alpha,
             "treatment_beta": {f"x{k}": v for k, v in sorted(spec.treatment_beta.items())},
             "prevalence_target": spec.prevalence_target,
             "mortality": {
                 "alpha": spec.mortality.alpha,
                 "beta": {f"x{k}": v for k, v in sorted(spec.mortality.beta.items())},
                 "interaction_treated_saps": spec.mortality.interaction_treated_saps,
-                "interaction_centered_at": saps_mean,
+                "interaction_centered_at": p.saps_mean,
                 "treated_effect": spec.mortality.treated_effect,
             },
             "los": {
@@ -520,7 +376,7 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> SynthManifest:
             "saps_sd": spec.saps_sd,
             "t1_default": spec.t1_default,
         },
-        step_counts=step_counts,
+        step_counts=_expected_step_counts(kind, x[:, 1]),
         expected_rows=expected_rows,
     )
     (out_dir / "manifest.json").write_text(manifest.to_json())
@@ -533,49 +389,27 @@ def synth_study_group(spec: SynthSpec) -> StudyGroup:
     Same seed and spec as synth_generate, same planted rows (up to the
     1e-16 effect of splitting fluid totals into file samples).
     """
-    rng = np.random.default_rng(spec.seed)
-    patients = _build_patients(spec, rng)
-    if patients:
-        _assign_treatment_and_outcomes(spec, patients, rng)
-    survivors = [p for p in patients if p.violation is None]
-    keys = [PatientKey(p.subject_id, p.hadm_id, p.icustay_id) for p in survivors]
-    x = (
-        np.array([[float(v) for v in p.x] for p in survivors])
-        if survivors
-        else np.empty((0, 58))
+    p = _plant(spec)
+    clean = p.kind == ""
+    return StudyGroup([PatientKey(*key) for key in p.ids[clean].tolist()], p.x[clean])
+
+
+def _expected_step_counts(kind: np.ndarray, age: np.ndarray) -> list:
+    """The generator's own 16-step attrition bookkeeping: each single
+    condition, and after it (from B on) its conjunction with all before."""
+    conditions = (
+        ("B", kind != "multi_admission"),
+        ("D", kind != "short_stay"),
+        ("F", age >= 18.0),
+        ("H", kind != "no_sepsis"),
+        ("L", kind != "cmo"),
+        ("N", ~np.isin(kind, ("missing_ids", "no_summary"))),
+        ("P", kind != "not_naive"),
     )
-    return StudyGroup(keys, x)
-
-
-def _expected_step_counts(patients: list) -> list:
-    """The generator's own 16-step attrition bookkeeping."""
-    subject_counts: dict = {}
-    for p in patients:
-        subject_counts[p.subject_id] = subject_counts.get(p.subject_id, 0) + 1
-
-    def members(condition) -> set:
-        return {id(p) for p in patients if condition(p)}
-
-    sets: dict = {}
-    sets["A"] = members(lambda p: p.hadm_id is not None)
-    sets["B"] = members(lambda p: subject_counts[p.subject_id] == 1)
-    sets["C"] = sets["A"] & sets["B"]
-    sets["D"] = members(lambda p: p.violation != "short_stay")
-    sets["E"] = sets["C"] & sets["D"]
-    sets["F"] = members(lambda p: p.attrs["age"] >= 18.0)
-    sets["G"] = sets["E"] & sets["F"]
-    sets["H"] = members(lambda p: p.attrs["sepsis"])
-    sets["I"] = sets["G"] & sets["H"]
-    sets["L"] = members(lambda p: not p.attrs["cmo"])
-    sets["M"] = sets["I"] & sets["L"]
-    sets["N"] = members(lambda p: bool(p.attrs["summary"]) and p.hadm_id is not None)
-    sets["O"] = sets["M"] & sets["N"]
-    sets["P"] = members(lambda p: p.violation != "not_naive")
-    sets["Q"] = sets["O"] & sets["P"]
-    sets["R"] = sets["Q"] & members(lambda p: p.violation != "missing_data")
-
-    order = ["A", "B", "C", "D", "E", "F", "G", "H", "I", "L", "M", "N", "O", "P", "Q", "R"]
-    return [
-        {"index": i + 1, "label": label, "surviving": len(sets[label])}
-        for i, label in enumerate(order)
-    ]
+    held = kind != "missing_ids"
+    counts = [("A", held)]
+    for (label, mask), joint in zip(conditions, "CEGIMOQ"):
+        held = held & mask
+        counts += [(label, mask), (joint, held)]
+    counts.append(("R", held & (kind != "missing_data")))
+    return [{"index": i + 1, "label": label, "surviving": int(mask.sum())} for i, (label, mask) in enumerate(counts)]

@@ -6,15 +6,21 @@ transcriptions, no shared code with the library under test.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 import re
 import statistics
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from icustudy.errors import DataError
+from icustudy.cohort import ELIX_BINARY_FIELDS
+from icustudy.errors import DataError, InvalidSpec
 from icustudy.evoml import GpConfig, GpRun
+from icustudy.group import PatientKey, StudyGroup
+from icustudy.synth import ATTRITION_KINDS, SynthManifest, SynthSpec
 
 
 # --- order statistics -----------------------------------------------------------
@@ -987,3 +993,485 @@ def gp_evolve(config: GpConfig, x: np.ndarray, y: np.ndarray, task: str) -> GpRu
         trace.append(best_fit)
 
     return GpRun(best=best, best_fitness=best_fit, trace=trace, task=task)
+
+
+# --- the per-record synth generator ---------------------------------------------------
+#
+# The generator as it was before it drew its records as arrays: one
+# SynthPatient per record holding `attrs` and `daily` dicts, a ground-truth
+# row rebuilt per record at each stage, drivers read through an if-chain,
+# and the step counts kept as sets of record ids.  Its draws and bytes are
+# the reference the columnar generator must match.
+
+DAYS = 6
+MEDIAN_SERIES = ("saps", "sofa", "creatinine", "bp", "bp_mean")
+SUM_SERIES = ("fluids_in", "fluids_out")
+
+
+@dataclass
+class SynthPatient:
+    subject_id: int
+    hadm_id: int | None
+    icustay_id: int
+    violation: str | None  # which pipeline condition this record breaks
+    attrs: dict = field(default_factory=dict)
+    daily: dict = field(default_factory=dict)  # series -> {day: value}
+    x: list | None = None  # ground-truth study-row values for survivors
+
+
+NAIVE_SUMMARY = (
+    "ADMISSION DIAGNOSIS: severe sepsis with fluid overload.\n"
+    "MEDICATIONS ON ADMISSION: aspirin 81mg, metoprolol 25mg.\n"
+    "HOSPITAL COURSE: fluid resuscitation on arrival, gradual recovery.\n"
+    "DISCHARGE MEDICATIONS: furosemide 20mg daily, aspirin 81mg.\n"
+)
+
+NOT_NAIVE_SUMMARY = (
+    "ADMISSION DIAGNOSIS: sepsis, volume overload.\n"
+    "DRUGS ON ADMISSION: lasix 40mg daily, lisinopril 10mg.\n"
+    "HOSPITAL COURSE: continued diuresis, slow improvement.\n"
+)
+
+
+def _sigmoid(v: float) -> float:
+    return 1.0 / (1.0 + math.exp(-v))
+
+
+def _calibrate_alpha(linear: np.ndarray, target: float) -> float:
+    lo, hi = -30.0, 30.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        mean_p = float(np.mean(1.0 / (1.0 + np.exp(-(mid + linear)))))
+        if mean_p < target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+def _plant_daily(rng: np.random.Generator, severity: float) -> dict:
+    # saps is filled by the caller, which owns the configurable spread
+    daily: dict = {name: {} for name in MEDIAN_SERIES + SUM_SERIES}
+    for day in range(1, DAYS + 1):
+        daily["sofa"][day] = max(0.0, 8.0 + 3.0 * severity + rng.normal(0.0, 1.0))
+        daily["creatinine"][day] = max(0.2, 1.8 + 0.8 * severity + rng.normal(0.0, 0.3))
+        daily["bp"][day] = 113.0 - 8.0 * severity + rng.normal(0.0, 4.0)
+        daily["bp_mean"][day] = 78.0 - 6.0 * severity + rng.normal(0.0, 3.0)
+        daily["fluids_in"][day] = max(0.0, 2.6 - 0.25 * day + 0.5 * severity + rng.normal(0.0, 0.4))
+        daily["fluids_out"][day] = max(0.0, 1.4 + 0.05 * day - 0.1 * severity + rng.normal(0.0, 0.3))
+    return daily
+
+
+def _ground_truth_x(patient: SynthPatient, t1_default: int) -> list:
+    """Expected study-row values from the planted daily data."""
+    a = patient.attrs
+    treated = a["treated"]
+    t1 = a["first_dose_day"] if treated else t1_default
+    t2, t3 = 3, 4
+    x: list = [None] * 58
+
+    def put(i, v):
+        x[i - 1] = None if v is None else float(v)
+
+    put(1, 1.0 if treated else -1.0)
+    put(2, a["age"])
+    put(3, a["gender"])
+    put(4, a["race"])
+    for start, name in ((5, "saps"), (10, "sofa"), (25, "creatinine"), (47, "bp"), (52, "bp_mean")):
+        series = patient.daily[name]
+        put(start, np.mean([series[d] for d in range(1, t1 + 1)]))
+        put(start + 1, series[1])
+        put(start + 2, series[t1])
+        put(start + 3, series[t2])
+        put(start + 4, series[t3])
+    put(15, a["elixhauser"])
+    for k in range(9):
+        put(16 + k, a["elixhauser_binary"][k])
+    fin = patient.daily["fluids_in"]
+    fout = patient.daily["fluids_out"]
+    fbal = {d: fin[d] - fout[d] for d in fin}
+    for start, series in ((30, fin), (35, fout), (40, fbal)):
+        put(start, np.mean([series[d] for d in range(1, t1 + 1)]))
+        put(start + 1, series[1])
+        put(start + 2, series[t1])
+        put(start + 3, series[t2])
+        put(start + 4, series[t3])
+    put(45, a["vasopressors"])
+    put(46, a["ventilation"])
+    put(57, a.get("mortality"))
+    put(58, a.get("los"))
+    return x
+
+
+def _build_patients(spec: SynthSpec, rng: np.random.Generator) -> list:
+    patients: list[SynthPatient] = []
+    next_id = [1]
+
+    def fresh_ids():
+        i = next_id[0]
+        next_id[0] += 1
+        return 10000 + i, 20000 + i, 30000 + i
+
+    def base_patient(violation: str | None) -> SynthPatient:
+        sid, hid, iid = fresh_ids()
+        severity = float(rng.normal())
+        p = SynthPatient(sid, hid, iid, violation)
+        p.daily = _plant_daily(rng, severity)
+        saps_base = 15.8 + spec.saps_sd * severity
+        for day in range(1, DAYS + 1):
+            p.daily["saps"][day] = max(0.0, saps_base + float(rng.normal(0.0, 0.8)))
+        p.attrs = {
+            "severity": severity,
+            "age": float(np.clip(66.0 + 10.0 * severity + rng.normal(0.0, 12.0), 18.0, 95.0)),
+            "gender": 1.0 if rng.random() < 0.425 else -1.0,
+            "race": 1.0 if rng.random() < 0.02 else -1.0,
+            "elixhauser": float(np.clip(round(3.0 + 1.3 * severity + rng.normal(0.0, 1.0)), 0, 12)),
+            "elixhauser_binary": [
+                1.0 if rng.random() < _sigmoid(-1.0 + 0.9 * severity) else -1.0
+                for _ in range(9)
+            ],
+            "vasopressors": 1.0 if rng.random() < _sigmoid(0.6 + 0.9 * severity) else -1.0,
+            "ventilation": 1.0 if rng.random() < _sigmoid(0.8 + 0.8 * severity) else -1.0,
+            "sepsis": True,
+            "cmo": False,
+            "summary": NAIVE_SUMMARY,
+        }
+        return p
+
+    for _ in range(spec.n):
+        patients.append(base_patient(None))
+
+    for kind in ATTRITION_KINDS:
+        for _ in range(int(spec.attrition.get(kind, 0))):
+            p = base_patient(kind)
+            if kind == "missing_ids":
+                p.hadm_id = None
+                p.attrs["summary"] = None  # hadm-keyed extracts cannot join
+            elif kind == "multi_admission":
+                p2 = base_patient(kind)
+                p2.subject_id = p.subject_id
+                patients.append(p)
+                p = p2
+            elif kind == "short_stay":
+                pass  # handled at emission: day-1 samples only
+            elif kind == "minor":
+                p.attrs["age"] = float(rng.uniform(1.0, 17.0))
+            elif kind == "no_sepsis":
+                p.attrs["sepsis"] = False
+            elif kind == "cmo":
+                p.attrs["cmo"] = True
+            elif kind == "no_summary":
+                p.attrs["summary"] = None
+            elif kind == "not_naive":
+                p.attrs["summary"] = NOT_NAIVE_SUMMARY
+            elif kind == "missing_data":
+                pass  # handled at emission: creatinine file omits this patient
+            patients.append(p)
+    return patients
+
+
+def _assign_treatment_and_outcomes(spec: SynthSpec, patients: list, rng: np.random.Generator):
+    """Treatment from the planted logistic model, then outcomes."""
+    # driver values are T1-independent, so they exist before assignment
+    linear = []
+    for p in patients:
+        total = 0.0
+        for idx, coef in sorted(spec.treatment_beta.items()):
+            total += coef * _driver_value(p, idx)
+        linear.append(total)
+    linear = np.array(linear)
+    alpha = spec.treatment_alpha
+    if spec.prevalence_target is not None and len(patients):
+        alpha = _calibrate_alpha(linear, spec.prevalence_target)
+
+    dose_days = [d for d, _ in spec.first_dose_days]
+    dose_probs = [w for _, w in spec.first_dose_days]
+    total_w = sum(dose_probs)
+    dose_probs = [w / total_w for w in dose_probs]
+
+    for p, lin in zip(patients, linear):
+        p.attrs["treated"] = bool(rng.random() < _sigmoid(alpha + float(lin)))
+        p.attrs["first_dose_day"] = (
+            int(rng.choice(dose_days, p=dose_probs)) if p.attrs["treated"] else None
+        )
+
+    # provisional ground-truth rows give the outcome models their regressors
+    for p in patients:
+        p.x = _ground_truth_x(p, spec.t1_default)
+
+    saps_values = np.array([p.x[4] for p in patients])  # x5
+    saps_mean = float(saps_values.mean()) if len(patients) else 0.0
+
+    for p in patients:
+        treated01 = 1.0 if p.attrs["treated"] else 0.0
+        eta = spec.mortality.alpha + spec.mortality.treated_effect * treated01
+        for idx, coef in sorted(spec.mortality.beta.items()):
+            eta += coef * p.x[idx - 1]
+        eta += spec.mortality.interaction_treated_saps * (p.x[4] - saps_mean) * treated01
+        p.attrs["mortality"] = 1.0 if rng.random() < _sigmoid(eta) else -1.0
+
+        los = spec.los.alpha + spec.los.treated_effect * treated01
+        for idx, coef in sorted(spec.los.beta.items()):
+            los += coef * p.x[idx - 1]
+        los += float(rng.normal(0.0, spec.los.noise_sd))
+        p.attrs["los"] = max(0.0, los)
+        p.x = _ground_truth_x(p, spec.t1_default)
+    return alpha, saps_mean
+
+
+def _driver_value(p: SynthPatient, idx: int) -> float:
+    """Planted value of a T1-independent study variable."""
+    a = p.attrs
+    if idx == 2:
+        return a["age"]
+    if idx == 3:
+        return a["gender"]
+    if idx == 4:
+        return a["race"]
+    if idx == 15:
+        return a["elixhauser"]
+    if 16 <= idx <= 24:
+        return a["elixhauser_binary"][idx - 16]
+    if idx == 45:
+        return a["vasopressors"]
+    if idx == 46:
+        return a["ventilation"]
+    block = {
+        5: ("saps", "median"), 10: ("sofa", "median"), 25: ("creatinine", "median"),
+        30: ("fluids_in", "sum"), 35: ("fluids_out", "sum"), 40: ("balance", "sum"),
+        47: ("bp", "median"), 52: ("bp_mean", "median"),
+    }
+    for start, (name, _) in block.items():
+        if start <= idx <= start + 4:
+            offset = idx - start
+            day = {1: 1, 3: 3, 4: 4}.get(offset)  # offsets 1, 3, 4 = days 1, T2, T3
+            if day is None:
+                raise InvalidSpec(f"x{idx} depends on the decision day")
+            if name == "balance":
+                return p.daily["fluids_in"][day] - p.daily["fluids_out"][day]
+            return p.daily[name][day]
+    raise InvalidSpec(f"x{idx} cannot drive treatment assignment")
+
+
+# --- file emission ----------------------------------------------------------------
+
+
+def _emit(out_dir: Path, name: str, header: list, rows: list) -> None:
+    with open(out_dir / f"{name}.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _sample_offsets(day: int) -> tuple:
+    base = 24.0 * (day - 1)
+    return (base + 3.0, base + 11.0, base + 20.0)
+
+
+def _fmt(v: float) -> str:
+    return format(float(v), ".12g")
+
+
+def synth_generate_oracle(spec: SynthSpec, out_dir: str | Path) -> SynthManifest:
+    """Write the extract files and the ground-truth manifest for `spec`."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(spec.seed)
+
+    patients = _build_patients(spec, rng)
+    alpha_used, saps_mean = (
+        _assign_treatment_and_outcomes(spec, patients, rng) if patients else (spec.treatment_alpha, 0.0)
+    )
+
+    # ids.csv keeps insertion order; every other file sorts by its key
+    _emit(
+        out_dir,
+        "ids",
+        ["subject_id", "hadm_id", "icustay_id"],
+        [
+            [p.subject_id, p.hadm_id if p.hadm_id is not None else "", p.icustay_id]
+            for p in patients
+        ],
+    )
+    by_icu = sorted(patients, key=lambda p: p.icustay_id)
+    by_hadm = sorted((p for p in patients if p.hadm_id is not None), key=lambda p: p.hadm_id)
+
+    _emit(
+        out_dir,
+        "demographics",
+        ["icustay_id", "age", "gender"],
+        [[p.icustay_id, _fmt(p.attrs["age"]), _fmt(p.attrs["gender"])] for p in by_icu],
+    )
+    _emit(out_dir, "race", ["hadm_id", "value"], [[p.hadm_id, _fmt(p.attrs["race"])] for p in by_hadm])
+    _emit(
+        out_dir,
+        "elixhauser",
+        ["hadm_id", "value"],
+        [[p.hadm_id, _fmt(p.attrs["elixhauser"])] for p in by_hadm],
+    )
+    _emit(
+        out_dir,
+        "elixhauser_binary",
+        ["hadm_id"] + list(ELIX_BINARY_FIELDS),
+        [
+            [p.hadm_id] + [_fmt(v) for v in p.attrs["elixhauser_binary"]]
+            for p in by_hadm
+        ],
+    )
+    for name, attr in (("vasopressors", "vasopressors"), ("ventilation", "ventilation"), ("mortality", "mortality")):
+        _emit(
+            out_dir,
+            name,
+            ["icustay_id", "value"],
+            [[p.icustay_id, _fmt(p.attrs[attr])] for p in by_icu],
+        )
+    _emit(out_dir, "los", ["icustay_id", "value"], [[p.icustay_id, _fmt(p.attrs["los"])] for p in by_icu])
+    _emit(
+        out_dir,
+        "diuretics",
+        ["icustay_id", "first_dose_hours"],
+        [
+            [p.icustay_id, _fmt(24.0 * (p.attrs["first_dose_day"] - 1) + 6.0)]
+            for p in by_icu
+            if p.attrs["treated"]
+        ],
+    )
+    _emit(
+        out_dir,
+        "summaries",
+        ["hadm_id", "text"],
+        [[p.hadm_id, p.attrs["summary"]] for p in by_hadm if p.attrs["summary"]],
+    )
+    _emit(out_dir, "sepsis", ["icustay_id"], [[p.icustay_id] for p in by_icu if p.attrs["sepsis"]])
+    _emit(out_dir, "cmo", ["icustay_id"], [[p.icustay_id] for p in by_icu if p.attrs["cmo"]])
+
+    for series in MEDIAN_SERIES:
+        rows = []
+        for p in by_icu:
+            if p.violation == "missing_data" and series == "creatinine":
+                continue
+            days = [1] if p.violation == "short_stay" else range(1, DAYS + 1)
+            for day in days:
+                value = p.daily[series][day]
+                delta = 0.1 * abs(value) + 0.01
+                offsets = _sample_offsets(day)
+                for off, v in zip(offsets, (value - delta, value, value + delta)):
+                    rows.append([p.icustay_id, _fmt(off), _fmt(v)])
+        _emit(out_dir, series, ["icustay_id", "offset_hours", "value"], rows)
+
+    for series in SUM_SERIES:
+        rows = []
+        for p in by_icu:
+            days = [1] if p.violation == "short_stay" else range(1, DAYS + 1)
+            for day in days:
+                total = p.daily[series][day]
+                parts = (0.2 * total, 0.3 * total, 0.5 * total)
+                for off, v in zip(_sample_offsets(day), parts):
+                    rows.append([p.icustay_id, _fmt(off), _fmt(v)])
+                # the planted daily value becomes the float sum of its parts
+                p.daily[series][day] = float(np.sum(parts))
+        _emit(out_dir, series, ["icustay_id", "offset_hours", "value"], rows)
+
+    # recompute ground truth with the emitted (post-split) fluid totals
+    for p in patients:
+        if p.x is not None:
+            p.x = _ground_truth_x(p, spec.t1_default)
+
+    step_counts = _expected_step_counts(patients)
+    survivors = [p for p in patients if p.violation is None]
+    survivors.sort(key=lambda p: (p.subject_id, p.hadm_id, p.icustay_id))
+    expected_rows = [
+        {
+            "subject_id": p.subject_id,
+            "hadm_id": p.hadm_id,
+            "icustay_id": p.icustay_id,
+            "x": [float(v) for v in p.x],
+        }
+        for p in survivors
+    ]
+    n_treated = sum(1 for p in survivors if p.attrs["treated"])
+    manifest = SynthManifest(
+        seed=spec.seed,
+        n_requested=spec.n,
+        n_records=len(patients),
+        prevalence=n_treated / len(survivors) if survivors else 0.0,
+        params={
+            "treatment_alpha": alpha_used,
+            "treatment_beta": {f"x{k}": v for k, v in sorted(spec.treatment_beta.items())},
+            "prevalence_target": spec.prevalence_target,
+            "mortality": {
+                "alpha": spec.mortality.alpha,
+                "beta": {f"x{k}": v for k, v in sorted(spec.mortality.beta.items())},
+                "interaction_treated_saps": spec.mortality.interaction_treated_saps,
+                "interaction_centered_at": saps_mean,
+                "treated_effect": spec.mortality.treated_effect,
+            },
+            "los": {
+                "alpha": spec.los.alpha,
+                "treated_effect": spec.los.treated_effect,
+                "beta": {f"x{k}": v for k, v in sorted(spec.los.beta.items())},
+                "noise_sd": spec.los.noise_sd,
+            },
+            "attrition": {k: int(spec.attrition.get(k, 0)) for k in ATTRITION_KINDS},
+            "saps_sd": spec.saps_sd,
+            "t1_default": spec.t1_default,
+        },
+        step_counts=step_counts,
+        expected_rows=expected_rows,
+    )
+    (out_dir / "manifest.json").write_text(manifest.to_json())
+    return manifest
+
+
+def synth_study_group_oracle(spec: SynthSpec) -> StudyGroup:
+    """The clean cohort as an in-memory study group, skipping file io.
+
+    Same seed and spec as synth_generate, same planted rows (up to the
+    1e-16 effect of splitting fluid totals into file samples).
+    """
+    rng = np.random.default_rng(spec.seed)
+    patients = _build_patients(spec, rng)
+    if patients:
+        _assign_treatment_and_outcomes(spec, patients, rng)
+    survivors = [p for p in patients if p.violation is None]
+    keys = [PatientKey(p.subject_id, p.hadm_id, p.icustay_id) for p in survivors]
+    x = (
+        np.array([[float(v) for v in p.x] for p in survivors])
+        if survivors
+        else np.empty((0, 58))
+    )
+    return StudyGroup(keys, x)
+
+
+def _expected_step_counts(patients: list) -> list:
+    """The generator's own 16-step attrition bookkeeping."""
+    subject_counts: dict = {}
+    for p in patients:
+        subject_counts[p.subject_id] = subject_counts.get(p.subject_id, 0) + 1
+
+    def members(condition) -> set:
+        return {id(p) for p in patients if condition(p)}
+
+    sets: dict = {}
+    sets["A"] = members(lambda p: p.hadm_id is not None)
+    sets["B"] = members(lambda p: subject_counts[p.subject_id] == 1)
+    sets["C"] = sets["A"] & sets["B"]
+    sets["D"] = members(lambda p: p.violation != "short_stay")
+    sets["E"] = sets["C"] & sets["D"]
+    sets["F"] = members(lambda p: p.attrs["age"] >= 18.0)
+    sets["G"] = sets["E"] & sets["F"]
+    sets["H"] = members(lambda p: p.attrs["sepsis"])
+    sets["I"] = sets["G"] & sets["H"]
+    sets["L"] = members(lambda p: not p.attrs["cmo"])
+    sets["M"] = sets["I"] & sets["L"]
+    sets["N"] = members(lambda p: bool(p.attrs["summary"]) and p.hadm_id is not None)
+    sets["O"] = sets["M"] & sets["N"]
+    sets["P"] = members(lambda p: p.violation != "not_naive")
+    sets["Q"] = sets["O"] & sets["P"]
+    sets["R"] = sets["Q"] & members(lambda p: p.violation != "missing_data")
+
+    order = ["A", "B", "C", "D", "E", "F", "G", "H", "I", "L", "M", "N", "O", "P", "Q", "R"]
+    return [
+        {"index": i + 1, "label": label, "surviving": len(sets[label])}
+        for i, label in enumerate(order)
+    ]

@@ -3,9 +3,13 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import synth_generate_oracle, synth_study_group_oracle
 
 from icustudy.cohort import DEFAULT_PIPELINE, load_extracts, parse_pipeline, run_filter_pipeline
 from icustudy.errors import InvalidSpec
+from icustudy.group import COVARIATE_INDICES, T1_DEPENDENT_INDICES
 from icustudy.synth import (
     ATTRITION_KINDS,
     LosModel,
@@ -68,6 +72,20 @@ def test_invalid_specs_rejected():
         SynthSpec(n=-1)
     with pytest.raises(InvalidSpec):
         SynthSpec(n=10, prevalence_target=1.5)
+    for beta in ({1: 1.0}, {0: 1.0}, {57: 1.0}):  # x1 is the treatment, x57 an outcome
+        with pytest.raises(InvalidSpec):
+            SynthSpec(n=10, treatment_beta=beta)
+    for idx in (0, 57, 58, 59):  # outcome models read x1..x56
+        with pytest.raises(InvalidSpec):
+            SynthSpec(n=10, mortality=MortalityModel(beta={idx: 0.1}))
+        with pytest.raises(InvalidSpec):
+            SynthSpec(n=10, los=LosModel(beta={idx: 0.1}))
+    for days in (((0, 1.0),), ((2, 0.5), (7, 0.5)), ((2, 0.0), (3, 0.0)), ((2, -0.5), (3, 1.0))):
+        with pytest.raises(InvalidSpec):
+            SynthSpec(n=10, first_dose_days=days)
+    for t1 in (0, 9):
+        with pytest.raises(InvalidSpec):
+            SynthSpec(n=10, t1_default=t1)
 
 
 def test_pipeline_trace_matches_manifest(tmp_path):
@@ -140,3 +158,56 @@ def test_los_always_non_negative():
         SynthSpec(n=300, seed=11, los=LosModel(alpha=1.0, treated_effect=0.0, noise_sd=5.0))
     )
     assert (group.col(58) >= 0).all()
+
+
+_DRIVERS = sorted(set(COVARIATE_INDICES) - T1_DEPENDENT_INDICES)
+_COEFS = st.floats(-0.5, 0.5, allow_nan=False)
+
+
+@st.composite
+def _specs(draw) -> dict:
+    """SynthSpec arguments: a small cohort with outcome betas on any study
+    column (fluid and decision-day ones too), a SAPS interaction, its own
+    first-dose days and decision day, and a few records of each attrition kind."""
+    days = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True))
+    return dict(
+        n=draw(st.integers(0, 60)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        treatment_alpha=draw(st.floats(-3.0, 1.0)),
+        treatment_beta=draw(st.dictionaries(st.sampled_from(_DRIVERS), _COEFS, max_size=4)),
+        prevalence_target=draw(st.none() | st.floats(0.02, 0.98)),
+        first_dose_days=tuple((d, draw(st.floats(0.05, 2.0))) for d in days),
+        mortality=MortalityModel(
+            alpha=draw(st.floats(-2.0, 1.0)),
+            beta=draw(st.dictionaries(st.integers(1, 56), st.floats(-0.05, 0.05), max_size=4)),
+            interaction_treated_saps=draw(st.floats(-0.1, 0.1)),
+            treated_effect=draw(st.floats(-1.0, 1.0)),
+        ),
+        los=LosModel(
+            alpha=draw(st.floats(0.0, 10.0)),
+            treated_effect=draw(st.floats(-3.0, 3.0)),
+            beta=draw(st.dictionaries(st.integers(1, 56), st.floats(-0.5, 0.5), max_size=4)),
+            noise_sd=draw(st.floats(0.0, 5.0)),
+        ),
+        attrition=draw(st.dictionaries(st.sampled_from(ATTRITION_KINDS), st.integers(0, 3))),
+        saps_sd=draw(st.floats(0.0, 8.0)),
+        t1_default=draw(st.integers(1, 6)),
+    )
+
+
+@given(_specs())
+@settings(max_examples=200, deadline=None)
+def test_generator_matches_per_record_oracle(tmp_path_factory, args):
+    """The columnar generator draws the same numbers in the same order as
+    the per-record one, so every file it writes and every planted study row
+    is the same to the last bit."""
+    base = tmp_path_factory.mktemp("synth")
+    got, want = base / "got", base / "want"
+    synth_generate(SynthSpec(**args), got)
+    synth_generate_oracle(SynthSpec(**args), want)
+    assert sorted(p.name for p in got.iterdir()) == sorted(p.name for p in want.iterdir())
+    for path in sorted(want.iterdir()):
+        assert (got / path.name).read_bytes() == path.read_bytes(), path.name
+    group, oracle = synth_study_group(SynthSpec(**args)), synth_study_group_oracle(SynthSpec(**args))
+    assert group.keys == oracle.keys
+    assert group.x.tobytes() == oracle.x.tobytes()
