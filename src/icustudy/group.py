@@ -145,16 +145,12 @@ def _cell(value):
     return value  # csv writes None as an empty cell
 
 
-#: cells csv.writer already writes as _cell would, so the row loop skips the call
-_AS_IS = frozenset({str, int, type(None)})
-
-
 def write_table(path: str | Path, header: Sequence[str], rows) -> None:
     """A report or extract CSV: floats through fnum, booleans as 0/1, None as empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([v if type(v) in _AS_IS else _cell(v) for v in row] for row in rows)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def key_cells(key: PatientKey) -> list:
