@@ -30,8 +30,8 @@ from . import synth as synth_mod
 from . import varprep
 from .config import RunConfig
 from .errors import ConfigError, DataError, IcuStudyError, NumericError
-from .group import COVARIATE_INDICES, KEY_COLUMNS, StudyGroup, key_cells, read_csv_rows, row_key, write_table
-from .group import read_strata_csv, read_studygroup_csv, write_strata_csv, write_studygroup_csv
+from .group import COVARIATE_INDICES, KEY_COLUMNS, StudyGroup, match_keys, read_csv_rows, read_strata_csv
+from .group import read_studygroup_csv, write_strata_csv, write_studygroup_csv, write_table
 from .regress import ModelSpec, coefficient_p_values, fit_logistic, stepwise_select
 from .stats import evidence_band
 
@@ -81,11 +81,9 @@ class Run:
 def _survivor_records(run: Run, path: Path) -> cohort_mod.Cohort:
     """The cohort's records whose three ids a row of survivors.csv holds,
     joined with only the extracts the study row uses."""
-    keys = read_csv_rows(path, KEY_COLUMNS, lambda row: np.array(row_key(row), dtype=np.int64))
-    wanted = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    wanted = read_csv_rows(path, KEY_COLUMNS, lambda row: np.array([int(row[c]) for c in KEY_COLUMNS], np.int64))
     cohort = cohort_mod.load_extracts(Path(run.config.extracts_dir), study_only=True)
-    _, code = np.unique(np.concatenate([wanted, cohort.ids]), axis=0, return_inverse=True)
-    found = np.isin(code.ravel()[len(wanted) :], code.ravel()[: len(wanted)])
+    found = match_keys(cohort.ids, wanted) >= 0
     return cohort.select(np.flatnonzero(found & ~cohort.absent.any(axis=1)))
 
 
@@ -153,7 +151,7 @@ def stage_varprep(run: Run) -> None:
     write_table(
         run.out / "rejections.csv",
         [*KEY_COLUMNS, "reason"],
-        [key_cells(r.key) + [r.reason] for r in rejections],
+        [[*r.key, r.reason] for r in rejections],
     )
     if not group.n:
         raise DataError(
@@ -298,7 +296,7 @@ def stage_ml(run: Run) -> None:
         write_table(
             run.out / "clusters.csv",
             [*KEY_COLUMNS, "cluster"],
-            [key_cells(k) + [int(c) + 1] for k, c in zip(group.keys, km.assignment)],
+            [[*key, int(c) + 1] for key, c in zip(group.ids.tolist(), km.assignment)],
         )
 
     tasks = [t for t in ("classify", "regress") if t in parts or "simulate" in parts]
@@ -329,8 +327,8 @@ def stage_ml(run: Run) -> None:
             metric_rows.append([task, "full", "counterfactual_rate_treated", cf.rate_treated])
             metric_rows.append([task, "full", "counterfactual_rate_untreated", cf.rate_untreated])
             cf_rows += [
-                key_cells(key) + [task, plus, minus]
-                for key, plus, minus in zip(group.keys, cf.outcome_treated, cf.outcome_untreated)
+                [*key, task, plus, minus]
+                for key, plus, minus in zip(group.ids.tolist(), cf.outcome_treated, cf.outcome_untreated)
             ]
 
     write_table(run.out / "gp_run.csv", ["task", "generation", "best_fitness"], run_rows)

@@ -28,7 +28,7 @@ from .errors import (
     UnknownSetReference,
     UnsortedInput,
 )
-from .group import read_numeric_csv
+from .group import KEY_COLUMNS, read_numeric_csv, write_table
 
 # Diuretic generic and brand names used for the naive check; lowercase,
 # matched on word boundaries.
@@ -127,9 +127,6 @@ def detect_naive(
 
 
 # --- sorted merge join --------------------------------------------------------
-
-_COMPONENTS = ("subject_id", "hadm_id", "icustay_id")
-
 
 class JoinResult(NamedTuple):
     index: np.ndarray  # per id, its key's first value row, -1 where none
@@ -433,22 +430,15 @@ DEFAULT_PIPELINE = """\
 
 
 def write_trace_csv(trace: FilterTrace, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step", "kind", "label", "surviving", "pct_of_original", "pct_of_previous"]
-        )
-        for s in trace.steps:
-            writer.writerow(
-                [
-                    s.index,
-                    s.kind,
-                    s.label,
-                    s.surviving_count,
-                    format(s.pct_of_original, ".10g"),
-                    format(s.pct_of_previous, ".10g"),
-                ]
-            )
+    write_table(
+        path,
+        ["step", "kind", "label", "surviving", "pct_of_original", "pct_of_previous"],
+        [
+            [s.index, s.kind, s.label, s.surviving_count,
+             format(s.pct_of_original, ".10g"), format(s.pct_of_previous, ".10g")]
+            for s in trace.steps
+        ],
+    )
 
 
 # --- extract ingestion ----------------------------------------------------------
@@ -610,7 +600,7 @@ def load_extracts(directory: str | Path, study_only: bool = False) -> Cohort:
     `study_only`, only the extracts the study row uses are read.
     """
     directory = Path(directory)
-    path, at = _locate(directory, "ids", _COMPONENTS)
+    path, at = _locate(directory, "ids", KEY_COLUMNS)
     cells = np.array(_read_extract(path, at), dtype=object).T
     try:
         ids, absent = _ids(cells)
@@ -622,7 +612,7 @@ def load_extracts(directory: str | Path, study_only: bool = False) -> Cohort:
     # an absent or non-positive component joins no row.  Each side holds
     # the records with a positive id of its component, ascending by it
     sides = {}
-    for c, component in enumerate(_COMPONENTS):
+    for c, component in enumerate(KEY_COLUMNS):
         side = np.flatnonzero(ids[:, c] > 0)
         sides[component] = side[np.argsort(ids[side, c], kind="stable")], c
     for name, schema in EXTRACT_SCHEMAS.items():

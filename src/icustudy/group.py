@@ -20,9 +20,8 @@ day T2, day T3); fluids blocks hold daily sums rather than medians.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,42 +43,33 @@ MORTALITY_INDEX = 57
 LOS_INDEX = 58
 
 
-@dataclass(frozen=True, order=True)
-class PatientKey:
+class PatientKey(NamedTuple):
     """Identifying triple: patient, hospital admission, ICU stay."""
 
     subject_id: int
     hadm_id: int
     icustay_id: int
 
-    def __post_init__(self):
-        for name in ("subject_id", "hadm_id", "icustay_id"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise DataError(f"PatientKey.{name} must be a positive integer, got {value!r}")
-
-    def __str__(self):
-        return f"{self.subject_id}/{self.hadm_id}/{self.icustay_id}"
-
 
 class StudyGroup:
-    """Immutable table of study rows, ordered by patient key."""
+    """Immutable table of study rows, ordered by patient key.  `ids` holds the
+    rows' id triples as an (n, 3) int64 array; a PatientKey list reads alike."""
 
-    def __init__(self, keys: Sequence[PatientKey], x: np.ndarray, validate: bool = True):
+    def __init__(self, ids, x: np.ndarray, validate: bool = True):
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != N_VARIABLES:
             raise DataError(f"study matrix must be (n, {N_VARIABLES}), got {x.shape}")
-        if len(keys) != x.shape[0]:
+        self.ids, self.x = np.asarray(ids, dtype=np.int64).reshape(-1, 3), x
+        if len(self.ids) != len(x):
             raise DataError("key count does not match row count")
-        self.keys = list(keys)
-        self.x = x
         if validate:
             self._validate()
 
     def _validate(self):
-        # NaN marks a value a non-default mandatory list left optional
-        if len(set(self.keys)) != len(self.keys):
+        check_ids(self.ids)
+        if len(np.unique(self.ids, axis=0)) != len(self.ids):
             raise DataError("duplicate patient keys in study group")
+        # NaN marks a value a non-default mandatory list left optional
         for i in sorted(BINARY_INDICES):
             col = self.col(i)
             bad = ~np.isin(col, (-1.0, 1.0)) & ~np.isnan(col)
@@ -93,11 +83,16 @@ class StudyGroup:
     # --- access ------------------------------------------------------------
 
     def __len__(self):
-        return len(self.keys)
+        return len(self.ids)
 
     @property
     def n(self) -> int:
-        return len(self.keys)
+        return len(self.ids)
+
+    @property
+    def keys(self) -> list:
+        """The rows' ids as PatientKeys."""
+        return [PatientKey(*key) for key in self.ids.tolist()]
 
     def col(self, index: int) -> np.ndarray:
         """Column for variable x<index> (1-based)."""
@@ -119,8 +114,7 @@ class StudyGroup:
 
     def subset(self, mask: np.ndarray) -> "StudyGroup":
         mask = np.asarray(mask, dtype=bool)
-        keys = [k for k, keep in zip(self.keys, mask) if keep]
-        return StudyGroup(keys, self.x[mask], validate=False)
+        return StudyGroup(self.ids[mask], self.x[mask], validate=False)
 
 
 # --- CSV form ---------------------------------------------------------------
@@ -153,18 +147,34 @@ def write_table(path: str | Path, header: Sequence[str], rows) -> None:
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def key_cells(key: PatientKey) -> list:
-    """The key triple as the first cells of a CSV row."""
-    return [key.subject_id, key.hadm_id, key.icustay_id]
+def check_ids(ids: np.ndarray) -> None:
+    """A DataError naming the first id, row by row, that is not positive."""
+    bad = np.argwhere(ids <= 0)
+    if len(bad):
+        r, c = bad[0]
+        raise DataError(f"PatientKey.{KEY_COLUMNS[c]} must be a positive integer, got {int(ids[r, c])!r}")
+
+
+def match_keys(wanted: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """For each id triple of `wanted`, the last row of `held` holding the
+    same triple, or -1 where none does."""
+    held = np.asarray(held, dtype=np.int64).reshape(-1, 3)
+    code = np.unique(np.concatenate([held, wanted]), axis=0, return_inverse=True)[1].ravel()
+    last = np.full(len(code), -1)
+    np.maximum.at(last, code[: len(held)], np.arange(len(held)))
+    return last[code[len(held) :]]
+
+
+_STUDYGROUP_HEADER = list(KEY_COLUMNS) + [f"x{i}" for i in range(1, N_VARIABLES + 1)]
+_STUDYGROUP_ROW = np.dtype([("key", np.int64, (3,)), ("x", float, (N_VARIABLES,))])
 
 
 def write_studygroup_csv(group: StudyGroup, path: str | Path) -> None:
-    header = list(KEY_COLUMNS) + [f"x{i}" for i in range(1, N_VARIABLES + 1)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for key, row in zip(group.keys, group.x.tolist()):
-            writer.writerow(key_cells(key) + [repr(v) for v in row])
+        writer.writerow(_STUDYGROUP_HEADER)
+        for key, row in zip(group.ids.tolist(), group.x.tolist()):
+            writer.writerow(key + [repr(v) for v in row])
 
 
 def read_numeric_csv(path: str | Path, dtype: np.dtype, usecols: Sequence[int] | None = None) -> np.ndarray | None:
@@ -194,8 +204,11 @@ def read_numeric_csv(path: str | Path, dtype: np.dtype, usecols: Sequence[int] |
     return rows
 
 
-_STUDYGROUP_HEADER = list(KEY_COLUMNS) + [f"x{i}" for i in range(1, N_VARIABLES + 1)]
-_STUDYGROUP_ROW = np.dtype([("key", np.int64, (3,)), ("x", float, (N_VARIABLES,))])
+def _key(cells) -> np.ndarray:
+    """One key triple of a hand-off file as int64 ids, each checked positive."""
+    key = np.array([int(v) for v in cells], dtype=np.int64)
+    check_ids(key[None])
+    return key
 
 
 def read_studygroup_csv(path: str | Path) -> StudyGroup:
@@ -210,21 +223,20 @@ def read_studygroup_csv(path: str | Path) -> StudyGroup:
             raise DataError(f"{path}: unexpected header (want key columns plus x1..x{N_VARIABLES})")
         rows = read_numeric_csv(path, _STUDYGROUP_ROW)
         if rows is not None and (rows["key"] > 0).all():
-            keys = [PatientKey(*key) for key in rows["key"].tolist()]
-            x = np.ascontiguousarray(rows["x"])
+            ids, x = rows["key"], np.ascontiguousarray(rows["x"])
         else:  # csv.reader names the line at fault
-            keys, x = [], []
+            ids, x = [], []
             try:
                 for line in reader:
                     if len(line) != len(header):
                         raise ValueError(f"{len(line)} cells, want {len(header)}")
-                    keys.append(PatientKey(int(line[0]), int(line[1]), int(line[2])))
+                    ids.append(_key(line[:3]))
                     x.append([float(v) for v in line[3:]])
-            except (ValueError, DataError) as exc:
+            except (ValueError, OverflowError, DataError) as exc:
                 raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not keys:
+    if not len(ids):
         raise DataError(f"{path}: the study group is empty")
-    return StudyGroup(keys, x)
+    return StudyGroup(ids, x)
 
 
 def write_strata_csv(group: StudyGroup, scores, assignment, path: str | Path) -> None:
@@ -232,8 +244,8 @@ def write_strata_csv(group: StudyGroup, scores, assignment, path: str | Path) ->
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(STRATA_COLUMNS)
-        for key, score, q in zip(group.keys, scores.tolist(), assignment):
-            writer.writerow(key_cells(key) + [repr(score), int(q)])
+        for key, score, q in zip(group.ids.tolist(), scores.tolist(), assignment):
+            writer.writerow(key + [repr(score), int(q)])
 
 
 def read_csv_rows(path: str | Path, columns: Sequence[str], parse) -> list:
@@ -251,16 +263,12 @@ def read_csv_rows(path: str | Path, columns: Sequence[str], parse) -> list:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def row_key(row: dict) -> tuple:
-    """The key triple of a CSV row read as a dict, as ints."""
-    return tuple(int(row[c]) for c in KEY_COLUMNS)
-
-
 _STRATA_ROW = np.dtype([("key", np.int64, (3,)), ("score", float), ("quintile", np.int64)])
 
 
 def read_strata_csv(path: str | Path, group: StudyGroup):
-    """strata.csv as (scores, stratum labels) in the order of `group`."""
+    """strata.csv as (scores, stratum labels) in the order of `group`; where
+    a key is on several rows, the last one counts."""
     with open(path, newline="") as fh:
         # the last column of a repeated name, as csv.DictReader takes it
         at = {name: i for i, name in enumerate(next(csv.reader(fh), []))}
@@ -268,16 +276,15 @@ def read_strata_csv(path: str | Path, group: StudyGroup):
     if all(c in at for c in STRATA_COLUMNS):
         rows = read_numeric_csv(path, _STRATA_ROW, [at[c] for c in STRATA_COLUMNS])
     if rows is not None and (rows["key"] > 0).all():
-        keys = [PatientKey(*key) for key in rows["key"].tolist()]
-        by_key = dict(zip(keys, zip(rows["score"].tolist(), rows["quintile"].tolist())))
+        ids, values = rows["key"], rows[["score", "quintile"]].tolist()
     else:  # csv.reader names the line at fault
-        by_key = dict(read_csv_rows(
+        read = read_csv_rows(
             path, STRATA_COLUMNS,
-            lambda r: (PatientKey(*row_key(r)), (float(r["score"]), int(r["quintile"]))),
-        ))
-    missing = [k for k in group.keys if k not in by_key]
-    if missing:
-        raise DataError(f"strata file does not cover patient {missing[0]}")
-    scores = np.array([by_key[k][0] for k in group.keys])
-    assignment = np.array([by_key[k][1] for k in group.keys], dtype=int)
-    return scores, assignment
+            lambda r: (_key(r[c] for c in KEY_COLUMNS), (float(r["score"]), int(r["quintile"]))),
+        )
+        ids, values = [key for key, _ in read], [value for _, value in read]
+    row = match_keys(group.ids, ids)
+    if (row < 0).any():
+        raise DataError(f"strata file does not cover patient {'/'.join(map(str, group.ids[np.argmax(row < 0)]))}")
+    values = [values[r] for r in row.tolist()]
+    return np.array([score for score, _ in values]), np.array([q for _, q in values], dtype=int)

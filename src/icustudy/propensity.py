@@ -93,24 +93,23 @@ def propensity_scores(fit: LogitFit, group: StudyGroup, spec: ModelSpec) -> np.n
     return np.clip(expit(eta), SCORE_CLAMP, 1.0 - SCORE_CLAMP)
 
 
-def stratify_quintiles(scores: np.ndarray, keys, n_strata: int = N_STRATA) -> Stratification:
+def stratify_quintiles(scores: np.ndarray, ids: np.ndarray, n_strata: int = N_STRATA) -> Stratification:
     """Rank patients by score and cut into contiguous equal blocks.
 
     Block sizes follow the largest-remainder rule with remainders going to
-    the highest quintiles; ties in score are broken by patient key so the
-    split is deterministic.
+    the highest quintiles; ties in score are broken by the patients' (n, 3)
+    ids, compared as key triples, so the split is deterministic.
     """
     scores = np.asarray(scores, dtype=float)
     n = scores.size
     if n < n_strata:
         raise TooFewPatients(f"need at least {n_strata} patients, got {n}")
-    ids = [(k.subject_id, k.hadm_id, k.icustay_id) for k in keys]
-    subject, hadm, icustay = np.array(ids, dtype=np.int64).reshape(n, 3).T
+    ids = np.asarray(ids, dtype=np.int64).reshape(n, 3)
     base, rem = divmod(n, n_strata)
     sizes = np.full(n_strata, base)
     sizes[n_strata - rem :] += 1
     assignment = np.zeros(n, dtype=int)
-    assignment[np.lexsort((icustay, hadm, subject, scores))] = np.repeat(np.arange(1, n_strata + 1), sizes)
+    assignment[np.lexsort((*ids.T[::-1], scores))] = np.repeat(np.arange(1, n_strata + 1), sizes)
     return Stratification(scores, assignment)
 
 
@@ -160,7 +159,7 @@ def fit_and_stratify(group: StudyGroup, spec: ModelSpec, n_strata: int = N_STRAT
     if not fit.converged:
         raise NotConverged(f"propensity fit for {spec.to_text()!r} did not converge")
     scores = propensity_scores(fit, group, spec)
-    return fit, stratify_quintiles(scores, group.keys, n_strata)
+    return fit, stratify_quintiles(scores, group.ids, n_strata)
 
 
 def refine_model(

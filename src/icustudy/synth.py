@@ -37,7 +37,7 @@ import numpy as np
 
 from .cohort import EXTRACT_SCHEMAS, TIMELINE_EXTRACTS
 from .errors import InvalidSpec
-from .group import KEY_COLUMNS, N_VARIABLES, PatientKey, StudyGroup, T1_DEPENDENT_INDICES, write_table
+from .group import KEY_COLUMNS, N_VARIABLES, StudyGroup, T1_DEPENDENT_INDICES, write_table
 
 DAYS = 6
 
@@ -154,7 +154,10 @@ NOT_NAIVE_SUMMARY = (
 def _sigmoid(v: float) -> float:
     # math.exp, not np.exp: the two can differ in the last bit, which can
     # flip the draw compared against the probability
-    return 1.0 / (1.0 + math.exp(-v))
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # exp(-v) beyond the largest float: the formula's limit
+        return 0.0
 
 
 def _sigmoids(v: np.ndarray) -> np.ndarray:
@@ -391,7 +394,7 @@ def synth_study_group(spec: SynthSpec) -> StudyGroup:
     """
     p = _plant(spec)
     clean = p.kind == ""
-    return StudyGroup([PatientKey(*key) for key in p.ids[clean].tolist()], p.x[clean])
+    return StudyGroup(p.ids[clean], p.x[clean])
 
 
 def _expected_step_counts(kind: np.ndarray, age: np.ndarray) -> list:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .group import N_VARIABLES, PatientKey, StudyGroup
+from .group import KEY_COLUMNS, N_VARIABLES, StudyGroup
 from .cohort import ELIX_BINARY_FIELDS, TIMELINE_EXTRACTS
 
 HOURS_PER_DAY = 24.0
@@ -113,7 +113,7 @@ def daily_sum(samples) -> dict:
 
 @dataclass
 class Rejection:
-    key: PatientKey
+    key: tuple  # the record's id triple
     reason: str
 
 
@@ -251,7 +251,9 @@ def assemble_study_group(cohort, options: AssemblyOptions | None = None):
     """
     options = options or AssemblyOptions()
     n, k = len(cohort), len(TIMELINE_EXTRACTS)
-    keys = [PatientKey(*ident) for ident in cohort.idents()]
+    no_id = np.argwhere(cohort.absent | (cohort.ids <= 0))
+    if len(no_id):
+        raise DataError(f"record {cohort.idents()[no_id[0, 0]]} has no positive {KEY_COLUMNS[no_id[0, 1]]}")
     _, treated, first_dose_day = _first_dose(cohort)
     # the decision day T1: the first-dose day when treated, else the default.
     # A day outside int64 is rejected (see _scalars); the clip only keeps
@@ -274,7 +276,7 @@ def assemble_study_group(cohort, options: AssemblyOptions | None = None):
     lacking = ~have[:, np.array(mandatory, dtype=int) - 1]
     for r in np.flatnonzero(lacking.any(axis=1)):
         reasons[r] = reasons[r] or f"x{mandatory[np.argmax(lacking[r])]} missing"
-    rejections = [Rejection(key, reason) for key, reason in zip(keys, reasons) if reason]
+    rejections = [Rejection(key, reason) for key, reason in zip(map(tuple, cohort.ids.tolist()), reasons) if reason]
     kept = np.flatnonzero([reason is None for reason in reasons])
-    kept = kept[np.lexsort(cohort.ids[kept].T[::-1])]  # by key, as PatientKeys sort
-    return StudyGroup([keys[r] for r in kept], x[kept]), rejections
+    kept = kept[np.lexsort(cohort.ids[kept].T[::-1])]  # by key triple
+    return StudyGroup(cohort.ids[kept], x[kept]), rejections

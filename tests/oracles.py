@@ -629,7 +629,6 @@ def survivor_records_oracle(extracts_dir, survivors_path) -> list:
     from pathlib import Path
 
     from icustudy.cohort import load_extracts
-    from icustudy.group import KEY_COLUMNS, read_csv_rows, row_key
 
     wanted = set(read_csv_rows(survivors_path, KEY_COLUMNS, row_key))
     records = cohort_records(load_extracts(Path(extracts_dir)))
@@ -637,15 +636,47 @@ def survivor_records_oracle(extracts_dir, survivors_path) -> list:
 
 
 # --- hand-off readers ------------------------------------------------------------
+# The readers' checks as `group` made them with a validated PatientKey
+# dataclass, verbatim, so that the reference does not move with the code it
+# checks.  One rule is new: an id must fit the int64 array a study group
+# holds, checked before the positive-id rule.
+
+KEY_COLUMNS = ("subject_id", "hadm_id", "icustay_id")
+STRATA_COLUMNS = KEY_COLUMNS + ("score", "quintile")
+
+
+def oracle_key(subject_id, hadm_id, icustay_id) -> tuple:
+    """The key triple, each id checked as PatientKey.__post_init__ once did."""
+    np.array([subject_id, hadm_id, icustay_id], dtype=np.int64)  # OverflowError beyond int64
+    for name, value in zip(KEY_COLUMNS, (subject_id, hadm_id, icustay_id)):
+        if not isinstance(value, int) or value <= 0:
+            raise DataError(f"PatientKey.{name} must be a positive integer, got {value!r}")
+    return (subject_id, hadm_id, icustay_id)
+
+
+def read_csv_rows(path, columns, parse) -> list:
+    """parse(row) for each row, as a dict, of a CSV file holding `columns`;
+    a missing column, a short row or a cell `parse` rejects is a DataError
+    naming the file (and the line)."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing}")
+        try:
+            return [parse(row) for row in reader]
+        except (TypeError, ValueError, OverflowError, DataError) as exc:  # a short row leaves None cells
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def row_key(row: dict) -> tuple:
+    """The key triple of a CSV row read as a dict, as ints."""
+    return tuple(int(row[c]) for c in KEY_COLUMNS)
 
 
 def read_studygroup_csv_oracle(path):
     """studygroup.csv read one csv.reader row at a time, each cell by int() or float()."""
-    import csv
-    from pathlib import Path
-
-    from icustudy.errors import DataError
-    from icustudy.group import KEY_COLUMNS, N_VARIABLES, PatientKey, StudyGroup
+    from icustudy.group import N_VARIABLES
 
     path = Path(path)
     with open(path, newline="") as fh:
@@ -662,9 +693,9 @@ def read_studygroup_csv_oracle(path):
             for line in reader:
                 if len(line) != len(expected):
                     raise ValueError(f"{len(line)} cells, want {len(expected)}")
-                keys.append(PatientKey(int(line[0]), int(line[1]), int(line[2])))
+                keys.append(oracle_key(int(line[0]), int(line[1]), int(line[2])))
                 rows.append([float(v) for v in line[3:]])
-        except (ValueError, DataError) as exc:
+        except (ValueError, OverflowError, DataError) as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: the study group is empty")
@@ -673,16 +704,13 @@ def read_studygroup_csv_oracle(path):
 
 def read_strata_csv_oracle(path, group):
     """strata.csv read one csv.DictReader row at a time, in the order of `group`."""
-    from icustudy.errors import DataError
-    from icustudy.group import STRATA_COLUMNS, PatientKey, read_csv_rows, row_key
-
     by_key = dict(read_csv_rows(
         path, STRATA_COLUMNS,
-        lambda r: (PatientKey(*row_key(r)), (float(r["score"]), int(r["quintile"]))),
+        lambda r: (oracle_key(*row_key(r)), (float(r["score"]), int(r["quintile"]))),
     ))
     missing = [k for k in group.keys if k not in by_key]
     if missing:
-        raise DataError(f"strata file does not cover patient {missing[0]}")
+        raise DataError(f"strata file does not cover patient {'/'.join(map(str, missing[0]))}")
     scores = np.array([by_key[k][0] for k in group.keys])
     assignment = np.array([by_key[k][1] for k in group.keys], dtype=int)
     return scores, assignment

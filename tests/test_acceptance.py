@@ -148,7 +148,7 @@ def test_criterion_3_balance_improvement():
         spec = SynthSpec(n=1522, seed=seed, prevalence_target=0.12)
         group = synth_study_group(spec)
         scores = _driver_scores(group)
-        strat = stratify_quintiles(scores, group.keys)
+        strat = stratify_quintiles(scores, group.ids)
         report = assess_balance(group, strat)
         pre = statistics.median([c.f_pre for c in report.covariates])
         post = statistics.median(

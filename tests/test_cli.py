@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import icustudy
-from icustudy.cli import ALL_STAGES, main
+from icustudy.cli import ALL_STAGES, Run, main, run_all
 from icustudy.config import RunConfig
-from icustudy.errors import ConfigError
+from icustudy.errors import ConfigError, DataError
 
 
 # --- configuration -------------------------------------------------------------
@@ -481,6 +481,26 @@ def test_non_positive_id_is_dropped_at_step_a(tmp_path, column, cell):
 
     assert step_a(tmp_path / "after") == step_a(tmp_path / "before") - 1
     assert survivors(tmp_path / "after") == survivors(tmp_path / "before") - {dropped}
+
+
+def test_survivor_without_three_ids_is_data_error_on_both_paths(tmp_path, capsys):
+    """A pipeline without has_all_ids passes the synth's missing_ids records
+    (blank hadm_id) on: in memory, assembly names the record and its id
+    column; through survivors.csv, the blank cell is the error."""
+    config = tmp_path / "run.cfg"
+    config.write_text(f"extracts_dir = {tmp_path}/extracts\nout_dir = {tmp_path}/out\nseed = 1\nsynth_n = 30\n")
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "extracts")]) == 0
+    pipeline = tmp_path / "pipeline.txt"
+    pipeline.write_text("1,extract,A,always_true\n")
+    run = Run(RunConfig.from_file(config), tmp_path / "in_memory", {"pipeline": str(pipeline), "stages": "cohort,varprep"})
+    run.out.mkdir()
+    with pytest.raises(DataError, match=r"^stage varprep: record \(\d+, None, \d+\) has no positive hadm_id$"):
+        run_all(run)
+
+    assert main(["cohort", "run", "--config", str(config), "--pipeline", str(pipeline)]) == 0
+    assert main(["varprep", "run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "survivors.csv: line " in err and "invalid literal for int() with base 10: ''" in err, err
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from icustudy import group as group_module
 from icustudy.group import (
     STRATA_COLUMNS,
+    StudyGroup,
+    match_keys,
     read_strata_csv,
     read_studygroup_csv,
     write_strata_csv,
@@ -35,6 +37,31 @@ def test_handoff_files_round_trip_exactly(tmp_path):
     read_scores, read_assignment = read_strata_csv(tmp_path / "strata.csv", back)
     assert read_scores.tobytes() == scores.tobytes()
     assert np.array_equal(read_assignment, assignment)
+
+
+def test_match_keys_takes_the_last_row_holding_each_triple():
+    held = np.array([[1, 2, 3], [4, 5, 6], [1, 2, 3], [7, 8, 9], [1, 2, 4]])
+    wanted = np.array([[1, 2, 3], [7, 8, 9], [9, 9, 9], [1, 2, 4], [4, 5, 6], [1, 2, 3]])
+    assert match_keys(wanted, held).tolist() == [2, 3, -1, 4, 1, 2]
+    assert match_keys(wanted, []).tolist() == [-1] * 6
+    assert match_keys(np.empty((0, 3), np.int64), held).tolist() == []
+
+
+def test_strata_row_repeating_a_key_overrides_the_earlier_row(tmp_path):
+    group = make_group(np.random.default_rng(1), 5)
+    write_strata_csv(group, np.linspace(0.1, 0.5, 5), np.arange(1, 6), tmp_path / "strata.csv")
+    with open(tmp_path / "strata.csv", "a", newline="") as fh:
+        fh.write(f"{group.keys[1].subject_id},{group.keys[1].hadm_id},{group.keys[1].icustay_id},0.9,5\r\n")
+    scores, assignment = read_strata_csv(tmp_path / "strata.csv", group)
+    assert scores.tolist() == [0.1, 0.9, 0.30000000000000004, 0.4, 0.5]
+    assert assignment.tolist() == [1, 5, 3, 4, 5]
+
+
+def test_study_group_reads_a_key_list_and_an_id_array_alike():
+    group = make_group(np.random.default_rng(2), 4)
+    again = StudyGroup(group.keys, group.x)
+    assert again.ids.dtype == np.int64 and again.ids.tobytes() == group.ids.tobytes()
+    assert again.keys == group.keys and group.keys[0].hadm_id == 2000
 
 
 # --- the C reader against csv.reader on hand-off files ------------------------------

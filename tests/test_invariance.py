@@ -1,7 +1,8 @@
 """Path and representation invariance: the cohort and varprep outputs must
-not depend on the order of rows that share a key, and no output may depend
+not depend on the order of rows that share a key, no output may depend
 on whether the stages hand off in memory (`run-all`) or through their
-files."""
+files, and an order-preserving shift of the ids moves only the key
+columns of the bundle."""
 
 import csv
 import itertools
@@ -11,6 +12,7 @@ import pytest
 
 from icustudy.cli import main
 from icustudy.cohort import EXTRACT_SCHEMAS
+from icustudy.group import KEY_COLUMNS
 
 ETL_OUTPUTS = ("trace.csv", "survivors.csv", "studygroup.csv", "rejections.csv")
 
@@ -84,3 +86,45 @@ def test_stage_by_stage_equals_run_all(extracts, tmp_path):
     assert {"balance_initial.csv", "counterfactual.csv", *ETL_OUTPUTS} <= set(names)
     for name in names:
         assert (staged / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
+
+
+#: fixed positive shifts of (subject_id, hadm_id, icustay_id)
+ID_SHIFT = dict(zip(KEY_COLUMNS, (1_000_000, 20_000_000, 300_000_000)))
+
+
+def _shift_key_columns(src, dest):
+    """Write the CSV file `src` to `dest` with every non-blank cell of a key
+    column shifted by ID_SHIFT; the other cells are written back as read."""
+    with open(src, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    shifted = [(i, ID_SHIFT[name]) for i, name in enumerate(header) if name in ID_SHIFT]
+    for row in rows:
+        for i, offset in shifted:
+            row[i] = str(int(row[i]) + offset) if row[i].strip() else row[i]
+    with open(dest, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return bool(shifted)
+
+
+def test_id_shift_moves_only_the_key_columns(extracts, tmp_path):
+    """Metamorphic: shifting every id column of the extracts by a fixed
+    positive offset keeps every sort order, so each bundle file equals the
+    unshifted one after the same shift of its key columns."""
+    root, config = extracts
+    (tmp_path / "extracts").mkdir()
+    for path in (root / "extracts").glob("*.csv"):
+        _shift_key_columns(path, tmp_path / "extracts" / path.name)
+    plain, moved = tmp_path / "plain", tmp_path / "moved"
+    assert main(["run-all", "--config", str(config), "--out", str(plain)]) == 0
+    argv = ["run-all", "--config", str(config), "--extracts", str(tmp_path / "extracts"), "--out", str(moved)]
+    assert main(argv) == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in moved.iterdir()) == names
+    keyed = 0
+    for name in names:
+        want = plain / name
+        if name.endswith(".csv"):
+            keyed += _shift_key_columns(want, tmp_path / name)
+            want = tmp_path / name
+        assert (moved / name).read_bytes() == want.read_bytes(), name
+    assert keyed == 6  # survivors, rejections, studygroup, strata, clusters, counterfactual

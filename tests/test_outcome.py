@@ -240,7 +240,7 @@ def test_model_c_small_subset_does_not_crash():
 
 def _grid_strat(rng, group):
     scores = np.linspace(0.01, 0.99, group.n)
-    return stratify_quintiles(scores, group.keys)
+    return stratify_quintiles(scores, group.ids)
 
 
 def test_stratified_identical_arms_p_one():
@@ -267,7 +267,7 @@ def test_stratified_mortality_untestable_when_no_treated():
     # quintile 1: force all untreated
     treated[order[:50]] = -1.0
     group = make_group(rng, n, {1: treated})
-    strat = stratify_quintiles(scores, group.keys)
+    strat = stratify_quintiles(scores, group.ids)
     tests = stratified_outcome_tests(group, strat, "mortality")
     assert not tests[0].testable
     assert tests[0].untestable_reason
@@ -303,7 +303,7 @@ def test_stratified_mortality_matches_direct_chi_squared():
     dead = rng.choice([-1.0, 1.0], size=n, p=[0.65, 0.35])
     group = make_group(rng, n, {1: treated, 57: dead})
     scores = np.linspace(0.01, 0.99, n)
-    strat = stratify_quintiles(scores, group.keys)
+    strat = stratify_quintiles(scores, group.ids)
     tests = stratified_outcome_tests(group, strat, "mortality")
     for qt in tests:
         in_q = strat.assignment == qt.quintile

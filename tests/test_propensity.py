@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icustudy.errors import NotConverged, TooFewPatients
-from icustudy.group import PatientKey
+from icustudy.group import PatientKey, StudyGroup
 from icustudy.propensity import (
     Stratification,
     assess_balance,
@@ -142,7 +142,7 @@ def _driver_strat(group):
     y = (group.col(1) > 0).astype(float)
     fit = fit_logistic(group, spec, y)
     scores = propensity_scores(fit, group, spec)
-    return stratify_quintiles(scores, group.keys)
+    return stratify_quintiles(scores, group.ids)
 
 
 def test_balance_covers_55_covariates():
@@ -154,7 +154,7 @@ def test_balance_covers_55_covariates():
 def test_balance_constant_covariate_zero_f():
     rng = np.random.default_rng(8)
     group = make_group(rng, 200, {25: np.full(200, 3.3)})
-    strat = stratify_quintiles(rng.random(200), group.keys)
+    strat = stratify_quintiles(rng.random(200), group.ids)
     report = assess_balance(group, strat)
     row = next(c for c in report.covariates if c.index == 25)
     assert row.f_pre == 0.0
@@ -178,10 +178,8 @@ def test_balance_permutation_invariant():
 
     rng = np.random.default_rng(0)
     perm = rng.permutation(group.n)
-    shuffled = group.subset(np.ones(group.n, dtype=bool))
-    shuffled.x = group.x[perm]
-    shuffled.keys = [group.keys[i] for i in perm]
-    strat2 = stratify_quintiles(strat.scores[perm], shuffled.keys)
+    shuffled = StudyGroup(group.ids[perm], group.x[perm])
+    strat2 = stratify_quintiles(strat.scores[perm], shuffled.ids)
     report2 = assess_balance(shuffled, strat2)
     for c1, c2 in zip(report1.covariates, report2.covariates):
         if np.isfinite(c1.f_primary) and np.isfinite(c2.f_primary):
@@ -320,7 +318,7 @@ def test_outcome_table_half_deaths():
     mortality[0] = 1.0  # one of the two treated dies
     group = make_group(rng, n, {1: treated, 57: mortality})
     scores = np.linspace(0.9, 0.1, n)  # treated rows get the top quintile
-    strat = stratify_quintiles(scores, group.keys)
+    strat = stratify_quintiles(scores, group.ids)
     q_of_treated = strat.assignment[0]
     rows = strata_outcome_table(group, strat)
     row = rows[q_of_treated - 1]
@@ -332,7 +330,7 @@ def test_outcome_table_empty_arm_blank():
     rng = np.random.default_rng(17)
     n = 60
     group = make_group(rng, n, {1: np.full(n, -1.0)})
-    strat = stratify_quintiles(rng.random(n), group.keys)
+    strat = stratify_quintiles(rng.random(n), group.ids)
     for row in strata_outcome_table(group, strat):
         assert row.n_treated == 0
         assert row.mortality_pct_treated is None

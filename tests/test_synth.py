@@ -153,6 +153,23 @@ def test_planted_outcome_models_recorded(tmp_path):
     assert manifest.params["los"]["alpha"] == 7.0
 
 
+@pytest.mark.parametrize(
+    "spec, column",
+    [
+        (SynthSpec(n=5, mortality=MortalityModel(beta={2: -20.0})), 57),
+        (SynthSpec(n=5, treatment_beta={2: -20.0}), 1),
+    ],
+)
+def test_linear_predictor_below_exp_range_draws_probability_zero(tmp_path, spec, column):
+    """-20 per year of age puts the linear predictor near -1000, past where
+    exp(-v) overflows; the probability is the formula's limit, 0."""
+    group = synth_study_group(spec)
+    assert (group.col(2) * 20.0 > 710.0).all()
+    assert (group.col(column) == -1.0).all()
+    manifest = synth_generate(spec, tmp_path)
+    assert all(row["x"][column - 1] == -1.0 for row in manifest.expected_rows)
+
+
 def test_los_always_non_negative():
     group = synth_study_group(
         SynthSpec(n=300, seed=11, los=LosModel(alpha=1.0, treated_effect=0.0, noise_sd=5.0))

@@ -271,7 +271,7 @@ def test_assembly_rejects_non_finite_scalar(tmp_path, name, value, reason):
     records[1][name] = value
     group, rejections = _assemble(tmp_path, records)
     assert [k.subject_id for k in group.keys] == [1]
-    assert [(r.key.subject_id, r.reason) for r in rejections] == [(2, reason)]
+    assert [(r.key[0], r.reason) for r in rejections] == [(2, reason)]
 
 
 def test_assembly_checks_gender_before_timelines(tmp_path):
