@@ -30,8 +30,8 @@ from . import synth as synth_mod
 from . import varprep
 from .config import RunConfig
 from .errors import ConfigError, DataError, IcuStudyError, NumericError
-from .group import COVARIATE_INDICES, KEY_COLUMNS, StudyGroup, match_keys, read_csv_rows, read_strata_csv
-from .group import read_studygroup_csv, write_strata_csv, write_studygroup_csv, write_table
+from .group import COVARIATE_INDICES, KEY_COLUMNS, LOS_INDEX, MORTALITY_INDEX, StudyGroup, match_keys, read_csv_rows
+from .group import read_strata_csv, read_studygroup_csv, write_strata_csv, write_studygroup_csv, write_table
 from .regress import ModelSpec, coefficient_p_values, fit_logistic, stepwise_select
 from .stats import evidence_band
 
@@ -139,7 +139,7 @@ def stage_cohort(run: Run) -> None:
     for path in (run.out / "trace.csv", run.flags.get("trace_out")):
         if path:
             cohort_mod.write_trace_csv(trace, path)
-    write_table(run.out / "survivors.csv", KEY_COLUMNS, survivors.idents())
+    write_table(run.out / "survivors.csv", KEY_COLUMNS, zip(*survivors.idents()))
     run.survivors = survivors
 
 
@@ -151,7 +151,7 @@ def stage_varprep(run: Run) -> None:
     write_table(
         run.out / "rejections.csv",
         [*KEY_COLUMNS, "reason"],
-        [[*r.key, r.reason] for r in rejections],
+        zip(*[[*r.key, r.reason] for r in rejections]),
     )
     if not group.n:
         raise DataError(
@@ -168,7 +168,7 @@ def _write_strata(run: Run, strat) -> None:
         run.out / "quintile_table.csv",
         ["quintile", "score_low", "score_high", "n_treated", "n_untreated",
          "deaths_pct_treated", "deaths_pct_untreated", "mean_los_treated", "mean_los_untreated"],
-        [astuple(r) for r in prop_mod.strata_outcome_table(group, strat)],
+        zip(*[astuple(r) for r in prop_mod.strata_outcome_table(group, strat)]),
     )
     run.strata = strat
 
@@ -184,7 +184,7 @@ def propensity_fit(run: Run) -> None:
     write_table(
         run.out / "propensity_fit.csv",
         ["term", "coef", "se", "p_value", "band"],
-        zip(spec.term_names(), fit.coefficients, fit.standard_errors, pvals, bands),
+        [spec.term_names(), fit.coefficients, fit.standard_errors, pvals, bands],
     )
     run.model = spec
 
@@ -200,19 +200,19 @@ def propensity_balance(run: Run, name: str = "balance") -> None:
     write_table(
         run.out / f"{name}.csv",
         ["covariate", "f_pre", "f_primary_main_effect", "f_secondary_interaction", "warnings"],
-        [
+        zip(*[
             [f"x{c.index}", c.f_pre, c.f_primary, c.f_secondary, "; ".join(c.warnings)]
             for c in report.covariates
-        ],
+        ]),
     )
     write_table(
         run.out / f"{name}_summary.csv",
         ["column", "min", "q1", "median", "q3", "max"],
-        [
+        zip(
             ["f_pre", *report.summary_pre.as_tuple()],
             ["f_primary_main_effect", *report.summary_primary.as_tuple()],
             ["f_secondary_interaction", *report.summary_secondary.as_tuple()],
-        ],
+        ),
     )
 
 
@@ -229,7 +229,7 @@ def propensity_refine(run: Run) -> None:
     write_table(
         run.out / "refinement_log.csv",
         ["variable", "form", "f_before", "f_after", "accepted"],
-        [[f"x{a.variable}", a.form, a.f_before, a.f_after, a.accepted] for a in log_entries],
+        zip(*[[f"x{a.variable}", a.form, a.f_before, a.f_after, a.accepted] for a in log_entries]),
     )
     _write_strata(run, refined_strat)
 
@@ -257,10 +257,10 @@ def stage_outcome(run: Run) -> None:
     write_table(
         run.out / "outcome_models.csv",
         ["model", "term", "beta", "p", "band"],
-        [[r.model_id, t.name, t.beta, t.p_value, t.band] for r in reports for t in r.terms],
+        zip(*[[r.model_id, t.name, t.beta, t.p_value, t.band] for r in reports for t in r.terms]),
     )
     if subset_rows:
-        write_table(run.out / "outcome_errors.csv", ["model", "error"], subset_rows)
+        write_table(run.out / "outcome_errors.csv", ["model", "error"], zip(*subset_rows))
 
     test_rows, variant = [], run.config.t_test_variant
     for kind in ("mortality", "los"):
@@ -273,7 +273,7 @@ def stage_outcome(run: Run) -> None:
     write_table(
         run.out / "stratified_tests.csv",
         ["outcome", "quintile", "testable", "statistic", "p", "band", "reason"],
-        test_rows,
+        zip(*test_rows),
     )
 
 
@@ -296,7 +296,7 @@ def stage_ml(run: Run) -> None:
         write_table(
             run.out / "clusters.csv",
             [*KEY_COLUMNS, "cluster"],
-            [[*key, int(c) + 1] for key, c in zip(group.ids.tolist(), km.assignment)],
+            [*group.ids.T, km.assignment + 1],
         )
 
     tasks = [t for t in ("classify", "regress") if t in parts or "simulate" in parts]
@@ -311,7 +311,7 @@ def stage_ml(run: Run) -> None:
 
     run_rows, metric_rows, cf_rows = [], [], []
     for task in tasks:
-        target = group.col(57) if task == "classify" else group.col(58)
+        target = group.col(MORTALITY_INDEX) if task == "classify" else group.col(LOS_INDEX)
         gp_run = evoml.gp_evolve(gp_config, features[train_idx], target[train_idx], task)
         run_rows += [[task, gen, fitness] for gen, fitness in enumerate(gp_run.trace)]
         for split_name, idx in (("train", train_idx), ("test", test_idx), ("full", slice(None))):
@@ -331,13 +331,13 @@ def stage_ml(run: Run) -> None:
                 for key, plus, minus in zip(group.ids.tolist(), cf.outcome_treated, cf.outcome_untreated)
             ]
 
-    write_table(run.out / "gp_run.csv", ["task", "generation", "best_fitness"], run_rows)
-    write_table(run.out / "gp_metrics.csv", ["task", "split", "metric", "value"], metric_rows)
+    write_table(run.out / "gp_run.csv", ["task", "generation", "best_fitness"], zip(*run_rows))
+    write_table(run.out / "gp_metrics.csv", ["task", "split", "metric", "value"], zip(*metric_rows))
     if "simulate" in parts:
         write_table(
             run.out / "counterfactual.csv",
             [*KEY_COLUMNS, "task", "outcome_treated", "outcome_untreated"],
-            cf_rows,
+            zip(*cf_rows),
         )
 
 

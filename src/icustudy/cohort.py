@@ -433,11 +433,11 @@ def write_trace_csv(trace: FilterTrace, path: str | Path) -> None:
     write_table(
         path,
         ["step", "kind", "label", "surviving", "pct_of_original", "pct_of_previous"],
-        [
+        zip(*[
             [s.index, s.kind, s.label, s.surviving_count,
              format(s.pct_of_original, ".10g"), format(s.pct_of_previous, ".10g")]
             for s in trace.steps
-        ],
+        ]),
     )
 
 

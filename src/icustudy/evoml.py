@@ -148,11 +148,6 @@ def eval_tree_batch(prog: tuple, x: np.ndarray) -> np.ndarray:
     return stack.pop()
 
 
-def eval_tree(prog: tuple, row) -> float:
-    """Single-row evaluation; see eval_tree_batch for the protection rules."""
-    return float(eval_tree_batch(prog, np.asarray(row, dtype=float)[None, :])[0])
-
-
 # --- configuration and initialization ------------------------------------------------
 
 

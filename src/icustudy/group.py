@@ -139,12 +139,26 @@ def _cell(value):
     return value  # csv writes None as an empty cell
 
 
-def write_table(path: str | Path, header: Sequence[str], rows) -> None:
-    """A report or extract CSV: floats through fnum, booleans as 0/1, None as empty."""
+def _column_cells(column) -> list:
+    """One column's cells as _cell gives them, a numpy column in one pass."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return [format(v, ".12g") for v in column.tolist()]
+        if column.dtype == bool:
+            return column.astype(np.int8).tolist()
+        if column.dtype.kind in "iuU":
+            return column.tolist()
+    return [_cell(v) for v in column]
+
+
+def write_table(path: str | Path, header: Sequence[str], columns) -> None:
+    """A report or extract CSV from its columns: floats through fnum,
+    booleans as 0/1, None as empty.  A caller holding rows passes zip(*rows)."""
+    cells = [_column_cells(column) for column in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        writer.writerows(zip(*cells))
 
 
 def check_ids(ids: np.ndarray) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstantVariable, EmptyInput, IcuStudyError, ZeroMarginal, ZeroVariance
-from .group import StudyGroup
+from .group import LOS_INDEX, MORTALITY_INDEX, StudyGroup
 from .propensity import Stratification
 from .regress import coefficient_p_values, fit_linear_design, fit_logistic_design
 from .stats import TestResult, chi_squared_2x2, evidence_band, t_test_two_sample
@@ -130,10 +130,10 @@ def fit_model_a(group: StudyGroup, scores: np.ndarray):
     `treatment_significant` flag for the 0.05 rule on the treatment term.
     """
     design, names = _design(group, scores, cross=False)
-    mortality01 = (group.col(57) > 0).astype(float)
+    mortality01 = (group.col(MORTALITY_INDEX) > 0).astype(float)
     fit_m = fit_logistic_design(design, mortality01, names)
     rep_m = _report("A.Mortality", fit_m, names, "x1", "treatment_significant")
-    fit_l = fit_linear_design(design, group.col(58), names)
+    fit_l = fit_linear_design(design, group.col(LOS_INDEX), names)
     rep_l = _report("A.LOS", fit_l, names, "x1", "treatment_significant")
     return rep_m, rep_l
 
@@ -141,7 +141,7 @@ def fit_model_a(group: StudyGroup, scores: np.ndarray):
 def fit_model_b(group: StudyGroup, scores: np.ndarray) -> OutcomeModelReport:
     """Step B: mortality model with the treatment x SAPS cross term added."""
     design, names = _design(group, scores, cross=True)
-    mortality01 = (group.col(57) > 0).astype(float)
+    mortality01 = (group.col(MORTALITY_INDEX) > 0).astype(float)
     fit = fit_logistic_design(design, mortality01, names)
     return _report("B", fit, names, "x1*x5", "cross_effect_significant")
 
@@ -174,7 +174,7 @@ def fit_model_c(split: SubsetSplit):
     ):
         try:
             design, names = _design(subgroup, scores, cross=True)
-            mortality01 = (subgroup.col(57) > 0).astype(float)
+            mortality01 = (subgroup.col(MORTALITY_INDEX) > 0).astype(float)
             fit = fit_logistic_design(design, mortality01, names)
             report = _report(label, fit, names, "x1*x5", "cross_effect_significant")
             results.append(SubsetModelResult(label, report, None))
@@ -198,8 +198,8 @@ def stratified_outcome_tests(
     if outcome not in ("mortality", "los"):
         raise EmptyInput(f"unknown outcome kind {outcome!r}")
     treated = group.treated
-    dead = group.col(57) > 0
-    los = group.col(58)
+    dead = group.col(MORTALITY_INDEX) > 0
+    los = group.col(LOS_INDEX)
     tests = []
     for q in range(1, strat.n_strata + 1):
         in_q = strat.assignment == q

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import AllCellsEmptyForTreatment, NotConverged, RankDeficient, TooFewPatients
-from .group import COVARIATE_INDICES, StudyGroup
+from .group import COVARIATE_INDICES, LOS_INDEX, MORTALITY_INDEX, StudyGroup
 from .regress import LogitFit, ModelSpec, fit_logistic, interaction, main, square
 from .stats import AnovaResult, FiveNumber, five_number_summary, one_way_anova, two_way_anova_2xk
 
@@ -248,8 +248,8 @@ def _nan_low(value: float) -> float:
 def strata_outcome_table(group: StudyGroup, strat: Stratification) -> list:
     """Per-quintile outcome rows: counts, death percentage and mean length
     of stay for each arm; an empty arm reports n=0 with blank statistics."""
-    mortality = group.col(57) > 0
-    los = group.col(58)
+    mortality = group.col(MORTALITY_INDEX) > 0
+    los = group.col(LOS_INDEX)
     treated = group.treated
     rows = []
     for q, (low, high) in enumerate(strat.ranges, start=1):

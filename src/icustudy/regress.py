@@ -358,10 +358,6 @@ def fit_logistic(group: StudyGroup, spec: ModelSpec, outcome: np.ndarray) -> Log
     return fit_logistic_design(spec.design_matrix(group), outcome, spec.term_names())
 
 
-def fit_linear(group: StudyGroup, spec: ModelSpec, outcome: np.ndarray) -> LinearFit:
-    return fit_linear_design(spec.design_matrix(group), outcome, spec.term_names())
-
-
 def coefficient_p_values(fit) -> list:
     """Per-term Wald tests: normal reference for logistic, t for linear."""
     if isinstance(fit, LogitFit):

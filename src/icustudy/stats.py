@@ -99,22 +99,6 @@ def normal_tail_two_sided(statistic: float) -> float:
     return float(special.erfc(abs(statistic) / np.sqrt(2.0)))
 
 
-def tail_probability(dist: str, statistic: float, *, df=None, d1=None, d2=None) -> float:
-    """Dispatch to the tail function for `dist` in {"chi2", "t", "f"}.
-
-    Upper tail for chi2 and F, two-sided for t.
-    """
-    if not np.isfinite(statistic):
-        raise InvalidDof(f"statistic must be finite, got {statistic}")
-    if dist == "chi2":
-        return chi2_tail(statistic, df)
-    if dist == "t":
-        return t_tail_two_sided(statistic, df)
-    if dist == "f":
-        return f_tail(statistic, d1, d2)
-    raise InvalidDof(f"unknown distribution {dist!r}")
-
-
 def evidence_band(p: float) -> str:
     """Qualitative evidence label for a p-value.
 

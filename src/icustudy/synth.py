@@ -125,16 +125,24 @@ class SynthManifest:
     expected_rows: list  # dicts with key components and x values
 
     def to_json(self) -> str:
-        payload = {
-            "seed": self.seed,
-            "n_requested": self.n_requested,
-            "n_records": self.n_records,
-            "prevalence": self.prevalence,
-            "params": self.params,
-            "step_counts": self.step_counts,
-            "expected_rows": self.expected_rows,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        # json.dumps skips its C encoder under indent, so the expected rows,
+        # nearly all of the text, are encoded apart and laid out as indent=2 would
+        text = json.dumps(dict(vars(self), expected_rows=[]), sort_keys=True, indent=2)
+        rows = ",\n".join(map(_expected_row_json, self.expected_rows))
+        return text.replace('"expected_rows": []', f'"expected_rows": [\n{rows}\n  ]', 1) if rows else text
+
+
+def _expected_row_json(row: dict) -> str:
+    """One expected row, a dict of numbers and flat lists of numbers, as
+    json.dumps(indent=2) lays it out in the manifest: each value encoded on
+    one line, a list then split one number a line."""
+    members = []
+    for key in sorted(row):
+        value = json.dumps(row[key])
+        if value.startswith("[") and value != "[]":
+            value = "[\n        " + value[1:-1].replace(", ", ",\n        ") + "\n      ]"
+        members.append(f"      {json.dumps(key)}: {value}")
+    return "    {\n" + ",\n".join(members) + "\n    }"
 
 
 NAIVE_SUMMARY = (
@@ -303,8 +311,7 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> SynthManifest:
     subject, hadm, icu = p.ids.T
 
     # ids.csv keeps plan order; every other file sorts by its key, which plan order already does
-    hadm_cells = [h or None for h in hadm.tolist()]
-    write_table(out_dir / "ids.csv", KEY_COLUMNS, zip(subject.tolist(), hadm_cells, icu.tolist()))
+    write_table(out_dir / "ids.csv", KEY_COLUMNS, [subject, [h or None for h in hadm.tolist()], icu])
     has_hadm = hadm > 0
     everyone = np.ones(n, dtype=bool)
     summaries = np.where(kind == "not_naive", NOT_NAIVE_SUMMARY, NAIVE_SUMMARY)
@@ -343,7 +350,7 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> SynthManifest:
         rows, cells = payload[name]
         keys = (icu if schema.key == "icustay_id" else hadm)[np.nonzero(rows)[0]]
         header = [schema.key, *schema.columns]
-        write_table(out_dir / f"{name}.csv", header, zip(keys.tolist(), *cells[rows].T.tolist()))
+        write_table(out_dir / f"{name}.csv", header, [keys, *cells[rows].T])
 
     # the study rows the extracts give: fluid totals are the sums of their parts
     truth = x.copy()

@@ -7,11 +7,12 @@ transcriptions, no shared code with the library under test.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import random
 import re
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -674,6 +675,26 @@ def row_key(row: dict) -> tuple:
     return tuple(int(row[c]) for c in KEY_COLUMNS)
 
 
+# The report writer as it formatted one cell at a time, verbatim but for
+# fnum written out, so that the reference does not move with the code.
+
+
+def _cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".12g")
+    return value  # csv writes None as an empty cell
+
+
+def write_table_oracle(path, header, rows) -> None:
+    """A report or extract CSV: floats through fnum, booleans as 0/1, None as empty."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
 def read_studygroup_csv_oracle(path):
     """studygroup.csv read one csv.reader row at a time, each cell by int() or float()."""
     from icustudy.group import N_VARIABLES
@@ -832,11 +853,6 @@ def eval_tree_batch(node: Node, x: np.ndarray) -> np.ndarray:
         else:
             raise DataError(f"unknown operator {node.op!r}")
     return _sanitize(out)
-
-
-def eval_tree(node: Node, row) -> float:
-    """Single-row evaluation; see eval_tree_batch for the protection rules."""
-    return float(eval_tree_batch(node, np.asarray(row, dtype=float)[None, :])[0])
 
 
 def _random_terminal(n_features: int, config: GpConfig, rng: random.Random) -> Node:
@@ -1447,7 +1463,7 @@ def synth_generate_oracle(spec: SynthSpec, out_dir: str | Path) -> SynthManifest
         step_counts=step_counts,
         expected_rows=expected_rows,
     )
-    (out_dir / "manifest.json").write_text(manifest.to_json())
+    (out_dir / "manifest.json").write_text(json.dumps(asdict(manifest), sort_keys=True, indent=2))
     return manifest
 
 

@@ -14,7 +14,6 @@ from icustudy.evoml import (
     GpConfig,
     classification_metrics,
     crossover,
-    eval_tree,
     eval_tree_batch,
     gp_evolve,
     gp_init_population,
@@ -169,22 +168,24 @@ def test_eval_feature_and_constant_are_distinct_programs():
     # feature 1 and constant 1.0 compare equal as bare numbers; as triples
     # they are different programs with different outputs
     assert _var(1) != _const(1.0)
-    assert eval_tree(_var(1), [0.0, 5.0]) == 5.0
-    assert eval_tree(_const(1.0), [0.0, 5.0]) == 1.0
+    row = np.array([[0.0, 5.0]])
+    assert eval_tree_batch(_var(1), row).tolist() == [5.0]
+    assert eval_tree_batch(_const(1.0), row).tolist() == [1.0]
 
 
 def test_eval_protected_division():
     prog = _apply("/", _const(1.0), _const(0.0))
-    assert eval_tree(prog, [0.0]) == 1.0
+    assert eval_tree_batch(prog, np.zeros((1, 1))).tolist() == [1.0]
 
 
 def test_eval_protected_log_and_sqrt():
     log_prog = _apply("log2", _const(-4.0))
-    assert eval_tree(log_prog, [0.0]) == 0.0
+    row = np.zeros((1, 1))
+    assert eval_tree_batch(log_prog, row).tolist() == [0.0]
     log8 = _apply("log2", _const(8.0))
-    assert eval_tree(log8, [0.0]) == pytest.approx(3.0)
+    assert eval_tree_batch(log8, row) == pytest.approx([3.0])
     sqrt_prog = _apply("sqrt", _const(-9.0))
-    assert eval_tree(sqrt_prog, [0.0]) == pytest.approx(3.0)
+    assert eval_tree_batch(sqrt_prog, row) == pytest.approx([3.0])
 
 
 def test_eval_fuzz_always_finite():

@@ -1,8 +1,10 @@
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from icustudy import group as group_module
 from icustudy.group import (
@@ -13,6 +15,7 @@ from icustudy.group import (
     read_studygroup_csv,
     write_strata_csv,
     write_studygroup_csv,
+    write_table,
 )
 
 import oracles
@@ -137,3 +140,43 @@ def test_handoff_readers_match_csv_reader_oracles(tmp_path_factory, data):
         warnings.simplefilter("error")
         got = _outcome(read_strata_csv, path, group)
     assert got == _outcome(oracles.read_strata_csv_oracle, path, group)
+
+
+# --- write_table against the per-cell writer ----------------------------------------
+
+#: NaN, the infinities, -0.0, a subnormal, and values where .12g switches to exponent form
+_FLOATS = np.array([0.1, 1 / 3, np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 123456789012.5, 2.0**70])
+_TEXTS = np.array(["plain", "a, b", 'say "hi"', "two\nlines", "", "x", "é", " ", "\r\n", "1.5", ","])
+
+_TABLES = {
+    "float64 arrays": [np.arange(11), _FLOATS, -_FLOATS[::-1]],
+    "np.float64 and float lists": [list(_FLOATS), _FLOATS.tolist(), list(np.float32(_FLOATS))],
+    "bool and np.bool_": [np.arange(11) % 2 == 0, [True, np.bool_(False)] * 5 + [np.bool_(True)], _FLOATS > 0],
+    "None, str and np.str_": [[None, "", *_TEXTS[2:]], _TEXTS, list(_TEXTS), _TEXTS.astype(object)],
+    "ints": [np.arange(-5, 6), np.arange(11, dtype=np.uint8), [2**70, -1, *range(9)], list(np.arange(11))],
+    "object array": [np.array([1 / 3, np.float64(-0.0), True, np.bool_(False), None, "a, b", 7], dtype=object)],
+    "header, no rows": [np.array([]), np.array([], dtype=bool), []],
+    "one empty cell": [[None]],
+    "one empty string": [np.array([""])],
+}
+
+
+@pytest.mark.parametrize("columns", _TABLES.values(), ids=_TABLES.keys())
+def test_write_table_matches_per_cell_writer(tmp_path, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    write_table(tmp_path / "got.csv", header, columns)
+    oracles.write_table_oracle(tmp_path / "want.csv", header, zip(*columns))
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert b"True" not in got and b"False" not in got
+
+
+@given(arrays(np.float64, st.integers(0, 20)), arrays(np.int64, 20), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_write_table_float_columns_match_per_cell_writer(tmp_path_factory, values, ints, rows_given):
+    directory = tmp_path_factory.mktemp("write_table")
+    columns = [ints[: len(values)], values, values[::-1]]
+    # a caller holding rows passes them transposed
+    write_table(directory / "got.csv", ["a", "b", "c"], zip(*zip(*columns)) if rows_given else columns)
+    oracles.write_table_oracle(directory / "want.csv", ["a", "b", "c"], zip(*columns))
+    assert (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()

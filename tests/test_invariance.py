@@ -8,11 +8,14 @@ import csv
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from icustudy.cli import main
 from icustudy.cohort import EXTRACT_SCHEMAS
-from icustudy.group import KEY_COLUMNS
+from icustudy.group import KEY_COLUMNS, read_csv_rows, read_strata_csv, read_studygroup_csv
+from icustudy.group import write_strata_csv, write_studygroup_csv, write_table
+from icustudy.regress import ModelSpec
 
 ETL_OUTPUTS = ("trace.csv", "survivors.csv", "studygroup.csv", "rejections.csv")
 
@@ -24,6 +27,14 @@ def extracts(tmp_path_factory):
     config.write_text(f"seed = 7\nsynth_n = 300\nextracts_dir = {root / 'extracts'}\n")
     assert main(["synth", "--config", str(config), "--out", str(root / "extracts")]) == 0
     return root, config
+
+
+@pytest.fixture(scope="module")
+def bundle(extracts):
+    """One run-all bundle on the extracts."""
+    root, config = extracts
+    assert main(["run-all", "--config", str(config), "--out", str(root / "bundle")]) == 0
+    return root / "bundle"
 
 
 def _staged(config, extracts_dir, out):
@@ -72,20 +83,35 @@ STAGED_COMMANDS = (
 )
 
 
-def test_stage_by_stage_equals_run_all(extracts, tmp_path):
+def test_stage_by_stage_equals_run_all(extracts, bundle, tmp_path):
     root, config = extracts
-    assert main(["run-all", "--config", str(config), "--out", str(tmp_path / "all")]) == 0
     staged = tmp_path / "staged"
     for k, command in enumerate(STAGED_COMMANDS):
         assert main(command + ["--config", str(config), "--out", str(staged)]) == 0, command
         if k == 4:
             for name in ("balance", "balance_summary"):
                 (staged / f"{name}.csv").rename(staged / f"{name.replace('balance', 'balance_initial')}.csv")
-    names = sorted(p.name for p in (tmp_path / "all").iterdir())
+    names = sorted(p.name for p in bundle.iterdir())
     assert sorted(p.name for p in staged.iterdir()) == names
     assert {"balance_initial.csv", "counterfactual.csv", *ETL_OUTPUTS} <= set(names)
     for name in names:
-        assert (staged / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
+        assert (staged / name).read_bytes() == (bundle / name).read_bytes(), name
+
+
+def test_handoff_files_read_and_written_back_keep_their_bytes(bundle, tmp_path):
+    """Each hand-off file of a run-all bundle, read with the program's
+    reader and written back with its writer, is the same bytes."""
+    ids = read_csv_rows(bundle / "survivors.csv", KEY_COLUMNS, lambda row: [int(row[c]) for c in KEY_COLUMNS])
+    write_table(tmp_path / "survivors.csv", KEY_COLUMNS, np.array(ids, dtype=np.int64).T)
+    group = read_studygroup_csv(bundle / "studygroup.csv")
+    write_studygroup_csv(group, tmp_path / "studygroup.csv")
+    write_strata_csv(group, *read_strata_csv(bundle / "strata.csv", group), tmp_path / "strata.csv")
+    for name in ("model.txt", "model_refined.txt"):
+        spec = ModelSpec.from_text((bundle / name).read_text().strip())
+        (tmp_path / name).write_text(spec.to_text() + "\n")
+    assert len(ids) > 250 and len(spec.terms) > 3
+    for path in sorted(tmp_path.iterdir()):
+        assert path.read_bytes() == (bundle / path.name).read_bytes(), path.name
 
 
 #: fixed positive shifts of (subject_id, hadm_id, icustay_id)
@@ -106,7 +132,7 @@ def _shift_key_columns(src, dest):
     return bool(shifted)
 
 
-def test_id_shift_moves_only_the_key_columns(extracts, tmp_path):
+def test_id_shift_moves_only_the_key_columns(extracts, bundle, tmp_path):
     """Metamorphic: shifting every id column of the extracts by a fixed
     positive offset keeps every sort order, so each bundle file equals the
     unshifted one after the same shift of its key columns."""
@@ -114,8 +140,7 @@ def test_id_shift_moves_only_the_key_columns(extracts, tmp_path):
     (tmp_path / "extracts").mkdir()
     for path in (root / "extracts").glob("*.csv"):
         _shift_key_columns(path, tmp_path / "extracts" / path.name)
-    plain, moved = tmp_path / "plain", tmp_path / "moved"
-    assert main(["run-all", "--config", str(config), "--out", str(plain)]) == 0
+    plain, moved = bundle, tmp_path / "moved"
     argv = ["run-all", "--config", str(config), "--extracts", str(tmp_path / "extracts"), "--out", str(moved)]
     assert main(argv) == 0
     names = sorted(p.name for p in plain.iterdir())

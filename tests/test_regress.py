@@ -13,7 +13,6 @@ from icustudy.regress import (
     _standardize,
     _trial_fits,
     coefficient_p_values,
-    fit_linear,
     fit_linear_design,
     fit_logistic,
     fit_logistic_design,

@@ -16,7 +16,6 @@ from icustudy.stats import (
     one_way_anova,
     t_tail_two_sided,
     t_test_two_sample,
-    tail_probability,
     two_way_anova_2xk,
 )
 
@@ -403,14 +402,16 @@ def test_chi2_tail_spot_value():
     assert chi2_tail(3.8415, 1) == pytest.approx(0.05, abs=1e-4)
 
 
-def test_tail_dispatcher():
-    assert tail_probability("chi2", 0.0, df=3) == 1.0
-    assert tail_probability("t", 0.0, df=3) == pytest.approx(1.0)
-    assert tail_probability("f", 0.0, d1=2, d2=5) == 1.0
+def test_tail_functions_at_zero_and_bad_dof():
+    assert chi2_tail(0.0, 3) == 1.0
+    assert t_tail_two_sided(0.0, 3) == pytest.approx(1.0)
+    assert f_tail(0.0, 2, 5) == 1.0
     with pytest.raises(InvalidDof):
-        tail_probability("chi2", 1.0, df=0)
+        chi2_tail(1.0, 0)
     with pytest.raises(InvalidDof):
-        tail_probability("f", float("inf"), d1=1, d2=1)
+        t_tail_two_sided(1.0, 0)
+    with pytest.raises(InvalidDof):
+        f_tail(1.0, 1, 0)
 
 
 @given(st.floats(0.01, 50.0), st.floats(0.02, 50.0))
