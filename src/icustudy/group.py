@@ -139,22 +139,37 @@ def _cell(value):
     return value  # csv writes None as an empty cell
 
 
-def _column_cells(column) -> list:
-    """One column's cells as _cell gives them, a numpy column in one pass."""
-    if isinstance(column, np.ndarray):
-        if column.dtype == np.float64:
-            return [format(v, ".12g") for v in column.tolist()]
-        if column.dtype == bool:
-            return column.astype(np.int8).tolist()
-        if column.dtype.kind in "iuU":
-            return column.tolist()
-    return [_cell(v) for v in column]
+#: rows per formatted block: the writer holds one block's text, not a file's
+_BLOCK_ROWS = 1024
+
+
+def _write_rows(path: str | Path, header: Sequence[str], columns, codes: Sequence[str]) -> None:
+    """A CSV of numeric columns, 1-D numpy arrays, with one %-code each:
+    %d, %.12g (fnum) or %r (repr).  The header goes through csv.writer and
+    each block of rows through one format string; the bytes are those
+    csv.writer gives, since a number never needs quoting."""
+    rows, width = min(map(len, columns)), len(columns)
+    line = ",".join(codes) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, rows)
+            cells = [None] * ((stop - start) * width)
+            for i, column in enumerate(columns):
+                cells[i::width] = column[start:stop].tolist()
+            fh.write(line * (stop - start) % tuple(cells))
 
 
 def write_table(path: str | Path, header: Sequence[str], columns) -> None:
     """A report or extract CSV from its columns: floats through fnum,
-    booleans as 0/1, None as empty.  A caller holding rows passes zip(*rows)."""
-    cells = [_column_cells(column) for column in columns]
+    booleans as 0/1, None as empty.  A caller holding rows passes zip(*rows).
+    A table of int, bool and float arrays goes through _write_rows; one
+    holding text, None or Python objects through csv.writer, cell by cell."""
+    columns = list(columns)
+    if columns and all(isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "biuf" for c in columns):
+        _write_rows(path, header, columns, ["%.12g" if c.dtype.kind == "f" else "%d" for c in columns])
+        return
+    cells = [[_cell(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -184,11 +199,7 @@ _STUDYGROUP_ROW = np.dtype([("key", np.int64, (3,)), ("x", float, (N_VARIABLES,)
 
 
 def write_studygroup_csv(group: StudyGroup, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_STUDYGROUP_HEADER)
-        for key, row in zip(group.ids.tolist(), group.x.tolist()):
-            writer.writerow(key + [repr(v) for v in row])
+    _write_rows(path, _STUDYGROUP_HEADER, [*group.ids.T, *group.x.T], ["%d"] * 3 + ["%r"] * N_VARIABLES)
 
 
 def read_numeric_csv(path: str | Path, dtype: np.dtype, usecols: Sequence[int] | None = None) -> np.ndarray | None:
@@ -255,11 +266,8 @@ def read_studygroup_csv(path: str | Path) -> StudyGroup:
 
 def write_strata_csv(group: StudyGroup, scores, assignment, path: str | Path) -> None:
     """One row per patient: key, propensity score and stratum label 1..K."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STRATA_COLUMNS)
-        for key, score, q in zip(group.ids.tolist(), scores.tolist(), assignment):
-            writer.writerow(key + [repr(score), int(q)])
+    columns = [*group.ids.T, np.asarray(scores), np.asarray(assignment)]
+    _write_rows(path, STRATA_COLUMNS, columns, ["%d", "%d", "%d", "%r", "%d"])
 
 
 def read_csv_rows(path: str | Path, columns: Sequence[str], parse) -> list:

@@ -211,7 +211,7 @@ def _check_finite(design: np.ndarray, names: Sequence[str]) -> None:
 def _check_rank(design: np.ndarray, names: Sequence[str]) -> None:
     # column-pivoted QR; a tiny trailing pivot names the dependent column
     _check_finite(design, names)
-    _, r, piv = sla.qr(design, mode="economic", pivoting=True)
+    r, piv = sla.qr(design, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         raise RankDeficient(names[piv[0]] if len(names) else "<empty>")
@@ -248,8 +248,9 @@ def _unstandardize(coef_std, cov_std, mu, sigma):
 
 
 def _log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:
+    # one log per row: for 0/1 y the two-term sum adds only a signed zero
     mu = np.clip(mu, 1e-12, 1.0 - 1e-12)
-    return float(np.sum(y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)))
+    return float(np.log(np.where(y > 0, mu, 1.0 - mu)).sum())
 
 
 def fit_logistic_design(design: np.ndarray, y: np.ndarray, names: Sequence[str]) -> LogitFit:
@@ -270,19 +271,20 @@ def fit_logistic_design(design: np.ndarray, y: np.ndarray, names: Sequence[str])
     z, mu_c, sigma_c = _standardize(design)
 
     beta = np.zeros(z.shape[1])
-    ll = _log_likelihood(y, expit(z @ beta))
+    p = expit(z @ beta)  # the probabilities at beta, carried from each accepted step
+    ll = _log_likelihood(y, p)
+    wz = np.empty_like(z)
     iterations = 0
     converged = False
     separation = False
     for iterations in range(1, MAX_ITER + 1):
-        p = expit(z @ beta)
         grad = z.T @ (y - p)
         if np.max(np.abs(grad)) < GRADIENT_TOL:
             converged = True
             iterations -= 1
             break
         w = np.clip(p * (1.0 - p), 1e-12, None)
-        h = z.T @ (w[:, None] * z)
+        h = z.T @ np.multiply(w[:, None], z, out=wz)
         try:
             step = np.linalg.solve(h, grad)
         except np.linalg.LinAlgError:
@@ -291,11 +293,15 @@ def fit_logistic_design(design: np.ndarray, y: np.ndarray, names: Sequence[str])
         scale = 1.0
         for _ in range(40):
             candidate = beta + scale * step
-            ll_new = _log_likelihood(y, expit(z @ candidate))
+            p = expit(z @ candidate)
+            ll_new = _log_likelihood(y, p)
             if ll_new >= ll - 1e-12:
                 break
             scale *= 0.5
-        beta = beta + scale * step
+        else:  # no trial accepted: take the last halving, not the last trial
+            candidate = beta + scale * step
+            p = expit(z @ candidate)
+        beta = candidate
         ll = ll_new
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
             separation = True
@@ -303,12 +309,11 @@ def fit_logistic_design(design: np.ndarray, y: np.ndarray, names: Sequence[str])
     else:
         iterations = MAX_ITER
 
-    p = expit(z @ beta)
     grad = z.T @ (y - p)
     if not separation and np.max(np.abs(grad)) < GRADIENT_TOL:
         converged = True
     w = np.clip(p * (1.0 - p), 1e-12, None)
-    h = z.T @ (w[:, None] * z)
+    h = z.T @ np.multiply(w[:, None], z, out=wz)
     try:
         cov_std = np.linalg.inv(h)
     except np.linalg.LinAlgError:

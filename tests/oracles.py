@@ -695,6 +695,30 @@ def write_table_oracle(path, header, rows) -> None:
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
+# The hand-off writers as they wrote one csv.writer row at a time, verbatim
+# but for their names and the header, so that the reference does not move
+# with the code.
+
+_STUDYGROUP_HEADER = list(KEY_COLUMNS) + [f"x{i}" for i in range(1, 59)]
+
+
+def write_studygroup_csv_oracle(group: StudyGroup, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_STUDYGROUP_HEADER)
+        for key, row in zip(group.ids.tolist(), group.x.tolist()):
+            writer.writerow(key + [repr(v) for v in row])
+
+
+def write_strata_csv_oracle(group: StudyGroup, scores, assignment, path) -> None:
+    """One row per patient: key, propensity score and stratum label 1..K."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STRATA_COLUMNS)
+        for key, score, q in zip(group.ids.tolist(), scores.tolist(), assignment):
+            writer.writerow(key + [repr(score), int(q)])
+
+
 def read_studygroup_csv_oracle(path):
     """studygroup.csv read one csv.reader row at a time, each cell by int() or float()."""
     from icustudy.group import N_VARIABLES

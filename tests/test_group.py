@@ -146,6 +146,7 @@ def test_handoff_readers_match_csv_reader_oracles(tmp_path_factory, data):
 
 #: NaN, the infinities, -0.0, a subnormal, and values where .12g switches to exponent form
 _FLOATS = np.array([0.1, 1 / 3, np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 123456789012.5, 2.0**70])
+_LONG = group_module._BLOCK_ROWS + 1
 _TEXTS = np.array(["plain", "a, b", 'say "hi"', "two\nlines", "", "x", "é", " ", "\r\n", "1.5", ","])
 
 _TABLES = {
@@ -158,6 +159,10 @@ _TABLES = {
     "header, no rows": [np.array([]), np.array([], dtype=bool), []],
     "one empty cell": [[None]],
     "one empty string": [np.array([""])],
+    "longer than one block": [
+        np.arange(_LONG), np.resize(_FLOATS, _LONG), np.arange(_LONG) % 3 == 0, np.arange(_LONG, dtype=np.uint8),
+        np.resize(_FLOATS, _LONG).astype(np.float32),
+    ],
 }
 
 
@@ -180,3 +185,25 @@ def test_write_table_float_columns_match_per_cell_writer(tmp_path_factory, value
     write_table(directory / "got.csv", ["a", "b", "c"], zip(*zip(*columns)) if rows_given else columns)
     oracles.write_table_oracle(directory / "want.csv", ["a", "b", "c"], zip(*columns))
     assert (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
+
+
+# --- the hand-off writers against the per-row writers ------------------------------
+
+
+@pytest.mark.parametrize("rows", [0, 1, group_module._BLOCK_ROWS - 1, group_module._BLOCK_ROWS, _LONG])
+def test_handoff_writers_match_per_row_writers(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    x = rng.normal(0.0, 1e3, size=(rows, 58)) ** 3
+    x[:, 0] = rng.choice([-1.0, 1.0, np.nan], size=rows)  # NaN in a binary column
+    # -0.0, a subnormal, 1e16 and 1e-5 scattered over the matrix
+    x.flat[rng.integers(0, x.size, size=min(x.size, 60))] = np.resize(_FLOATS[5:9], min(x.size, 60))
+    ids = 2**63 - 1 - np.arange(rows * 3, dtype=np.int64).reshape(rows, 3) * rng.integers(1, 2**40)
+    group = StudyGroup(ids, x, validate=False)
+    scores = np.resize(np.concatenate([_FLOATS, rng.uniform(size=7)]), rows)
+    for write, oracle, args in [
+        (write_studygroup_csv, oracles.write_studygroup_csv_oracle, (group,)),
+        (write_strata_csv, oracles.write_strata_csv_oracle, (group, scores, np.arange(rows) % 5 + 1)),
+    ]:
+        write(*args, tmp_path / "got.csv")
+        oracle(*args, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
