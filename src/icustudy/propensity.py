@@ -21,7 +21,7 @@ from scipy.special import expit
 
 from .errors import AllCellsEmptyForTreatment, NotConverged, RankDeficient, TooFewPatients
 from .group import COVARIATE_INDICES, LOS_INDEX, MORTALITY_INDEX, StudyGroup
-from .regress import LogitFit, ModelSpec, fit_logistic_design, interaction, main, square
+from .regress import ModelSpec, fit_logistic_design, interaction, main, square
 from .stats import AnovaResult, FiveNumber, five_number_summary, one_way_anova, two_way_anova_2xk
 
 log = logging.getLogger(__name__)
@@ -85,17 +85,6 @@ class QuintileOutcome:
     mean_los_untreated: float | None
 
 
-def propensity_scores(fit: LogitFit, group: StudyGroup, spec: ModelSpec) -> np.ndarray:
-    """Fitted treatment probabilities, clamped away from 0 and 1."""
-    if not fit.converged:
-        raise NotConverged("propensity fit did not converge")
-    return _clamped_scores(fit, spec.design_matrix(group))
-
-
-def _clamped_scores(fit: LogitFit, design: np.ndarray) -> np.ndarray:
-    return np.clip(expit(fit.linear_predictor(design)), SCORE_CLAMP, 1.0 - SCORE_CLAMP)
-
-
 def stratify_quintiles(scores: np.ndarray, ids: np.ndarray, n_strata: int = N_STRATA) -> Stratification:
     """Rank patients by score and cut into contiguous equal blocks.
 
@@ -156,12 +145,14 @@ def assess_balance(group: StudyGroup, strat: Stratification) -> BalanceReport:
 
 
 def fit_and_stratify(group: StudyGroup, spec: ModelSpec, n_strata: int = N_STRATA):
-    """Fit the propensity model `spec` and stratify its scores."""
+    """Fit the propensity model `spec` and stratify its scores, the fitted
+    treatment probabilities clamped away from 0 and 1."""
     design = spec.design_matrix(group)  # the fit's design gives the scores too
     fit = fit_logistic_design(design, (group.col(1) > 0).astype(float), spec.term_names())
     if not fit.converged:
         raise NotConverged(f"propensity fit for {spec.to_text()!r} did not converge")
-    return fit, stratify_quintiles(_clamped_scores(fit, design), group.ids, n_strata)
+    scores = np.clip(expit(fit.linear_predictor(design)), SCORE_CLAMP, 1.0 - SCORE_CLAMP)
+    return fit, stratify_quintiles(scores, group.ids, n_strata)
 
 
 def refine_model(

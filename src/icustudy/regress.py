@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.special import expit
 
 from .errors import DataError, NotConverged, RankDeficient
 from .group import StudyGroup
@@ -223,14 +222,15 @@ def _check_rank(design: np.ndarray, names: Sequence[str]) -> None:
 def _standardize(design: np.ndarray) -> tuple:
     """Center/scale all non-intercept columns; returns (Z, mu, sigma).
 
-    Column 0 is assumed to be the intercept and is left untouched.
+    Column 0 is assumed to be the intercept and is left untouched.  Z is
+    Fortran-ordered, so that a column of Z is one contiguous row of Z'.
     """
     mu = design.mean(axis=0)
     sigma = design.std(axis=0)
     mu[0] = 0.0
     sigma[0] = 1.0
     sigma[sigma == 0.0] = 1.0
-    z = design - mu
+    z = np.subtract(design, mu, order="F")
     z /= sigma  # in place: one design-sized temporary, not two
     return z, mu, sigma
 
@@ -247,19 +247,25 @@ def _unstandardize(coef_std, cov_std, mu, sigma):
     return coef, cov
 
 
-def _log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:
-    # one log per row: for 0/1 y the two-term sum adds only a signed zero
-    mu = np.clip(mu, 1e-12, 1.0 - 1e-12)
-    return float(np.log(np.where(y > 0, mu, 1.0 - mu)).sum())
+def _log_likelihood(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Log-likelihood of the 0/1 outcome `y` at each row of fitted
+    probabilities `mu`, summed along that row alone: one log per patient,
+    of mu where y = 1 and of 1 - mu where y = 0."""
+    t = np.clip(mu, 1e-12, 1.0 - 1e-12)
+    t *= 2.0 * y - 1.0
+    t += 1.0 - y
+    return np.log(t, out=t).sum(axis=-1)
 
 
 def fit_logistic_design(design: np.ndarray, y: np.ndarray, names: Sequence[str]) -> LogitFit:
     """Newton (IRLS) maximum-likelihood logistic fit on a prepared design.
 
-    Starts at zero coefficients with step-halving on likelihood decrease.
-    Standard errors come from the inverse observed information.  Separation
-    is flagged once a standardized coefficient passes +-30 while the score
-    has not vanished; the fit is returned unconverged rather than raised.
+    The standardized design is fitted as a batch of one through
+    `_trial_fits`: zero start, step-halving on likelihood decrease, and
+    separation flagged once a standardized coefficient passes +-30 while
+    the score has not vanished; the fit is returned unconverged rather
+    than raised.  Standard errors come from the inverse observed
+    information at the returned coefficients.
     """
     y = np.asarray(y, dtype=float)
     if design.shape[0] != y.size:
@@ -269,51 +275,11 @@ def fit_logistic_design(design: np.ndarray, y: np.ndarray, names: Sequence[str])
     names = list(names)
     _check_rank(design, names)
     z, mu_c, sigma_c = _standardize(design)
-
-    beta = np.zeros(z.shape[1])
-    p = expit(z @ beta)  # the probabilities at beta, carried from each accepted step
-    ll = _log_likelihood(y, p)
-    wz = np.empty_like(z)
-    iterations = 0
-    converged = False
-    separation = False
-    for iterations in range(1, MAX_ITER + 1):
-        grad = z.T @ (y - p)
-        if np.max(np.abs(grad)) < GRADIENT_TOL:
-            converged = True
-            iterations -= 1
-            break
-        w = np.clip(p * (1.0 - p), 1e-12, None)
-        h = z.T @ np.multiply(w[:, None], z, out=wz)
-        try:
-            step = np.linalg.solve(h, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(h, grad, rcond=None)[0]
-        # step-halving keeps the likelihood monotone
-        scale = 1.0
-        for _ in range(40):
-            candidate = beta + scale * step
-            p = expit(z @ candidate)
-            ll_new = _log_likelihood(y, p)
-            if ll_new >= ll - 1e-12:
-                break
-            scale *= 0.5
-        else:  # no trial accepted: take the last halving, not the last trial
-            candidate = beta + scale * step
-            p = expit(z @ candidate)
-        beta = candidate
-        ll = ll_new
-        if np.max(np.abs(beta)) > SEPARATION_BOUND:
-            separation = True
-            break
-    else:
-        iterations = MAX_ITER
-
-    grad = z.T @ (y - p)
-    if not separation and np.max(np.abs(grad)) < GRADIENT_TOL:
-        converged = True
-    w = np.clip(p * (1.0 - p), 1e-12, None)
-    h = z.T @ np.multiply(w[:, None], z, out=wz)
+    p = z.shape[1] - 1
+    beta, ll, converged, separation, iterations = (a[0] for a in _trial_fits(z, y, p, np.array([p])))
+    mu = _expit_inplace(z @ beta)
+    w = np.clip(mu * (1.0 - mu), 1e-12, None)
+    h = z.T @ (w[:, None] * z)
     try:
         cov_std = np.linalg.inv(h)
     except np.linalg.LinAlgError:
@@ -323,10 +289,10 @@ def fit_logistic_design(design: np.ndarray, y: np.ndarray, names: Sequence[str])
     return LogitFit(
         coefficients=coef,
         standard_errors=se,
-        log_likelihood=_log_likelihood(y, expit(design @ coef)),
-        iterations=iterations,
-        converged=converged and not separation,
-        separation=separation,
+        log_likelihood=float(ll),
+        iterations=int(iterations),
+        converged=bool(converged),
+        separation=bool(separation),
         term_names=names,
         n_obs=y.size,
     )
@@ -440,18 +406,23 @@ def _trial_score(zt, y, p, cols, mu):
 
 
 def _trial_information(zt, p, w, cross, diag):
-    """Observed information of each design from its row of weights `w`: the
-    base blocks of all K are one product w Q' per block of patients, column
-    i of Q the upper triangle of z_i z_i'."""
+    """Observed information of each design from its row of weights `w`.
+    One design takes its base block as one product zb' W zb.  For more,
+    the base blocks of all K are one product w Q' per block of patients,
+    column i of Q the upper triangle of z_i z_i'."""
     k = w.shape[0]
-    iu, ju = np.triu_indices(p)
-    base = np.zeros((k, iu.size))
-    for r in _row_blocks(w.shape[1], iu.size):
-        q = zt[iu, r]
-        q *= zt[ju, r]
-        base += w[:, r] @ q.T
     info = np.empty((k, p + 1, p + 1))
-    info[:, iu, ju] = info[:, ju, iu] = base
+    if k == 1:
+        zb = zt[:p].T
+        info[0, :p, :p] = zb.T @ (w[0, :, None] * zb)
+    else:
+        iu, ju = np.triu_indices(p)
+        base = np.zeros((k, iu.size))
+        for r in _row_blocks(w.shape[1], iu.size):
+            q = zt[iu, r]
+            q *= zt[ju, r]
+            base += w[:, r] @ q.T
+        info[:, iu, ju] = info[:, ju, iu] = base
     info[:, :p, p] = info[:, p, :p] = cross
     info[:, p, p] = diag
     return info
@@ -463,17 +434,14 @@ def _trial_steps(zt, y, p, cols, step, eta, mu, ll):
     of `ll`, or else the 40th, replaces the rows of `eta`, `mu` and `ll`;
     returns each s and `ll`.  A row's `_log_likelihood` is summed along
     that row alone, so no value depends on the other candidates."""
-    scale, sign = np.ones(cols.size), 2.0 * y - 1.0
+    scale = np.ones(cols.size)
     for b in _row_blocks(cols.size, y.size):
         d = step[b, :p] @ zt[:p]
         d += step[b, p, None] * zt[cols[b]]
         rows, trial = np.arange(cols.size)[b], eta[b] + d
         for attempt in range(40):
             m = _expit_inplace(trial.copy())
-            t = np.clip(m, 1e-12, 1.0 - 1e-12)
-            t *= sign  # mu where y = 1, 1 - mu where y = 0
-            t += 1.0 - y
-            ll_new = np.log(t, out=t).sum(axis=1)
+            ll_new = _log_likelihood(y, m)
             ok = (ll_new >= ll[rows] - 1e-12) | (attempt == 39)
             eta[rows[ok]], mu[rows[ok]], ll[rows[ok]] = trial[ok], m[ok], ll_new[ok]
             rows, d = rows[~ok], d[~ok]
@@ -496,16 +464,19 @@ def _keep_rows(a, keep):
 
 
 def _trial_fits(z, y, p, cols):
-    """`fit_logistic_design`'s Newton iteration on the designs
-    [z[:, :p], z[:, c]] for all candidate columns c at once.  Each starts
+    """Newton (IRLS) maximum-likelihood logistic fits of the designs
+    [z[:, :p], z[:, c]] for all columns c of `cols` at once.  Each starts
     at zero coefficients and carries its linear predictor and fitted
     probabilities (rows of `eta` and `mu`) from step to step; step-halving,
-    convergence and the separation bound are masks over the candidates.
-    Returns each candidate's log-likelihood and whether it converged."""
+    convergence and the separation bound (a coefficient past +-30) are
+    masks over the designs.  Returns each design's standardized
+    coefficients, log-likelihood, whether it converged, whether it was
+    separated and its number of Newton steps."""
     zt, k, n = z.T, cols.size, y.size
     beta, eta, mu = np.zeros((k, p + 1)), np.zeros((k, n)), np.full((k, n), 0.5)
-    ll = np.full(k, _log_likelihood(y, np.full(n, 0.5)))
-    converged = np.zeros(k, dtype=bool)
+    ll = np.full(k, _log_likelihood(y, mu[0]))
+    converged, separated = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+    steps = np.zeros(k, dtype=int)
     live = np.arange(k)  # neither converged nor separated: the rows of eta and mu
     for iteration in range(MAX_ITER + 1):
         grad, cross, diag = _trial_score(zt, y, p, cols[live], mu)
@@ -523,11 +494,13 @@ def _trial_fits(z, y, p, cols):
             step = np.array([np.linalg.lstsq(h, g, rcond=None)[0] for h, g in zip(info, grad)])
         scale, ll[live] = _trial_steps(zt, y, p, cols[live], step, eta, mu, ll[live])
         beta[live] += scale[:, None] * step
+        steps[live] += 1
         keep = ~(np.abs(beta[live]).max(axis=1) > SEPARATION_BOUND)
+        separated[live[~keep]] = True
         live, eta, mu = live[keep], _keep_rows(eta, keep), _keep_rows(mu, keep)
         if not live.size:
             break
-    return ll, converged
+    return beta, ll, converged, separated, steps
 
 
 def _forward_pass(group, y, spec, candidates, p_enter):
@@ -549,7 +522,6 @@ def _forward_pass(group, y, spec, candidates, p_enter):
     _check_finite(raw, [t.label() for t in terms])
     z, mu, sigma = _standardize(raw)
     del raw
-    z = np.asfortranarray(z)  # a candidate's column is one contiguous row of z.T
     norms = np.sqrt(y.size) * np.hypot(mu, sigma)  # raw column norms
     column = {t: c for c, t in enumerate(terms)}
     deficient, skipped = [], {}
@@ -564,7 +536,7 @@ def _forward_pass(group, y, spec, candidates, p_enter):
         if not remaining:
             break
         blocks = range(0, cols.size, CANDIDATE_BLOCK)
-        fits = [_trial_fits(z, y, p, cols[s : s + CANDIDATE_BLOCK]) for s in blocks]
+        fits = [_trial_fits(z, y, p, cols[s : s + CANDIDATE_BLOCK])[1:3] for s in blocks]
         ll, ok = (np.concatenate(part) for part in zip(*fits))
         for term in (t for t, good in zip(remaining, ok) if not good):
             log.debug("stepwise: fit with %s did not converge; skipped", term.label())

@@ -368,6 +368,102 @@ def mentions_drug_oracle(text, lexicon):
     return False
 
 
+# --- logistic fit ---------------------------------------------------------------------
+
+
+def _log_likelihood_oracle(y: np.ndarray, mu: np.ndarray) -> float:
+    # one log per row: for 0/1 y the two-term sum adds only a signed zero
+    mu = np.clip(mu, 1e-12, 1.0 - 1e-12)
+    return float(np.log(np.where(y > 0, mu, 1.0 - mu)).sum())
+
+
+def fit_logistic_design_oracle(design: np.ndarray, y: np.ndarray, names) -> "LogitFit":
+    """The single-design Newton (IRLS) fit as it was before every fit went
+    through the batched trial-fit kernel: its own loop, scipy's expit and
+    a full z' W z information per iteration.  It shares the rank check,
+    the standardization and `LogitFit` with the library, which are not
+    what it checks, and reads MAX_ITER and the other limits from
+    `icustudy.regress` at call time, so a patched limit applies to it too.
+
+    One rule differs from the kernel: when all 40 step-halving trials are
+    rejected it takes beta + 0.5**40 step but keeps the log-likelihood of
+    the 0.5**39 trial."""
+    from scipy.special import expit
+
+    from icustudy import regress
+    from icustudy.regress import LogitFit, _check_rank, _standardize, _unstandardize
+
+    y = np.asarray(y, dtype=float)
+    if design.shape[0] != y.size:
+        raise DataError("design and outcome lengths differ")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise DataError("logistic outcome must be coded 0/1")
+    names = list(names)
+    _check_rank(design, names)
+    z, mu_c, sigma_c = _standardize(design)
+
+    beta = np.zeros(z.shape[1])
+    p = expit(z @ beta)  # the probabilities at beta, carried from each accepted step
+    ll = _log_likelihood_oracle(y, p)
+    wz = np.empty_like(z)
+    iterations = 0
+    converged = False
+    separation = False
+    for iterations in range(1, regress.MAX_ITER + 1):
+        grad = z.T @ (y - p)
+        if np.max(np.abs(grad)) < regress.GRADIENT_TOL:
+            converged = True
+            iterations -= 1
+            break
+        w = np.clip(p * (1.0 - p), 1e-12, None)
+        h = z.T @ np.multiply(w[:, None], z, out=wz)
+        try:
+            step = np.linalg.solve(h, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(h, grad, rcond=None)[0]
+        # step-halving keeps the likelihood monotone
+        scale = 1.0
+        for _ in range(40):
+            candidate = beta + scale * step
+            p = expit(z @ candidate)
+            ll_new = _log_likelihood_oracle(y, p)
+            if ll_new >= ll - 1e-12:
+                break
+            scale *= 0.5
+        else:  # no trial accepted: take the last halving, not the last trial
+            candidate = beta + scale * step
+            p = expit(z @ candidate)
+        beta = candidate
+        ll = ll_new
+        if np.max(np.abs(beta)) > regress.SEPARATION_BOUND:
+            separation = True
+            break
+    else:
+        iterations = regress.MAX_ITER
+
+    grad = z.T @ (y - p)
+    if not separation and np.max(np.abs(grad)) < regress.GRADIENT_TOL:
+        converged = True
+    w = np.clip(p * (1.0 - p), 1e-12, None)
+    h = z.T @ np.multiply(w[:, None], z, out=wz)
+    try:
+        cov_std = np.linalg.inv(h)
+    except np.linalg.LinAlgError:
+        cov_std = np.linalg.pinv(h)
+    coef, cov = _unstandardize(beta, cov_std, mu_c, sigma_c)
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    return LogitFit(
+        coefficients=coef,
+        standard_errors=se,
+        log_likelihood=_log_likelihood_oracle(y, expit(design @ coef)),
+        iterations=iterations,
+        converged=converged and not separation,
+        separation=separation,
+        term_names=names,
+        n_obs=y.size,
+    )
+
+
 # --- stepwise selection -------------------------------------------------------------
 
 STEPWISE_TIE_TOL = 1e-9
@@ -375,28 +471,30 @@ STEPWISE_TIE_TOL = 1e-9
 
 def forward_pass_oracle(group, y, spec, candidates, p_enter):
     """One forward phase the per-candidate way: every trial design goes
-    through `fit_logistic` on its own.  Gains within
+    through `fit_logistic_design_oracle` on its own.  Gains within
     STEPWISE_TIE_TOL * max(1, |ll_current|) of the best are ties, won by
     the earliest candidate (mains by index, then squares, then
     interactions)."""
     from icustudy.errors import RankDeficient
-    from icustudy.regress import fit_logistic
     from icustudy.stats import chi2_tail
+
+    def fit(spec):
+        return fit_logistic_design_oracle(spec.design_matrix(group), y, spec.term_names())
 
     rank = {"main": 0, "square": 1, "interaction": 2}
     current = spec
-    current_ll = fit_logistic(group, current, y).log_likelihood
+    current_ll = fit(current).log_likelihood
     remaining = sorted(candidates, key=lambda t: (rank[t.kind],) + t.indices())
     while remaining:
         gains = []
         for term in list(remaining):
             try:
-                fit = fit_logistic(group, current.with_term(term), y)
+                trial = fit(current.with_term(term))
             except RankDeficient:
                 remaining.remove(term)
                 continue
-            if fit.converged:
-                gains.append((fit.log_likelihood - current_ll, term, fit.log_likelihood))
+            if trial.converged:
+                gains.append((trial.log_likelihood - current_ll, term, trial.log_likelihood))
         if not gains:
             break
         best = max(g for g, _, _ in gains)

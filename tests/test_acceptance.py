@@ -23,13 +23,12 @@ from icustudy.group import PatientKey
 from icustudy.outcome import fit_model_a, fit_model_b, stratified_outcome_tests
 from icustudy.propensity import (
     assess_balance,
-    propensity_scores,
+    fit_and_stratify,
     refine_model,
     stratify_quintiles,
 )
 from icustudy.regress import (
     ModelSpec,
-    fit_logistic,
     fit_logistic_design,
     intercept,
     main,
@@ -68,9 +67,7 @@ def _criterion(number, description, ok, detail, elapsed, budget):
 
 
 def _driver_scores(group):
-    spec = ModelSpec([intercept(), main(11), main(41), main(46)])
-    fit = fit_logistic(group, spec, (group.col(1) > 0).astype(float))
-    return propensity_scores(fit, group, spec)
+    return fit_and_stratify(group, ModelSpec([intercept(), main(11), main(41), main(46)]))[1].scores
 
 
 def test_criterion_1_logistic_mle():

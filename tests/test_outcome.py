@@ -11,19 +11,15 @@ from icustudy.outcome import (
     split_by_median,
     stratified_outcome_tests,
 )
-from icustudy.propensity import stratify_quintiles
-from icustudy.regress import ModelSpec, fit_logistic, intercept, main
+from icustudy.propensity import fit_and_stratify, stratify_quintiles
+from icustudy.regress import ModelSpec, intercept, main
 from icustudy.synth import LosModel, MortalityModel, SynthSpec, synth_study_group
-from icustudy.propensity import propensity_scores
 
 from helpers import make_group
 
 
 def _scores_for(group):
-    spec = ModelSpec([intercept(), main(11), main(41), main(46)])
-    y = (group.col(1) > 0).astype(float)
-    fit = fit_logistic(group, spec, y)
-    return propensity_scores(fit, group, spec)
+    return fit_and_stratify(group, ModelSpec([intercept(), main(11), main(41), main(46)]))[1].scores
 
 
 def _synth(seed, **kwargs):

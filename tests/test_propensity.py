@@ -11,7 +11,7 @@ from icustudy.group import PatientKey, StudyGroup
 from icustudy.propensity import (
     Stratification,
     assess_balance,
-    propensity_scores,
+    fit_and_stratify,
     refine_model,
     strata_outcome_table,
     stratify_quintiles,
@@ -31,33 +31,30 @@ def test_intercept_only_scores_equal_prevalence():
     treated = np.array([1.0] * 189 + [-1.0] * 1333)
     rng.shuffle(treated)
     group = make_group(rng, 1522, {1: treated})
-    spec = ModelSpec([intercept()])
-    fit = fit_logistic(group, spec, (group.col(1) > 0).astype(float))
-    scores = propensity_scores(fit, group, spec)
+    scores = fit_and_stratify(group, ModelSpec([intercept()]))[1].scores
     assert scores == pytest.approx(np.full(1522, 189 / 1522), abs=1e-10)
 
 
 def test_scores_monotone_in_linear_predictor():
     rng = np.random.default_rng(2)
     x = np.linspace(-3, 3, 200)
-    group = make_group(rng, 200, {5: x})
-    y = (rng.random(200) < 1 / (1 + np.exp(-x))).astype(float)
+    treated = np.where(rng.random(200) < 1 / (1 + np.exp(-x)), 1.0, -1.0)
+    group = make_group(rng, 200, {1: treated, 5: x})
     spec = ModelSpec([intercept(), main(5)])
-    fit = fit_logistic(group, spec, y)
-    scores = propensity_scores(fit, group, spec)
+    fit, strat = fit_and_stratify(group, spec)
+    scores = strat.scores
     order = np.argsort(fit.linear_predictor(spec.design_matrix(group)))
     assert (np.diff(scores[order]) >= 0).all()
     assert (scores > 0).all() and (scores < 1).all()
 
 
 def test_scores_require_convergence():
+    # x5 separates the arms perfectly: no converged fit gives the scores
     rng = np.random.default_rng(3)
-    group = make_group(rng, 20)
-    spec = ModelSpec([intercept()])
-    fit = fit_logistic(group, spec, (group.col(1) > 0).astype(float))
-    fit.converged = False
+    x = np.linspace(-3, 3, 20)
+    group = make_group(rng, 20, {1: np.sign(x), 5: x})
     with pytest.raises(NotConverged):
-        propensity_scores(fit, group, spec)
+        fit_and_stratify(group, ModelSpec([intercept(), main(5)]))
 
 
 # --- stratification -----------------------------------------------------------
@@ -138,11 +135,7 @@ def _confounded_group(seed, n=1522):
 
 
 def _driver_strat(group):
-    spec = ModelSpec([intercept(), main(11), main(41), main(46)])
-    y = (group.col(1) > 0).astype(float)
-    fit = fit_logistic(group, spec, y)
-    scores = propensity_scores(fit, group, spec)
-    return stratify_quintiles(scores, group.ids)
+    return fit_and_stratify(group, ModelSpec([intercept(), main(11), main(41), main(46)]))[1]
 
 
 def test_balance_covers_55_covariates():

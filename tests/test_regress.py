@@ -24,7 +24,7 @@ from icustudy.regress import (
 )
 
 from helpers import make_group
-from oracles import stepwise_oracle
+from oracles import fit_logistic_design_oracle, stepwise_oracle
 
 
 def _sigmoid(v):
@@ -146,6 +146,107 @@ def test_fit_invariant_to_row_permutation():
     group2 = StudyGroup(group.ids[perm], group.x[perm])
     fit2 = fit_logistic(group2, spec, y[perm])
     assert fit1.coefficients == pytest.approx(fit2.coefficients, rel=1e-7)
+
+
+# the selection and the refined model of the planted 3000-patient group at
+# seed 7, the input of the search-3000 benchmark workload
+SEARCH_MODEL = (
+    "1 + x42 + x44 + x46 + x40 + x43 + x41 + x32 + x34 + x7 + x54 + x56 + x9 + x42*x43 + x32*x34"
+    " + x34*x34 + x43*x44 + x54*x56 + x44*x54 + x34*x42 + x34*x44 + x32*x40 + x7*x40 + x7*x54 + x34*x54"
+)
+SEARCH_REFINED = SEARCH_MODEL + " + x11 + x26 + x10*x10 + x9*x30 + x25*x25 + x5 + x13*x43 + x12 + x8"
+
+
+@pytest.fixture(scope="module")
+def oracle_designs():
+    """(design, 0/1 outcome, names) of each case the fit is held against
+    its single-design oracle on."""
+    from icustudy.group import MORTALITY_INDEX
+    from icustudy.outcome import SAPS_INDEX, _design, split_by_median
+    from icustudy.propensity import fit_and_stratify
+    from icustudy.synth import SynthSpec, synth_study_group
+
+    group = synth_study_group(SynthSpec(n=3000, seed=7, prevalence_target=0.12))
+    treated = (group.col(1) > 0).astype(float)
+    cases = {}
+    for name, text in (("stepwise", SEARCH_MODEL), ("refined", SEARCH_REFINED)):
+        spec = ModelSpec.from_text(text)
+        cases[name] = (spec.design_matrix(group), treated, spec.term_names())
+    scores = fit_and_stratify(group, ModelSpec.from_text(SEARCH_REFINED))[1].scores
+    split = split_by_median(group, SAPS_INDEX, scores)
+    for name, sub, sub_scores, cross in (
+        ("A", group, scores, False),
+        ("B", group, scores, True),
+        ("C.LessSick", split.less_sick, split.scores_less_sick, True),
+        ("C.Sicker", split.sicker, split.scores_sicker, True),
+    ):
+        design, names = _design(sub, sub_scores, cross)
+        cases[name] = (design, (sub.col(MORTALITY_INDEX) > 0).astype(float), names)
+    cases["intercept only"] = (np.ones((group.n, 1)), treated, ["1"])
+    x = np.array([-2.0, -1.5, -1.0, 1.0, 1.5, 2.0])
+    cases["separated"] = (np.column_stack([np.ones(6), x]), (x > 0).astype(float), ["1", "x"])
+    a = group.col(30)
+    cases["rank deficient"] = (np.column_stack([np.ones(group.n), a, 2.0 * a]), treated, ["1", "a", "double_a"])
+    return cases
+
+
+@pytest.mark.parametrize(
+    "case", ["stepwise", "refined", "A", "B", "C.LessSick", "C.Sicker", "intercept only", "separated", "rank deficient"]
+)
+def test_fit_matches_single_design_oracle(oracle_designs, case):
+    design, y, names = oracle_designs[case]
+    try:
+        expected = fit_logistic_design_oracle(design, y, names)
+    except RankDeficient as exc:
+        with pytest.raises(RankDeficient) as excinfo:
+            fit_logistic_design(design, y, names)
+        assert excinfo.value.column == exc.column
+        return
+    fit = fit_logistic_design(design, y, names)
+    assert (fit.iterations, fit.converged, fit.separation) == (
+        expected.iterations, expected.converged, expected.separation,
+    )
+    assert fit.coefficients == pytest.approx(expected.coefficients, rel=1e-10)
+    assert fit.standard_errors == pytest.approx(expected.standard_errors, rel=1e-10)
+
+
+@pytest.mark.parametrize("single", [True, False])
+def test_forty_rejected_halvings_take_the_last_trial_and_its_likelihood(monkeypatch, single):
+    # a start value read 1e6 too high fails all 40 trials of the first
+    # step: the step taken is the 40th trial's, 0.5**39 of the Newton step,
+    # and the log-likelihood kept is that trial's own
+    from icustudy import regress
+
+    rng = np.random.default_rng(19)
+    n = 500
+    x = rng.normal(size=(n, 3))
+    y = (rng.random(n) < _sigmoid(-0.5 + x @ [0.8, -0.5, 0.3])).astype(float)
+    design = np.column_stack([np.ones(n), x])
+    if single:
+        def fit():
+            f = fit_logistic_design(design, y, ["1", "a", "b", "c"])
+            return f.coefficients, f.log_likelihood, f.iterations
+    else:
+        z = _standardize(design)[0]
+
+        def fit():
+            beta, ll, _, _, steps = _trial_fits(z, y, 1, np.arange(1, 4))
+            return beta, ll, steps
+
+    monkeypatch.setattr(regress, "MAX_ITER", 1)
+    one_step = fit()[0]
+    real, values = regress._log_likelihood, []
+
+    def inflated(y, mu):
+        values.append(real(y, mu) + (0.0 if values else 1e6))
+        return values[-1]
+
+    monkeypatch.setattr(regress, "_log_likelihood", inflated)
+    beta, ll, steps = fit()
+    assert len(values) == 41
+    assert np.all(steps == 1)
+    assert beta == pytest.approx(0.5**39 * one_step, rel=1e-9)
+    assert np.all(ll == values[-1])
 
 
 # --- linear fitting ---------------------------------------------------------------
@@ -392,9 +493,9 @@ def test_trial_fits_do_not_depend_on_the_batch(seed):
     y = (rng.random(n) < _sigmoid(-2.0 + 0.5 * x[:, 0])).astype(float)
     z = _standardize(np.column_stack([np.ones(n), x]))[0]
     cols = np.arange(1, 56)
-    ll, ok = _trial_fits(z, y, 1, cols)
-    alone = [_trial_fits(z, y, 1, cols[c : c + 1]) for c in range(cols.size)]
-    blocks = [_trial_fits(z, y, 1, cols[s : s + 7]) for s in range(0, cols.size, 7)]
+    ll, ok = _trial_fits(z, y, 1, cols)[1:3]
+    alone = [_trial_fits(z, y, 1, cols[c : c + 1])[1:3] for c in range(cols.size)]
+    blocks = [_trial_fits(z, y, 1, cols[s : s + 7])[1:3] for s in range(0, cols.size, 7)]
     tol = 1e-12 * np.maximum(1.0, np.abs(ll))
     for part_ll, part_ok in (map(np.concatenate, zip(*fits)) for fits in (alone, blocks)):
         assert part_ok.tolist() == ok.tolist()
