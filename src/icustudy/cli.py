@@ -148,6 +148,7 @@ def stage_varprep(run: Run) -> None:
     config = run.config
     options = varprep.AssemblyOptions(config.t1_default, t2=config.t2_day, t3=config.t3_day)
     group, rejections = varprep.assemble_study_group(_input(run, "survivors"), options)
+    run.survivors = None  # the joined extracts: no later stage reads them
     write_table(
         run.out / "rejections.csv",
         [*KEY_COLUMNS, "reason"],

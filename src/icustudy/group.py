@@ -290,7 +290,8 @@ _STRATA_ROW = np.dtype([("key", np.int64, (3,)), ("score", float), ("quintile", 
 
 def read_strata_csv(path: str | Path, group: StudyGroup):
     """strata.csv as (scores, stratum labels) in the order of `group`; where
-    a key is on several rows, the last one counts."""
+    a key is on several rows, the last one counts.  The labels the group's
+    rows hold must be 1..K, each used, for the K labels they hold."""
     with open(path, newline="") as fh:
         # the last column of a repeated name, as csv.DictReader takes it
         at = {name: i for i, name in enumerate(next(csv.reader(fh), []))}
@@ -309,4 +310,9 @@ def read_strata_csv(path: str | Path, group: StudyGroup):
     if (row < 0).any():
         raise DataError(f"strata file does not cover patient {'/'.join(map(str, group.ids[np.argmax(row < 0)]))}")
     values = [values[r] for r in row.tolist()]
-    return np.array([score for score, _ in values]), np.array([q for _, q in values], dtype=int)
+    labels = np.array([q for _, q in values], dtype=int)
+    used = np.unique(labels)
+    stray = used[(used < 1) | (used > len(used))]
+    if len(stray):
+        raise DataError(f"{path}: stratum labels must be 1..{len(used)}, each used, got {stray[0]}")
+    return np.array([score for score, _ in values]), labels

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import AllCellsEmptyForTreatment, NotConverged, RankDeficient, TooFewPatients
+from .errors import AllCellsEmptyForTreatment, DataError, NotConverged, RankDeficient, TooFewPatients
 from .group import COVARIATE_INDICES, LOS_INDEX, MORTALITY_INDEX, StudyGroup
 from .regress import ModelSpec, fit_logistic_design, interaction, main, square
 from .stats import AnovaResult, FiveNumber, five_number_summary, one_way_anova, two_way_anova_2xk
@@ -171,10 +171,13 @@ def refine_model(
     first form that strictly lowers that covariate's own primary F under
     the re-fitted, re-stratified model (into `n_strata` strata).  Every
     attempt is logged, and each pass logs one warning that counts and
-    names its skipped forms.
+    names its skipped forms.  A given starting `strat` must hold
+    `n_strata` strata, so that each f_before and f_after compare alike.
     """
     if strat is None:
         _, strat = fit_and_stratify(group, spec, n_strata)
+    if strat.n_strata != n_strata:
+        raise DataError(f"the starting stratification holds {strat.n_strata} strata, but n_strata is {n_strata}")
     attempts: list[RefinementAttempt] = []
     current_spec = spec
     current_strat = strat

@@ -7,8 +7,12 @@ value) samples, regularized to the daily median (robust to outliers) or,
 for fluid amounts, the daily sum.  Point variables are taken at day 1, the
 decision day T1, and the fixed days T2 and T3; "average" variables are
 arithmetic means over the days present in 1..T1 with missing days skipped.
-Assembly works on the timelines of RECORD_BLOCK records at a time, as
-segments of one flattened sample array.
+Assembly works on consecutive blocks of records holding at most
+SAMPLE_BLOCK timeline samples between them (a record with more forms a
+block of its own), as segments of one flattened sample array, so the
+memory its timelines take is set by the budget, not by the cohort.  Every
+value and every rejection is computed per record, so where the blocks are
+cut changes no output.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ BLOCK_START = (5, 10, 25, 47, 52, 30, 35, 40)
 BLOCK_COLUMNS = np.array([start - 1 + slot for start in BLOCK_START for slot in range(5)])
 #: the x column of each value _scalars returns, in order
 SCALAR_COLUMNS = np.array([1, 2, 3, 4, 15, *range(16, 25), 45, 46, 57, 58]) - 1
-#: records assembled at once
-RECORD_BLOCK = 1024
+#: timeline samples assembled at once; a block holds at least one record
+SAMPLE_BLOCK = 1 << 15
 
 
 def _faults(samples: np.ndarray, owner: np.ndarray) -> tuple:
@@ -236,6 +240,18 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
 
 
+def _record_blocks(cohort):
+    """Consecutive slices of the records, each holding as many records as
+    fit in SAMPLE_BLOCK timeline samples, and at least one."""
+    counts = sum(cohort.extracts[name].spans()[1] for name in TIMELINE_EXTRACTS)
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(ends):
+        hi = max(int(np.searchsorted(ends, ends[lo] - counts[lo] + SAMPLE_BLOCK, side="right")), lo + 1)
+        yield slice(lo, hi)
+        lo = hi
+
+
 def assemble_study_group(cohort, options: AssemblyOptions | None = None):
     """Build the study group from the joined records of a cohort.
 
@@ -246,8 +262,10 @@ def assemble_study_group(cohort, options: AssemblyOptions | None = None):
     faults is always rejected for the same one; a record that passes is
     rejected for the first mandatory variable left without a value.
     Rejections are returned as data, not raised.  Output rows are sorted
-    by patient key.  Timelines are assembled RECORD_BLOCK records at a
-    time, which bounds the memory of the flattened samples.
+    by patient key.  Timelines are assembled in blocks of consecutive
+    records holding at most SAMPLE_BLOCK samples (one record alone where
+    it holds more), so the flattened samples and their daily values take
+    memory in proportion to the budget, not to the cohort.
     """
     options = options or AssemblyOptions()
     n, k = len(cohort), len(TIMELINE_EXTRACTS)
@@ -262,12 +280,11 @@ def assemble_study_group(cohort, options: AssemblyOptions | None = None):
     t1 = t1.clip(-(2.0**63), np.nextafter(2.0**63, 0)).astype(np.int64)
     fault, fault_reason = np.full(n, k), {}  # the series and reason of a record's first faulty sample
     x, have = np.empty((n, N_VARIABLES)), np.empty((n, N_VARIABLES), bool)
-    for lo in range(0, n, RECORD_BLOCK):
-        block = slice(lo, lo + RECORD_BLOCK)
+    for block in _record_blocks(cohort):
         samples, segment = _timelines(cohort.select(block))
         faulty, first = _faults(samples, segment // k)
         for r, (i, reason) in first.items():
-            fault[lo + r], fault_reason[lo + r] = segment[i] % k, reason
+            fault[block.start + r], fault_reason[block.start + r] = segment[i] % k, reason
         values, have[block, BLOCK_COLUMNS] = _blocks(segment[~faulty], samples[~faulty], t1[block], options)
         x[block, BLOCK_COLUMNS] = np.where(have[block, BLOCK_COLUMNS], values, np.nan)
     x[:, SCALAR_COLUMNS], have[:, SCALAR_COLUMNS], reasons = _scalars(cohort, options, fault, fault_reason)

@@ -856,6 +856,10 @@ def read_strata_csv_oracle(path, group):
         raise DataError(f"strata file does not cover patient {'/'.join(map(str, missing[0]))}")
     scores = np.array([by_key[k][0] for k in group.keys])
     assignment = np.array([by_key[k][1] for k in group.keys], dtype=int)
+    used = sorted(set(assignment.tolist()))
+    stray = [q for q in used if not 1 <= q <= len(used)]
+    if stray:
+        raise DataError(f"{path}: stratum labels must be 1..{len(used)}, each used, got {stray[0]}")
     return scores, assignment
 
 

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import icustudy
+from icustudy import cli
 from icustudy.cli import ALL_STAGES, Run, main, run_all
+from icustudy.cohort import Cohort
 from icustudy.config import RunConfig
 from icustudy.errors import ConfigError, DataError
 
@@ -99,6 +101,21 @@ def test_run_all_deterministic(fixture_dirs):
         a = (root / "out" / name).read_bytes()
         b = (root / "out_b" / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_run_all_drops_the_joined_extracts_after_varprep(fixture_dirs, tmp_path, monkeypatch):
+    """No stage after varprep reads the joined cohort, so run-all lets it
+    go once the group is assembled; the bundle is the same."""
+    root, config = fixture_dirs
+    seen = []
+    for name in ("stage_varprep", "stage_propensity"):
+        stage = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda run, stage=stage: (seen.append(run.survivors), stage(run)))
+    run = Run(RunConfig.from_file(config), tmp_path)
+    run_all(run)
+    assert isinstance(seen[0], Cohort) and seen[1:] == [None] and run.survivors is None and run.group.n
+    for name in EXPECTED_REPORTS:
+        assert (tmp_path / name).read_bytes() == (root / "out" / name).read_bytes(), name
 
 
 def test_missing_extracts_dir_is_config_error(fixture_dirs, capsys):
@@ -379,6 +396,33 @@ def test_corrupt_handoff_file_is_data_error(fixture_dirs, tmp_path, capsys, name
         csv.writer(fh).writerows(rows)
     assert main(argv + ["--config", str(config), "--out", str(tmp_path)]) == 3
     assert f"{tmp_path / name}: line 3: " in capsys.readouterr().err
+
+
+def test_relabelled_top_stratum_is_data_error(fixture_dirs, tmp_path, capsys):
+    """Quintile 5 relabelled 7: outcome run used to report stratum 5 as
+    an empty treatment arm and never test the patients labelled 7."""
+    root, config = fixture_dirs
+    (tmp_path / "studygroup.csv").write_bytes((root / "out" / "studygroup.csv").read_bytes())
+    with open(root / "out" / "strata.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[-1] = "7" if row[-1] == "5" else row[-1]
+    with open(tmp_path / "strata.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["outcome", "run", "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert f"{tmp_path / 'strata.csv'}: stratum labels must be 1..5, each used, got 7" in capsys.readouterr().err
+    assert not (tmp_path / "stratified_tests.csv").exists()
+
+
+def test_refinement_from_strata_of_another_count_is_data_error(fixture_dirs, tmp_path, capsys):
+    root, config = fixture_dirs
+    for name in ("studygroup.csv", "model.txt", "strata.csv"):
+        (tmp_path / name).write_bytes((root / "out" / name).read_bytes())
+    four = tmp_path / "four.cfg"
+    four.write_text(config.read_text() + "n_strata = 4\n")
+    assert main(["propensity", "refine", "--config", str(four), "--out", str(tmp_path)]) == 3
+    assert "the starting stratification holds 5 strata, but n_strata is 4" in capsys.readouterr().err
+    assert not (tmp_path / "refinement_log.csv").exists()
 
 
 def test_survivor_id_beyond_64_bits_is_data_error(fixture_dirs, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from icustudy import group as group_module
+from icustudy.errors import DataError
 from icustudy.group import (
     STRATA_COLUMNS,
     StudyGroup,
@@ -52,12 +53,37 @@ def test_match_keys_takes_the_last_row_holding_each_triple():
 
 def test_strata_row_repeating_a_key_overrides_the_earlier_row(tmp_path):
     group = make_group(np.random.default_rng(1), 5)
-    write_strata_csv(group, np.linspace(0.1, 0.5, 5), np.arange(1, 6), tmp_path / "strata.csv")
+    write_strata_csv(group, np.linspace(0.1, 0.5, 5), np.array([1, 1, 2, 3, 4]), tmp_path / "strata.csv")
     with open(tmp_path / "strata.csv", "a", newline="") as fh:
         fh.write(f"{group.keys[1].subject_id},{group.keys[1].hadm_id},{group.keys[1].icustay_id},0.9,5\r\n")
     scores, assignment = read_strata_csv(tmp_path / "strata.csv", group)
     assert scores.tolist() == [0.1, 0.9, 0.30000000000000004, 0.4, 0.5]
-    assert assignment.tolist() == [1, 5, 3, 4, 5]
+    assert assignment.tolist() == [1, 5, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "labels, k, bad",
+    [
+        ([1, 2, 3, 4, 7], 5, 7),  # the top stratum relabelled
+        ([0, 1, 2, 3, 4], 5, 0),
+        ([-1, 1, 2, 3, 4], 5, -1),
+        ([1, 2, 4, 5, 5], 4, 5),  # stratum 3 unused
+        ([2, 2, 3, 3, 3], 2, 3),
+    ],
+)
+def test_strata_labels_other_than_one_to_k_are_data_error(tmp_path, labels, k, bad):
+    group = make_group(np.random.default_rng(1), 5)
+    path = tmp_path / "strata.csv"
+    write_strata_csv(group, np.linspace(0.1, 0.5, 5), np.array(labels), path)
+    message = f"{path}: stratum labels must be 1..{k}, each used, got {bad}"
+    for read in (read_strata_csv, oracles.read_strata_csv_oracle):
+        with pytest.raises(DataError) as caught:
+            read(path, group)
+        assert str(caught.value) == message
+    # a label only a row outside the group holds is not used
+    write_strata_csv(group, np.linspace(0.1, 0.5, 5), np.array([1, 2, 3, 4, 5]), path)
+    scores, assignment = read_strata_csv(path, StudyGroup(group.ids[:4], group.x[:4]))
+    assert assignment.tolist() == [1, 2, 3, 4]
 
 
 def test_study_group_reads_a_key_list_and_an_id_array_alike():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icustudy.errors import NotConverged, TooFewPatients
+from icustudy.errors import DataError, NotConverged, TooFewPatients
 from icustudy.group import PatientKey, StudyGroup
 from icustudy.propensity import (
     Stratification,
@@ -229,6 +229,19 @@ def test_refinement_accepts_planted_driver():
     assert x46 and x46[0].accepted
     assert x46[0].f_after < x46[0].f_before
     assert 46 in refined.main_indices()
+
+
+def test_refinement_from_strata_of_another_count_is_data_error():
+    """f_before on five strata against every f_after on four would
+    compare F ratios of different designs."""
+    group = _confounded_group(12, n=300)
+    spec = ModelSpec([intercept(), main(11), main(41)])
+    _, five = fit_and_stratify(group, spec, 5)
+    message = "the starting stratification holds 5 strata, but n_strata is 4"
+    with pytest.raises(DataError, match=message):
+        refine_model(group, spec, five, n_strata=4)
+    _, _, log = refine_model(group, spec, five, n_strata=5)
+    assert log
 
 
 def test_refinement_accepted_attempts_strictly_reduce_f():

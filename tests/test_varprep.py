@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,21 +431,54 @@ _ORACLE_OPTIONS = [
 ]
 
 
-@pytest.mark.parametrize("seed, record_block", [(0, 1024), (1, 7), (2, 50)])
-def test_assembly_matches_per_record_oracle(tmp_path, monkeypatch, seed, record_block):
-    monkeypatch.setattr(varprep, "RECORD_BLOCK", record_block)
+#: the default sample budget, which takes the whole cohort as one block;
+#: 1, which makes every record a block, most of them over the budget; and
+#: a budget that cuts the cohort into blocks of several records
+_BUDGETS = [(0, varprep.SAMPLE_BLOCK), (1, 1), (2, 1000)]
+
+
+@pytest.mark.parametrize("seed, sample_block", _BUDGETS)
+def test_assembly_matches_per_record_oracle(tmp_path, monkeypatch, seed, sample_block):
+    monkeypatch.setattr(varprep, "SAMPLE_BLOCK", sample_block)
     synth_generate(SynthSpec(n=120, seed=seed, attrition={k: 2 for k in ATTRITION_KINDS}), tmp_path / "synth")
     loaded = load_extracts(tmp_path / "synth")
     loaded = loaded.select(np.flatnonzero(~loaded.absent.any(axis=1)))
     rng = np.random.default_rng(seed)
     write_extracts(tmp_path / "injected", [_inject_faults(rng, rec) for rec in oracles.cohort_records(loaded)])
     injected = load_extracts(tmp_path / "injected")
+    empty = loaded.select(np.arange(0))
+    blocks = [b.stop - b.start for b in varprep._record_blocks(injected)]
+    if seed < 2:  # the cohort whole, or a record a block
+        assert blocks == ([len(injected)] if seed == 0 else [1] * len(injected))
+    else:
+        assert sum(blocks) == len(injected) and 5 < len(blocks) < len(injected) / 4
     for options in _ORACLE_OPTIONS:
         group, _ = _assert_same_assembly(loaded, options)
         assert group.n > 100
         group, rejections = _assert_same_assembly(injected, options)
         assert group.n > 10 and len(rejections) > 50
         assert np.isnan(group.x).any() == (options.mandatory != _ORACLE_OPTIONS[0].mandatory)
+        group, rejections = _assert_same_assembly(empty, options)
+        assert group.n == 0 and not rejections
+
+
+def test_assembly_memory_is_bounded_by_the_sample_budget(tmp_path):
+    """The transient memory of assembly (its peak less what it still holds
+    after) stays flat from 300 to 4800 records; blocks of a fixed record
+    count grew it 3.5-fold."""
+    transient = {}
+    for n in (300, 1200, 4800):
+        synth_generate(SynthSpec(n, seed=3), tmp_path / str(n))
+        cohort = load_extracts(tmp_path / str(n))
+        tracemalloc.start()
+        try:
+            group, _ = assemble_study_group(cohort)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert group.n == n
+        transient[n] = peak - held
+    assert transient[1200] <= 1.25 * transient[300] and transient[4800] <= 1.25 * transient[300], transient
 
 
 def test_staged_survivors_assemble_like_a_full_reload(tmp_path):
