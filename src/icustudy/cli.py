@@ -87,12 +87,19 @@ def _survivor_records(run: Run, path: Path) -> cohort_mod.Cohort:
     return cohort.select(np.flatnonzero(found & ~cohort.absent.any(axis=1)))
 
 
+def _read_model(run: Run, path: Path) -> ModelSpec:
+    try:
+        return ModelSpec.from_text(path.read_text().strip())
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 #: input -> (file in the output directory, reader of (run, path)).  The
 #: flag of the same name, where a command has one, points elsewhere.
 INPUTS = {
     "survivors": ("survivors.csv", _survivor_records),
     "group": ("studygroup.csv", lambda run, path: read_studygroup_csv(path)),
-    "model": ("model.txt", lambda run, path: ModelSpec.from_text(path.read_text().strip())),
+    "model": ("model.txt", _read_model),
     "strata": (
         "strata.csv",
         lambda run, path: prop_mod.Stratification(*read_strata_csv(path, _input(run, "group"))),

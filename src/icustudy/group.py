@@ -308,7 +308,7 @@ def read_strata_csv(path: str | Path, group: StudyGroup):
         ids, values = [key for key, _ in read], [value for _, value in read]
     row = match_keys(group.ids, ids)
     if (row < 0).any():
-        raise DataError(f"strata file does not cover patient {'/'.join(map(str, group.ids[np.argmax(row < 0)]))}")
+        raise DataError(f"{path}: does not cover patient {'/'.join(map(str, group.ids[np.argmax(row < 0)]))}")
     values = [values[r] for r in row.tolist()]
     labels = np.array([q for _, q in values], dtype=int)
     used = np.unique(labels)

@@ -12,14 +12,14 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
 from scipy import linalg as sla
 
 from .errors import DataError, NotConverged, RankDeficient
-from .group import StudyGroup
+from .group import N_VARIABLES, StudyGroup
 from .stats import TestResult, chi2_tail, normal_tail_two_sided, t_tail_two_sided
 
 log = logging.getLogger(__name__)
@@ -34,76 +34,41 @@ BLOCK_ELEMENTS = 1 << 15  # float64 elements per array of a row block
 
 
 # --- model terms --------------------------------------------------------------
+#
+# A term is the ascending tuple of the variables it multiplies: () is the
+# intercept, (i,) a main effect, (i, i) a square, (i, j) with i < j an
+# interaction.
 
 
-@dataclass(frozen=True)
-class ModelTerm:
-    kind: str  # "intercept" | "main" | "square" | "interaction"
-    i: int | None = None
-    j: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "intercept":
-            if self.i is not None or self.j is not None:
-                raise DataError("intercept takes no indices")
-        elif self.kind in ("main", "square"):
-            if not self.i or self.j is not None:
-                raise DataError(f"{self.kind} term needs exactly one index")
-        elif self.kind == "interaction":
-            if not self.i or not self.j:
-                raise DataError("interaction term needs two indices")
-            if self.i > self.j:
-                raise DataError("interaction indices must satisfy i <= j")
-            if self.i == self.j:
-                raise DataError("use a square term for i == j")
-        else:
-            raise DataError(f"unknown term kind {self.kind!r}")
-
-    def label(self) -> str:
-        if self.kind == "intercept":
-            return "1"
-        if self.kind == "main":
-            return f"x{self.i}"
-        if self.kind == "square":
-            return f"x{self.i}*x{self.i}"
-        return f"x{self.i}*x{self.j}"
-
-    def indices(self) -> tuple:
-        if self.kind == "intercept":
-            return ()
-        if self.kind in ("main", "square"):
-            return (self.i,)
-        return (self.i, self.j)
+def main(i: int) -> tuple:
+    return (i,)
 
 
-def intercept() -> ModelTerm:
-    return ModelTerm("intercept")
+def square(i: int) -> tuple:
+    return (i, i)
 
 
-def main(i: int) -> ModelTerm:
-    return ModelTerm("main", i)
+def interaction(i: int, j: int) -> tuple:
+    return (min(i, j), max(i, j))
 
 
-def square(i: int) -> ModelTerm:
-    return ModelTerm("square", i)
+def label(term: tuple) -> str:
+    return "*".join(f"x{i}" for i in term) or "1"
 
 
-def interaction(i: int, j: int) -> ModelTerm:
-    if i == j:
-        return square(i)
-    return ModelTerm("interaction", min(i, j), max(i, j))
-
-
-_TERM_RE = re.compile(r"^x(\d+)(?:\*x(\d+))?$")
+_TERM_RE = re.compile(r"^(?:1|x(\d+)(?:\*x(\d+))?)$")
 
 
 class ModelSpec:
     """Ordered term list, always beginning with the intercept."""
 
-    def __init__(self, terms: Sequence[ModelTerm]):
-        terms = list(terms)
-        if not terms or terms[0].kind != "intercept":
-            terms = [intercept()] + [t for t in terms if t.kind != "intercept"]
+    def __init__(self, terms: Sequence[tuple]):
+        terms = sorted(terms, key=lambda t: t != ())  # the intercept first, the rest in order
+        if terms[:1] != [()]:
+            terms.insert(0, ())
+        for t in terms:
+            if len(t) > 2 or list(t) != sorted(t) or not all(1 <= i <= N_VARIABLES for i in t):
+                raise DataError(f"model term {label(t)} is not xI or xI*xJ with 1 <= I <= J <= {N_VARIABLES}")
         if len(set(terms)) != len(terms):
             raise DataError("duplicate terms in model spec")
         self.terms = tuple(terms)
@@ -120,20 +85,20 @@ class ModelSpec:
     def __repr__(self):
         return f"ModelSpec({self.to_text()!r})"
 
-    def has(self, term: ModelTerm) -> bool:
+    def has(self, term: tuple) -> bool:
         return term in self.terms
 
-    def with_term(self, term: ModelTerm) -> "ModelSpec":
+    def with_term(self, term: tuple) -> "ModelSpec":
         return ModelSpec(list(self.terms) + [term])
 
     def main_indices(self) -> tuple:
-        return tuple(t.i for t in self.terms if t.kind == "main")
+        return tuple(t[0] for t in self.terms if len(t) == 1)
 
     def term_names(self) -> list:
-        return [t.label() for t in self.terms]
+        return [label(t) for t in self.terms]
 
     def to_text(self) -> str:
-        return " + ".join(t.label() for t in self.terms)
+        return " + ".join(self.term_names())
 
     @staticmethod
     def from_text(text: str) -> "ModelSpec":
@@ -141,31 +106,15 @@ class ModelSpec:
         for token in (t.strip() for t in text.split("+")):
             if not token:
                 continue
-            if token == "1":
-                terms.append(intercept())
-                continue
             m = _TERM_RE.match(token)
             if not m:
                 raise DataError(f"cannot parse model term {token!r}")
-            i = int(m.group(1))
-            if m.group(2) is None:
-                terms.append(main(i))
-            else:
-                terms.append(interaction(i, int(m.group(2))))
+            terms.append(tuple(sorted(int(g) for g in m.groups() if g)))
         return ModelSpec(terms)
 
     def design_matrix(self, group: StudyGroup) -> np.ndarray:
-        cols = []
-        for term in self.terms:
-            if term.kind == "intercept":
-                cols.append(np.ones(group.n))
-            elif term.kind == "main":
-                cols.append(group.col(term.i))
-            elif term.kind == "square":
-                cols.append(group.col(term.i) ** 2)
-            else:
-                cols.append(group.col(term.i) * group.col(term.j))
-        return np.column_stack(cols) if cols else np.empty((group.n, 0))
+        """Each term's column: the product of its variables' columns."""
+        return np.column_stack([reduce(np.multiply, map(group.col, t), np.ones(group.n)) for t in self.terms])
 
 
 # --- fits ---------------------------------------------------------------------
@@ -236,12 +185,8 @@ def _standardize(design: np.ndarray) -> tuple:
 
 
 def _unstandardize(coef_std, cov_std, mu, sigma):
-    p = coef_std.size
-    a = np.zeros((p, p))
-    a[0, 0] = 1.0
-    for j in range(1, p):
-        a[j, j] = 1.0 / sigma[j]
-        a[0, j] = -mu[j] / sigma[j]
+    a = np.diag(1.0 / sigma)  # sigma[0], the intercept's, is 1
+    a[0, 1:] = -mu[1:] / sigma[1:]
     coef = a @ coef_std
     cov = a @ cov_std @ a.T if cov_std is not None else None
     return coef, cov
@@ -354,8 +299,7 @@ def coefficient_p_values(fit) -> list:
 
 def _candidate_order(terms):
     # deterministic: mains by index, then squares, then interactions (i, j)
-    rank = {"main": 0, "square": 1, "interaction": 2}
-    return sorted(terms, key=lambda t: (rank[t.kind],) + t.indices())
+    return sorted(terms, key=lambda t: (len(t), len(set(t)), t))
 
 
 def _expit_inplace(x):
@@ -519,7 +463,7 @@ def _forward_pass(group, y, spec, candidates, p_enter):
     remaining = _candidate_order(candidates)
     terms = list(spec) + remaining
     raw = ModelSpec(terms).design_matrix(group)
-    _check_finite(raw, [t.label() for t in terms])
+    _check_finite(raw, [label(t) for t in terms])
     z, mu, sigma = _standardize(raw)
     del raw
     norms = np.sqrt(y.size) * np.hypot(mu, sigma)  # raw column norms
@@ -530,8 +474,8 @@ def _forward_pass(group, y, spec, candidates, p_enter):
         cols = np.array([column[t] for t in remaining])
         bad = _rank_deficient(z, norms, sigma, p, cols)
         for term in (t for t, b in zip(remaining, bad) if b):
-            log.debug("stepwise: %s makes the design rank deficient; skipped", term.label())
-            deficient.append(term.label())
+            log.debug("stepwise: %s makes the design rank deficient; skipped", label(term))
+            deficient.append(label(term))
         remaining, cols = [t for t, b in zip(remaining, bad) if not b], cols[~bad]
         if not remaining:
             break
@@ -539,8 +483,8 @@ def _forward_pass(group, y, spec, candidates, p_enter):
         fits = [_trial_fits(z, y, p, cols[s : s + CANDIDATE_BLOCK])[1:3] for s in blocks]
         ll, ok = (np.concatenate(part) for part in zip(*fits))
         for term in (t for t, good in zip(remaining, ok) if not good):
-            log.debug("stepwise: fit with %s did not converge; skipped", term.label())
-            skipped[term.label()] = None
+            log.debug("stepwise: fit with %s did not converge; skipped", label(term))
+            skipped[label(term)] = None
         if not ok.any():
             break
         gains = np.where(ok, ll - current_ll, -np.inf)
@@ -578,7 +522,7 @@ def stepwise_select(
     """
     if not candidates:
         raise DataError("stepwise_select needs a non-empty candidate list")
-    spec = ModelSpec([intercept()])
+    spec = ModelSpec([])
     spec = _forward_pass(group, outcome, spec, [main(i) for i in candidates], p_enter)
     survivors = spec.main_indices()
     if survivors:

@@ -368,7 +368,107 @@ def mentions_drug_oracle(text, lexicon):
     return False
 
 
+# --- model terms -------------------------------------------------------------------
+# The term type that variable-index tuples replaced: a kind string, up to
+# two indices, and a per-kind branch for its label, its design column and
+# its place in the candidate order.
+
+
+@dataclass(frozen=True)
+class ModelTermOracle:
+    kind: str  # "intercept" | "main" | "square" | "interaction"
+    i: int | None = None
+    j: int | None = None
+
+    def __post_init__(self):
+        if self.kind == "intercept":
+            if self.i is not None or self.j is not None:
+                raise DataError("intercept takes no indices")
+        elif self.kind in ("main", "square"):
+            if not self.i or self.j is not None:
+                raise DataError(f"{self.kind} term needs exactly one index")
+        elif self.kind == "interaction":
+            if not self.i or not self.j:
+                raise DataError("interaction term needs two indices")
+            if self.i > self.j:
+                raise DataError("interaction indices must satisfy i <= j")
+            if self.i == self.j:
+                raise DataError("use a square term for i == j")
+        else:
+            raise DataError(f"unknown term kind {self.kind!r}")
+
+    def label(self) -> str:
+        if self.kind == "intercept":
+            return "1"
+        if self.kind == "main":
+            return f"x{self.i}"
+        if self.kind == "square":
+            return f"x{self.i}*x{self.i}"
+        return f"x{self.i}*x{self.j}"
+
+    def indices(self) -> tuple:
+        if self.kind == "intercept":
+            return ()
+        if self.kind in ("main", "square"):
+            return (self.i,)
+        return (self.i, self.j)
+
+
+#: the old term constructors, by the form name of each
+TERM_ORACLE = {
+    "intercept": lambda: ModelTermOracle("intercept"),
+    "main": lambda i: ModelTermOracle("main", i),
+    "square": lambda i: ModelTermOracle("square", i),
+    "interaction": lambda i, j: (
+        ModelTermOracle("square", i) if i == j else ModelTermOracle("interaction", min(i, j), max(i, j))
+    ),
+}
+
+
+def term_oracle(term: tuple) -> ModelTermOracle:
+    """The old term of a variable-index tuple."""
+    if not term:
+        return TERM_ORACLE["intercept"]()
+    return TERM_ORACLE["main"](*term) if len(term) == 1 else TERM_ORACLE["interaction"](*term)
+
+
+def design_matrix_oracle(terms, group) -> np.ndarray:
+    """The design columns of old terms, one per-kind branch each."""
+    cols = []
+    for term in terms:
+        if term.kind == "intercept":
+            cols.append(np.ones(group.n))
+        elif term.kind == "main":
+            cols.append(group.col(term.i))
+        elif term.kind == "square":
+            cols.append(group.col(term.i) ** 2)
+        else:
+            cols.append(group.col(term.i) * group.col(term.j))
+    return np.column_stack(cols) if cols else np.empty((group.n, 0))
+
+
+def candidate_order_oracle(terms) -> list:
+    """Variable-index tuples in stepwise order, ranked by their old terms'
+    kinds: mains by index, then squares, then interactions (i, j)."""
+    rank = {"main": 0, "square": 1, "interaction": 2}
+    return sorted(terms, key=lambda t: (rank[term_oracle(t).kind],) + term_oracle(t).indices())
+
+
 # --- logistic fit ---------------------------------------------------------------------
+
+
+def unstandardize_oracle(coef_std, cov_std, mu, sigma):
+    """Coefficients and covariance in original units, the transform
+    matrix built one column at a time."""
+    p = coef_std.size
+    a = np.zeros((p, p))
+    a[0, 0] = 1.0
+    for j in range(1, p):
+        a[j, j] = 1.0 / sigma[j]
+        a[0, j] = -mu[j] / sigma[j]
+    coef = a @ coef_std
+    cov = a @ cov_std @ a.T if cov_std is not None else None
+    return coef, cov
 
 
 def _log_likelihood_oracle(y: np.ndarray, mu: np.ndarray) -> float:
@@ -391,7 +491,7 @@ def fit_logistic_design_oracle(design: np.ndarray, y: np.ndarray, names) -> "Log
     from scipy.special import expit
 
     from icustudy import regress
-    from icustudy.regress import LogitFit, _check_rank, _standardize, _unstandardize
+    from icustudy.regress import LogitFit, _check_rank, _standardize
 
     y = np.asarray(y, dtype=float)
     if design.shape[0] != y.size:
@@ -450,7 +550,7 @@ def fit_logistic_design_oracle(design: np.ndarray, y: np.ndarray, names) -> "Log
         cov_std = np.linalg.inv(h)
     except np.linalg.LinAlgError:
         cov_std = np.linalg.pinv(h)
-    coef, cov = _unstandardize(beta, cov_std, mu_c, sigma_c)
+    coef, cov = unstandardize_oracle(beta, cov_std, mu_c, sigma_c)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return LogitFit(
         coefficients=coef,
@@ -481,10 +581,9 @@ def forward_pass_oracle(group, y, spec, candidates, p_enter):
     def fit(spec):
         return fit_logistic_design_oracle(spec.design_matrix(group), y, spec.term_names())
 
-    rank = {"main": 0, "square": 1, "interaction": 2}
     current = spec
     current_ll = fit(current).log_likelihood
-    remaining = sorted(candidates, key=lambda t: (rank[t.kind],) + t.indices())
+    remaining = candidate_order_oracle(candidates)
     while remaining:
         gains = []
         for term in list(remaining):
@@ -510,9 +609,9 @@ def forward_pass_oracle(group, y, spec, candidates, p_enter):
 
 def stepwise_oracle(group, candidates, y, p_enter=0.05):
     """Two-phase forward selection built on `forward_pass_oracle`."""
-    from icustudy.regress import ModelSpec, intercept, interaction, main, square
+    from icustudy.regress import ModelSpec, interaction, main, square
 
-    spec = forward_pass_oracle(group, y, ModelSpec([intercept()]), [main(i) for i in candidates], p_enter)
+    spec = forward_pass_oracle(group, y, ModelSpec([]), [main(i) for i in candidates], p_enter)
     survivors = spec.main_indices()
     if not survivors:
         return spec
@@ -853,7 +952,7 @@ def read_strata_csv_oracle(path, group):
     ))
     missing = [k for k in group.keys if k not in by_key]
     if missing:
-        raise DataError(f"strata file does not cover patient {'/'.join(map(str, missing[0]))}")
+        raise DataError(f"{path}: does not cover patient {'/'.join(map(str, missing[0]))}")
     scores = np.array([by_key[k][0] for k in group.keys])
     assignment = np.array([by_key[k][1] for k in group.keys], dtype=int)
     used = sorted(set(assignment.tolist()))

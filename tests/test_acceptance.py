@@ -30,7 +30,6 @@ from icustudy.propensity import (
 from icustudy.regress import (
     ModelSpec,
     fit_logistic_design,
-    intercept,
     main,
 )
 from icustudy.stats import chi2_tail, f_tail, t_tail_two_sided, two_way_anova_2xk
@@ -67,7 +66,7 @@ def _criterion(number, description, ok, detail, elapsed, budget):
 
 
 def _driver_scores(group):
-    return fit_and_stratify(group, ModelSpec([intercept(), main(11), main(41), main(46)]))[1].scores
+    return fit_and_stratify(group, ModelSpec([main(11), main(41), main(46)]))[1].scores
 
 
 def test_criterion_1_logistic_mle():
@@ -171,7 +170,7 @@ def test_criterion_4_refinement_ledger():
         n=1522, seed=5, prevalence_target=0.12, treatment_beta={11: 0.18, 41: 0.30, 46: 1.4}
     )
     group = synth_study_group(spec)
-    _, _, log = refine_model(group, ModelSpec([intercept(), main(11), main(41)]))
+    _, _, log = refine_model(group, ModelSpec([main(11), main(41)]))
     x46 = [a for a in log if a.variable == 46]
     planted_ok = bool(x46) and x46[0].accepted and x46[0].f_after < x46[0].f_before
     log_ok = all(a.f_after < a.f_before for a in log if a.accepted)
@@ -183,7 +182,7 @@ def test_criterion_4_refinement_ledger():
     for seed in range(20):
         null_spec = SynthSpec(n=500, seed=1000 + seed, prevalence_target=0.2, treatment_beta={})
         null_group = synth_study_group(null_spec)
-        _, _, null_log = refine_model(null_group, ModelSpec([intercept(), main(11), main(41)]))
+        _, _, null_log = refine_model(null_group, ModelSpec([main(11), main(41)]))
         accepted += len({a.variable for a in null_log if a.accepted})
         excluded += 53
     rate = accepted / excluded

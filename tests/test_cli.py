@@ -414,6 +414,29 @@ def test_relabelled_top_stratum_is_data_error(fixture_dirs, tmp_path, capsys):
     assert not (tmp_path / "stratified_tests.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("1 + x0", "model term x0 is not xI or xI*xJ with 1 <= I <= J <= 58"),
+        ("1 + x99", "model term x99 is not xI or xI*xJ with 1 <= I <= J <= 58"),
+        ("1 + x5 + x3*x59", "model term x3*x59 is not xI or xI*xJ with 1 <= I <= J <= 58"),
+        ("1 + x5 + 1", "duplicate terms in model spec"),
+        ("x5 + 1 + 1", "duplicate terms in model spec"),
+        ("1 + x5 + y2", "cannot parse model term 'y2'"),
+    ],
+    ids=["x0", "x99", "x59 in an interaction", "second intercept", "two intercepts after x5", "unparsable"],
+)
+def test_bad_model_file_is_data_error_naming_it(fixture_dirs, tmp_path, capsys, text, reason):
+    root, config = fixture_dirs
+    model = tmp_path / "bad.txt"
+    model.write_text(text + "\n")
+    group = str(root / "out" / "studygroup.csv")
+    argv = ["propensity", "stratify", "--config", str(config), "--out", str(tmp_path), "--group", group]
+    assert main(argv + ["--model", str(model)]) == 3
+    assert f"error: {model}: {reason}\n" == capsys.readouterr().err
+    assert not (tmp_path / "strata.csv").exists()
+
+
 def test_refinement_from_strata_of_another_count_is_data_error(fixture_dirs, tmp_path, capsys):
     root, config = fixture_dirs
     for name in ("studygroup.csv", "model.txt", "strata.csv"):

@@ -86,6 +86,16 @@ def test_strata_labels_other_than_one_to_k_are_data_error(tmp_path, labels, k, b
     assert assignment.tolist() == [1, 2, 3, 4]
 
 
+def test_strata_file_short_of_the_group_is_data_error_naming_it(tmp_path):
+    group = make_group(np.random.default_rng(1), 5)
+    path = tmp_path / "strata.csv"
+    write_strata_csv(StudyGroup(group.ids[:4], group.x[:4]), np.linspace(0.1, 0.4, 4), np.array([1, 2, 3, 4]), path)
+    for read in (read_strata_csv, oracles.read_strata_csv_oracle):
+        with pytest.raises(DataError) as caught:
+            read(path, group)
+        assert str(caught.value) == f"{path}: does not cover patient 1004/2004/3004"
+
+
 def test_study_group_reads_a_key_list_and_an_id_array_alike():
     group = make_group(np.random.default_rng(2), 4)
     again = StudyGroup(group.keys, group.x)

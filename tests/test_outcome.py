@@ -12,14 +12,14 @@ from icustudy.outcome import (
     stratified_outcome_tests,
 )
 from icustudy.propensity import fit_and_stratify, stratify_quintiles
-from icustudy.regress import ModelSpec, intercept, main
+from icustudy.regress import ModelSpec, main
 from icustudy.synth import LosModel, MortalityModel, SynthSpec, synth_study_group
 
 from helpers import make_group
 
 
 def _scores_for(group):
-    return fit_and_stratify(group, ModelSpec([intercept(), main(11), main(41), main(46)]))[1].scores
+    return fit_and_stratify(group, ModelSpec([main(11), main(41), main(46)]))[1].scores
 
 
 def _synth(seed, **kwargs):

@@ -16,7 +16,7 @@ from icustudy.propensity import (
     strata_outcome_table,
     stratify_quintiles,
 )
-from icustudy.regress import ModelSpec, fit_logistic, intercept, main
+from icustudy.regress import ModelSpec, fit_logistic, main
 from icustudy.synth import SynthSpec, synth_study_group
 
 from helpers import make_group
@@ -31,7 +31,7 @@ def test_intercept_only_scores_equal_prevalence():
     treated = np.array([1.0] * 189 + [-1.0] * 1333)
     rng.shuffle(treated)
     group = make_group(rng, 1522, {1: treated})
-    scores = fit_and_stratify(group, ModelSpec([intercept()]))[1].scores
+    scores = fit_and_stratify(group, ModelSpec([]))[1].scores
     assert scores == pytest.approx(np.full(1522, 189 / 1522), abs=1e-10)
 
 
@@ -40,7 +40,7 @@ def test_scores_monotone_in_linear_predictor():
     x = np.linspace(-3, 3, 200)
     treated = np.where(rng.random(200) < 1 / (1 + np.exp(-x)), 1.0, -1.0)
     group = make_group(rng, 200, {1: treated, 5: x})
-    spec = ModelSpec([intercept(), main(5)])
+    spec = ModelSpec([main(5)])
     fit, strat = fit_and_stratify(group, spec)
     scores = strat.scores
     order = np.argsort(fit.linear_predictor(spec.design_matrix(group)))
@@ -54,7 +54,7 @@ def test_scores_require_convergence():
     x = np.linspace(-3, 3, 20)
     group = make_group(rng, 20, {1: np.sign(x), 5: x})
     with pytest.raises(NotConverged):
-        fit_and_stratify(group, ModelSpec([intercept(), main(5)]))
+        fit_and_stratify(group, ModelSpec([main(5)]))
 
 
 # --- stratification -----------------------------------------------------------
@@ -135,7 +135,7 @@ def _confounded_group(seed, n=1522):
 
 
 def _driver_strat(group):
-    return fit_and_stratify(group, ModelSpec([intercept(), main(11), main(41), main(46)]))[1]
+    return fit_and_stratify(group, ModelSpec([main(11), main(41), main(46)]))[1]
 
 
 def test_balance_covers_55_covariates():
@@ -224,7 +224,7 @@ def test_refinement_accepts_planted_driver():
         n=1522, seed=5, prevalence_target=0.12, treatment_beta={11: 0.18, 41: 0.30, 46: 1.4}
     )
     group = synth_study_group(spec)
-    refined, strat, log = refine_model(group, ModelSpec([intercept(), main(11), main(41)]))
+    refined, strat, log = refine_model(group, ModelSpec([main(11), main(41)]))
     x46 = [a for a in log if a.variable == 46]
     assert x46 and x46[0].accepted
     assert x46[0].f_after < x46[0].f_before
@@ -235,7 +235,7 @@ def test_refinement_from_strata_of_another_count_is_data_error():
     """f_before on five strata against every f_after on four would
     compare F ratios of different designs."""
     group = _confounded_group(12, n=300)
-    spec = ModelSpec([intercept(), main(11), main(41)])
+    spec = ModelSpec([main(11), main(41)])
     _, five = fit_and_stratify(group, spec, 5)
     message = "the starting stratification holds 5 strata, but n_strata is 4"
     with pytest.raises(DataError, match=message):
@@ -246,7 +246,7 @@ def test_refinement_from_strata_of_another_count_is_data_error():
 
 def test_refinement_accepted_attempts_strictly_reduce_f():
     group = _confounded_group(12, n=600)
-    _, _, log = refine_model(group, ModelSpec([intercept(), main(11), main(41)]))
+    _, _, log = refine_model(group, ModelSpec([main(11), main(41)]))
     accepted = [a for a in log if a.accepted]
     assert accepted
     for a in accepted:
@@ -255,7 +255,7 @@ def test_refinement_accepted_attempts_strictly_reduce_f():
 
 def test_refinement_form_order_main_square_interaction():
     group = _confounded_group(13, n=500)
-    _, _, log = refine_model(group, ModelSpec([intercept(), main(11), main(41)]))
+    _, _, log = refine_model(group, ModelSpec([main(11), main(41)]))
     by_var = {}
     for a in log:
         by_var.setdefault(a.variable, []).append(a.form)
@@ -279,7 +279,7 @@ def test_refinement_all_constant_candidates_rejected(caplog):
         else:
             overrides[i] = np.full(n, 2.5)
     group = make_group(rng, n, overrides)
-    initial = ModelSpec([intercept(), main(11), main(41)])
+    initial = ModelSpec([main(11), main(41)])
     with caplog.at_level(logging.WARNING):
         refined, _, log = refine_model(group, initial)
     assert refined == initial
@@ -297,7 +297,7 @@ def test_refinement_candidate_budget_is_quarter_of_excluded():
     # exactly a quarter (11) are offered to the refinement pass
     group = _confounded_group(19, n=400)
     in_model = [5, 6, 7, 8, 9, 11, 25, 26, 27, 41, 47]
-    spec = ModelSpec([intercept()] + [main(i) for i in in_model])
+    spec = ModelSpec([main(i) for i in in_model])
     _, _, log = refine_model(group, spec)
     tried = {a.variable for a in log}
     assert len(tried) == 11
@@ -306,7 +306,7 @@ def test_refinement_candidate_budget_is_quarter_of_excluded():
 
 def test_refinement_final_spec_refits_and_converges():
     group = _confounded_group(15, n=600)
-    refined, strat, _ = refine_model(group, ModelSpec([intercept(), main(11), main(41)]))
+    refined, strat, _ = refine_model(group, ModelSpec([main(11), main(41)]))
     fit = fit_logistic(group, refined, (group.col(1) > 0).astype(float))
     assert fit.converged
     assert len(strat.scores) == group.n

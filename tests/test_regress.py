@@ -3,28 +3,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icustudy.errors import DataError, NotConverged, RankDeficient
-from icustudy.group import COVARIATE_INDICES, StudyGroup
+from icustudy.group import COVARIATE_INDICES, N_VARIABLES, StudyGroup
 from icustudy.regress import (
     ModelSpec,
+    _candidate_order,
     _check_rank,
     _rank_deficient,
     _standardize,
     _trial_fits,
+    _unstandardize,
     coefficient_p_values,
     fit_linear_design,
     fit_logistic,
     fit_logistic_design,
     interaction,
-    intercept,
     main,
     square,
     stepwise_select,
 )
 
 from helpers import make_group
-from oracles import fit_logistic_design_oracle, stepwise_oracle
+from oracles import (
+    TERM_ORACLE,
+    candidate_order_oracle,
+    design_matrix_oracle,
+    fit_logistic_design_oracle,
+    stepwise_oracle,
+    unstandardize_oracle,
+)
 
 
 def _sigmoid(v):
@@ -35,7 +45,7 @@ def _sigmoid(v):
 
 
 def test_spec_round_trips_text_form():
-    spec = ModelSpec([intercept(), main(11), main(12), interaction(40, 43), square(43)])
+    spec = ModelSpec([main(11), main(12), interaction(40, 43), square(43)])
     text = spec.to_text()
     assert text == "1 + x11 + x12 + x40*x43 + x43*x43"
     assert ModelSpec.from_text(text) == spec
@@ -48,7 +58,36 @@ def test_interaction_indices_normalized():
 
 def test_duplicate_terms_rejected():
     with pytest.raises(DataError):
-        ModelSpec([intercept(), main(3), main(3)])
+        ModelSpec([main(3), main(3)])
+
+
+_FORMS = st.one_of(
+    st.tuples(st.sampled_from(["main", "square"]), st.integers(1, N_VARIABLES)),
+    st.tuples(st.just("interaction"), st.integers(1, N_VARIABLES), st.integers(1, N_VARIABLES)),
+)
+_TERM_GROUP = make_group(np.random.default_rng(19), 40)
+
+
+@given(st.lists(_FORMS, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_terms_match_model_term_oracle(forms):
+    build = {"main": main, "square": square, "interaction": interaction}
+    terms = list(dict.fromkeys(build[form](*args) for form, *args in forms))
+    old = [TERM_ORACLE["intercept"](), *dict.fromkeys(TERM_ORACLE[form](*args) for form, *args in forms)]
+    spec = ModelSpec(terms)
+    assert ModelSpec.from_text(spec.to_text()) == spec
+    assert spec.term_names() == [t.label() for t in old]
+    assert spec.design_matrix(_TERM_GROUP).tobytes() == design_matrix_oracle(old, _TERM_GROUP).tobytes()
+    assert _candidate_order(terms) == candidate_order_oracle(terms)
+
+
+def test_unstandardize_matches_per_column_oracle():
+    rng = np.random.default_rng(20)
+    mu, sigma = rng.normal(size=6), rng.uniform(0.5, 3.0, size=6)
+    mu[0], sigma[0] = 0.0, 1.0
+    coef, cov = rng.normal(size=6), rng.normal(size=(6, 6))
+    got, expected = _unstandardize(coef, cov, mu, sigma), unstandardize_oracle(coef, cov, mu, sigma)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
 
 
 # --- logistic fitting ------------------------------------------------------------
@@ -139,7 +178,7 @@ def test_separation_flagged_not_raised():
 def test_fit_invariant_to_row_permutation():
     rng = np.random.default_rng(3)
     group = make_group(rng, 300)
-    spec = ModelSpec([intercept(), main(5), main(11)])
+    spec = ModelSpec([main(5), main(11)])
     y = (rng.random(300) < 0.4).astype(float)
     fit1 = fit_logistic(group, spec, y)
     perm = rng.permutation(300)
@@ -411,8 +450,8 @@ def test_stepwise_phase_two_restricted_to_survivors():
     spec = stepwise_select(group, [5, 6, 7], y)
     assert {5, 6} <= set(spec.main_indices())
     for term in spec:
-        if term.kind == "interaction":
-            assert {term.i, term.j} <= set(spec.main_indices())
+        if len(set(term)) == 2:  # an interaction
+            assert set(term) <= set(spec.main_indices())
 
 
 def test_stepwise_skips_rank_deficient_square():
@@ -424,7 +463,7 @@ def test_stepwise_skips_rank_deficient_square():
     group = make_group(rng, n, {16: binary})
     spec = stepwise_select(group, [16], y)
     assert 16 in spec.main_indices()
-    assert not any(t.kind == "square" for t in spec)
+    assert not any(len(t) == 2 and t[0] == t[1] for t in spec)  # no square
 
 
 def test_stepwise_accepted_entries_increase_likelihood():
@@ -436,7 +475,7 @@ def test_stepwise_accepted_entries_increase_likelihood():
     group = make_group(rng, n, {5: a, 6: b})
     spec = stepwise_select(group, [5, 6], y)
     lls = []
-    partial = ModelSpec([intercept()])
+    partial = ModelSpec([])
     lls.append(fit_logistic(group, partial, y).log_likelihood)
     for term in list(spec)[1:]:
         partial = partial.with_term(term)
@@ -452,7 +491,7 @@ def test_standardized_columns_independent_of_design_width():
     # on that column alone, bit for bit
     rng = np.random.default_rng(17)
     group = make_group(rng, 500)
-    terms = [intercept(), main(30), main(35), main(40), square(58), interaction(2, 58), main(16)]
+    terms = [(), main(30), main(35), main(40), square(58), interaction(2, 58), main(16)]
     z_all = _standardize(ModelSpec(terms).design_matrix(group))[0]
     for keep in ([0, 3], [0, 1, 4], [0, 6, 5, 2]):
         z = _standardize(ModelSpec([terms[k] for k in keep]).design_matrix(group))[0]
@@ -465,7 +504,7 @@ def test_rank_screen_agrees_with_pivoted_qr():
     a, b = rng.normal(2.0, 1.0, n), rng.normal(1.0, 2.0, n)
     binary = rng.choice([-1.0, 1.0], size=n)
     group = make_group(rng, n, {30: a, 35: b, 40: a - b, 16: binary})
-    base = [intercept(), main(30), main(35), main(16)]
+    base = [(), main(30), main(35), main(16)]
     candidates = [main(40), main(5), square(16), square(30), interaction(30, 35), interaction(16, 30)]
     z, mu, sigma = _standardize(ModelSpec(base + candidates).design_matrix(group))
     norms = np.sqrt(n) * np.hypot(mu, sigma)
