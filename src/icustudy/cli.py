@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -285,22 +285,15 @@ def stage_outcome(run: Run) -> None:
     )
 
 
-GP_FEATURE_INDICES = (1, 2, 3, 5, 10, 15)  # plus propensity score and x1*x5
-CLASS_METRICS = ("success_rate", "tp", "tn", "fp", "fn", "sensitivity_paper",
-                 "specificity_paper", "sensitivity_std", "specificity_std")
-
-
 def stage_ml(run: Run) -> None:
     """The parts the ml subcommand names; all of them under run-all."""
     config = run.config
     parts = ML_SUBCOMMANDS[run.flags.get("subcommand", "run")]
     group = _input(run, "group")
+    adjusters = [group.col(i) for i in outcome_mod.HEALTH_CONDITION_INDICES]
 
     if "kmeans" in parts:
-        cluster_features = evoml.standardize_columns(
-            np.column_stack([group.col(i) for i in (2, 3, 5, 10, 15)])
-        )
-        km = evoml.kmeans_cluster(cluster_features, config.kmeans_k, seed=config.seed)
+        km = evoml.kmeans_cluster(evoml.standardize_columns(np.column_stack(adjusters)), config.kmeans_k, config.seed)
         write_table(
             run.out / "clusters.csv",
             [*KEY_COLUMNS, "cluster"],
@@ -310,28 +303,34 @@ def stage_ml(run: Run) -> None:
     tasks = [t for t in ("classify", "regress") if t in parts or "simulate" in parts]
     if not tasks:
         return
-    strat = _input(run, "strata")
-    features = np.column_stack(
-        [group.col(i) for i in GP_FEATURE_INDICES] + [strat.scores, group.col(1) * group.col(5)]
-    )
+    scores = _input(run, "strata").scores
+
+    def features(x1) -> np.ndarray:
+        """The GP's columns for treatment x1: x1, the health-condition
+        adjusters, the propensity score and x1 * SAPS."""
+        x1 = np.broadcast_to(x1, (group.n,))
+        return np.column_stack([x1, *adjusters, scores, x1 * group.col(outcome_mod.SAPS_INDEX)])
+
+    observed = features(group.col(1))
+    x_treated, x_untreated = observed.copy(), observed.copy()
+    x_treated[:, 0], x_untreated[:, 0] = 1.0, -1.0
     gp_config = config.gp_config()
     train_idx, test_idx = evoml.split_train_test(group.n, config.seed)
 
     run_rows, metric_rows, cf_rows = [], [], []
     for task in tasks:
         target = group.col(MORTALITY_INDEX) if task == "classify" else group.col(LOS_INDEX)
-        gp_run = evoml.gp_evolve(gp_config, features[train_idx], target[train_idx], task)
+        gp_run = evoml.gp_evolve(gp_config, observed[train_idx], target[train_idx], task)
         run_rows += [[task, gen, fitness] for gen, fitness in enumerate(gp_run.trace)]
         for split_name, idx in (("train", train_idx), ("test", test_idx), ("full", slice(None))):
-            rows_x, labels = features[idx], target[idx]
+            rows_x, labels = observed[idx], target[idx]
             if task == "classify":
                 m = evoml.classification_metrics(gp_run.best, rows_x, labels)
-                metric_rows += [[task, split_name, k, getattr(m, k)] for k in CLASS_METRICS]
+                metric_rows += [[task, split_name, name, value] for name, value in asdict(m).items()]
             else:
-                out = evoml.eval_tree_batch(gp_run.best, rows_x)
-                metric_rows.append([task, split_name, "mae", float(np.mean(np.abs(out - labels)))])
+                metric_rows.append([task, split_name, "mae", evoml.fitness(gp_run.best, rows_x, labels, task)])
         if "simulate" in parts:
-            cf = evoml.simulate_counterfactual(gp_run.best, features, 0, task)
+            cf = evoml.simulate_counterfactual(gp_run.best, x_treated, x_untreated, task)
             metric_rows.append([task, "full", "counterfactual_rate_treated", cf.rate_treated])
             metric_rows.append([task, "full", "counterfactual_rate_untreated", cf.rate_untreated])
             cf_rows += [

@@ -184,23 +184,17 @@ def _random_terminal(n_features: int, config: GpConfig, rng: random.Random) -> t
     return ((None, None, rng.uniform(*config.const_range)),)
 
 
-def _grow(depth_budget: int, n_features: int, config: GpConfig, rng: random.Random) -> tuple:
+def _grow(depth_budget: int, n_features: int, config: GpConfig, rng: random.Random, full: bool = False) -> tuple:
+    """A random program at most `depth_budget` deep.  A grown node above the
+    last level draws from functions and terminals alike; a `full` one draws
+    a function, so every branch reaches the budget."""
     if depth_budget <= 1:
         return _random_terminal(n_features, config, rng)
-    n_terminals = n_features + 1
-    pick = rng.randrange(len(FUNCTIONS) + n_terminals)
+    pick = rng.randrange(len(FUNCTIONS) + (0 if full else n_features + 1))
     if pick >= len(FUNCTIONS):
         return _random_terminal(n_features, config, rng)
     op = FUNCTIONS[pick]
-    kids = (_grow(depth_budget - 1, n_features, config, rng) for _ in range(ARITY[op]))
-    return sum(kids, ((op, None, None),))
-
-
-def _full(depth_budget: int, n_features: int, config: GpConfig, rng: random.Random) -> tuple:
-    if depth_budget <= 1:
-        return _random_terminal(n_features, config, rng)
-    op = FUNCTIONS[rng.randrange(len(FUNCTIONS))]
-    kids = (_full(depth_budget - 1, n_features, config, rng) for _ in range(ARITY[op]))
+    kids = (_grow(depth_budget - 1, n_features, config, rng, full) for _ in range(ARITY[op]))
     return sum(kids, ((op, None, None),))
 
 
@@ -211,8 +205,8 @@ def gp_init_population(config: GpConfig, n_features: int, rng: random.Random) ->
     depths = list(range(1, config.init_depth + 1))
     for i in range(config.population_size):
         depth = depths[i % len(depths)]
-        builder = _grow if (i // len(depths)) % 2 == 0 else _full
-        population.append(builder(depth, n_features, config, rng))
+        full = (i // len(depths)) % 2 == 1
+        population.append(_grow(depth, n_features, config, rng, full))
     return population
 
 
@@ -247,12 +241,23 @@ class GpRun:
     task: str
 
 
-def _fitness(prog: tuple, x: np.ndarray, y: np.ndarray, task: str) -> float:
+def predict(prog: tuple, x: np.ndarray, task: str) -> np.ndarray:
+    """The program's prediction for each row: for "classify" the sign of
+    its output as +-1 (threshold 0 counts as +1), for "regress" the output."""
     out = eval_tree_batch(prog, x)
     if task == "classify":
-        predicted = np.where(out >= 0.0, 1.0, -1.0)
+        return np.where(out >= 0.0, 1.0, -1.0)
+    if task == "regress":
+        return out
+    raise DataError(f"unknown GP task {task!r}")
+
+
+def fitness(prog: tuple, x: np.ndarray, y: np.ndarray, task: str) -> float:
+    """Misclassified rows for "classify", mean absolute error for "regress"."""
+    predicted = predict(prog, x, task)
+    if task == "classify":
         return float((predicted != y).sum())
-    return float(np.mean(np.abs(out - y)))
+    return float(np.mean(np.abs(predicted - y)))
 
 
 def _tournament(fitnesses: list, config: GpConfig, rng: random.Random) -> int:
@@ -278,8 +283,6 @@ def gp_evolve(config: GpConfig, x: np.ndarray, y: np.ndarray, task: str) -> GpRu
     unchanged (elitism of 1), so the best-so-far trace never increases.
     Each distinct program is scored once per call.
     """
-    if task not in ("classify", "regress"):
-        raise DataError(f"unknown GP task {task!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[0] == 0:
@@ -291,7 +294,7 @@ def gp_evolve(config: GpConfig, x: np.ndarray, y: np.ndarray, task: str) -> GpRu
     def score(population: list) -> list:
         for prog in population:
             if prog not in scores:
-                scores[prog] = _fitness(prog, x, y, task)
+                scores[prog] = fitness(prog, x, y, task)
         return [scores[prog] for prog in population]
 
     def fits(prog: tuple) -> bool:
@@ -345,11 +348,13 @@ def split_train_test(n: int, seed: int) -> tuple:
 
 @dataclass
 class ClassMetrics:
+    """Fields in the order of their gp_metrics.csv rows."""
+
+    success_rate: float
     tp: int
     tn: int
     fp: int
     fn: int
-    success_rate: float
     sensitivity_paper: float | None  # TP / (TP + FP)
     specificity_paper: float | None  # TN / (TN + FN)
     sensitivity_std: float | None  # TP / (TP + FN)
@@ -372,8 +377,7 @@ def classification_metrics(tree: tuple, x: np.ndarray, labels: np.ndarray) -> Cl
     forms.  Ratios with a zero denominator are absent (None).
     """
     labels = np.asarray(labels, dtype=float)
-    out = eval_tree_batch(tree, np.asarray(x, dtype=float))
-    predicted = np.where(out >= 0.0, 1.0, -1.0)
+    predicted = predict(tree, np.asarray(x, dtype=float), "classify")
     tp = int(((predicted == 1) & (labels == 1)).sum())
     tn = int(((predicted == -1) & (labels == -1)).sum())
     fp = int(((predicted == 1) & (labels == -1)).sum())
@@ -401,29 +405,15 @@ class CounterfactualResult:
 
 
 def simulate_counterfactual(
-    tree: tuple, x: np.ndarray, treatment_column: int, task: str
+    tree: tuple, x_treated: np.ndarray, x_untreated: np.ndarray, task: str
 ) -> CounterfactualResult:
-    """Evaluate every patient twice, flipping only the treatment feature.
-
-    Creates perfectly paired pseudo-patients: identical covariates with the
-    treatment set to +1 and to -1.  For classification the aggregate per
+    """Predict every patient in both arms: row i of `x_treated` and of
+    `x_untreated` is patient i with the treatment, and every feature derived
+    from it, set to +1 and to -1.  For classification the aggregate per
     arm is the predicted-positive rate; for regression the mean prediction.
     """
-    x = np.asarray(x, dtype=float)
-    x_plus = x.copy()
-    x_plus[:, treatment_column] = 1.0
-    x_minus = x.copy()
-    x_minus[:, treatment_column] = -1.0
-    out_plus = eval_tree_batch(tree, x_plus)
-    out_minus = eval_tree_batch(tree, x_minus)
+    out_plus = predict(tree, np.asarray(x_treated, dtype=float), task)
+    out_minus = predict(tree, np.asarray(x_untreated, dtype=float), task)
     if task == "classify":
-        out_plus = np.where(out_plus >= 0.0, 1.0, -1.0)
-        out_minus = np.where(out_minus >= 0.0, 1.0, -1.0)
-        rate_plus = float((out_plus == 1).mean())
-        rate_minus = float((out_minus == 1).mean())
-    elif task == "regress":
-        rate_plus = float(out_plus.mean())
-        rate_minus = float(out_minus.mean())
-    else:
-        raise DataError(f"unknown GP task {task!r}")
-    return CounterfactualResult(out_plus, out_minus, rate_plus, rate_minus)
+        return CounterfactualResult(out_plus, out_minus, float((out_plus == 1).mean()), float((out_minus == 1).mean()))
+    return CounterfactualResult(out_plus, out_minus, float(out_plus.mean()), float(out_minus.mean()))

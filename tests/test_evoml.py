@@ -334,8 +334,8 @@ def test_evolve_matches_node_engine(options):
 
 def test_evolve_scores_each_program_once(monkeypatch):
     scored = []
-    fitness = evoml._fitness
-    monkeypatch.setattr(evoml, "_fitness", lambda prog, *args: scored.append(prog) or fitness(prog, *args))
+    fitness = evoml.fitness
+    monkeypatch.setattr(evoml, "fitness", lambda prog, *args: scored.append(prog) or fitness(prog, *args))
     x, y = _evolve_data("regress", 3)
     run = gp_evolve(GpConfig(seed=3), x, y, "regress")
     assert len(scored) == len(set(scored))
@@ -430,18 +430,25 @@ def test_metrics_match_confusion_oracle():
 # --- counterfactual simulation -----------------------------------------------------
 
 
+def _arms(x: np.ndarray) -> tuple:
+    """Copies of x with column 0, the treatment, set to +1 and to -1."""
+    x_plus, x_minus = x.copy(), x.copy()
+    x_plus[:, 0], x_minus[:, 0] = 1.0, -1.0
+    return x_plus, x_minus
+
+
 def test_counterfactual_treatment_blind_tree():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(50, 3))
     prog = _apply("*", _var(1), _var(2))  # ignores column 0
-    result = simulate_counterfactual(prog, x, 0, "regress")
+    result = simulate_counterfactual(prog, *_arms(x), "regress")
     assert result.outcome_treated == pytest.approx(result.outcome_untreated)
 
 
 def test_counterfactual_pure_treatment_tree():
     rng = np.random.default_rng(22)
     x = rng.normal(size=(30, 2))
-    result = simulate_counterfactual(_var(0), x, 0, "classify")
+    result = simulate_counterfactual(_var(0), *_arms(x), "classify")
     assert (result.outcome_treated == 1.0).all()
     assert (result.outcome_untreated == -1.0).all()
     assert result.rate_treated == 1.0
@@ -454,13 +461,10 @@ def test_counterfactual_matches_double_evaluation():
     population = gp_init_population(config, 4, rng)
     data_rng = np.random.default_rng(23)
     x = data_rng.normal(size=(40, 4))
+    x_plus, x_minus = _arms(x)
     for prog in population[:10]:
-        result = simulate_counterfactual(prog, x, 0, "regress")
-        x_plus = x.copy()
-        x_plus[:, 0] = 1.0
-        x_minus = x.copy()
-        x_minus[:, 0] = -1.0
+        result = simulate_counterfactual(prog, x_plus, x_minus, "regress")
         assert result.outcome_treated == pytest.approx(eval_tree_batch(prog, x_plus))
         assert result.outcome_untreated == pytest.approx(eval_tree_batch(prog, x_minus))
-        # original matrix untouched
-        assert (x == np.asarray(x)).all()
+        # arm matrices untouched
+        assert (x_plus[:, 0] == 1.0).all() and (x_minus[:, 0] == -1.0).all()
