@@ -312,8 +312,6 @@ def stage_ml(run: Run) -> None:
         return np.column_stack([x1, *adjusters, scores, x1 * group.col(outcome_mod.SAPS_INDEX)])
 
     observed = features(group.col(1))
-    x_treated, x_untreated = observed.copy(), observed.copy()
-    x_treated[:, 0], x_untreated[:, 0] = 1.0, -1.0
     gp_config = config.gp_config()
     train_idx, test_idx = evoml.split_train_test(group.n, config.seed)
 
@@ -330,7 +328,7 @@ def stage_ml(run: Run) -> None:
             else:
                 metric_rows.append([task, split_name, "mae", evoml.fitness(gp_run.best, rows_x, labels, task)])
         if "simulate" in parts:
-            cf = evoml.simulate_counterfactual(gp_run.best, x_treated, x_untreated, task)
+            cf = evoml.simulate_counterfactual(gp_run.best, features(1.0), features(-1.0), task)
             metric_rows.append([task, "full", "counterfactual_rate_treated", cf.rate_treated])
             metric_rows.append([task, "full", "counterfactual_rate_untreated", cf.rate_untreated])
             cf_rows += [

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import icustudy
@@ -12,6 +13,7 @@ from icustudy.cli import ALL_STAGES, Run, main, run_all
 from icustudy.cohort import Cohort
 from icustudy.config import RunConfig
 from icustudy.errors import ConfigError, DataError
+from icustudy.evoml import GpRun
 
 
 # --- configuration -------------------------------------------------------------
@@ -283,6 +285,26 @@ def test_ml_subcommands_write_their_files(fixture_dirs, tmp_path):
     with open(out / "counterfactual.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {row["task"] for row in rows} == {"classify", "regress"}
+
+
+def test_counterfactual_arms_set_every_treatment_feature(fixture_dirs, tmp_path, monkeypatch):
+    """A tree reading only the x1*x5 column (7) must see +x5 in the treated
+    arm and -x5 in the untreated one, not the observed x1*x5 in both."""
+    root, config = fixture_dirs
+    for name in ("studygroup.csv", "strata.csv"):
+        (tmp_path / name).write_bytes((root / "out" / name).read_bytes())
+    monkeypatch.setattr(cli.evoml, "gp_evolve", lambda config, x, y, task: GpRun(((None, 7, None),), 0.0, [0.0], task))
+    assert main(["ml", "simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    key = ("subject_id", "hadm_id", "icustay_id")
+    with open(tmp_path / "studygroup.csv", newline="") as fh:
+        x5 = {tuple(row[k] for k in key): float(row["x5"]) for row in csv.DictReader(fh)}
+    with open(tmp_path / "counterfactual.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["task"] == "regress"]
+    want = np.array([x5[tuple(row[k] for k in key)] for row in rows])
+    assert len(rows) == len(x5) and (want != 0).any()
+    # the file rounds to 12 significant digits
+    np.testing.assert_allclose([float(row["outcome_treated"]) for row in rows], want, rtol=1e-11)
+    np.testing.assert_allclose([float(row["outcome_untreated"]) for row in rows], -want, rtol=1e-11)
 
 
 @pytest.mark.parametrize(
