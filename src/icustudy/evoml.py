@@ -360,10 +360,6 @@ class ClassMetrics:
     sensitivity_std: float | None  # TP / (TP + FN)
     specificity_std: float | None  # TN / (TN + FP)
 
-    @property
-    def n(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
 
 def _ratio(num: int, den: int) -> float | None:
     return num / den if den else None
@@ -412,8 +408,6 @@ def simulate_counterfactual(
     from it, set to +1 and to -1.  For classification the aggregate per
     arm is the predicted-positive rate; for regression the mean prediction.
     """
-    out_plus = predict(tree, np.asarray(x_treated, dtype=float), task)
-    out_minus = predict(tree, np.asarray(x_untreated, dtype=float), task)
-    if task == "classify":
-        return CounterfactualResult(out_plus, out_minus, float((out_plus == 1).mean()), float((out_minus == 1).mean()))
-    return CounterfactualResult(out_plus, out_minus, float(out_plus.mean()), float(out_minus.mean()))
+    outs = [predict(tree, np.asarray(x, dtype=float), task) for x in (x_treated, x_untreated)]
+    rates = [float((out == 1).mean() if task == "classify" else out.mean()) for out in outs]
+    return CounterfactualResult(*outs, *rates)
