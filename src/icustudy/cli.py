@@ -431,7 +431,10 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         run = Run(config, Path(config.out_dir), vars(args))
-        run.out.mkdir(parents=True, exist_ok=True)
+        try:
+            run.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {run.out}: {exc.strerror}") from None
         globals()[COMMANDS[args.command][2][getattr(args, "subcommand", None)]](run)
     except IcuStudyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from .stats import T_TEST_VARIANTS
 GP_OPTIONS = ("population_size", "generations", "max_depth", "init_depth",
               "tournament_size", "p_reproduction", "p_crossover", "p_mutation")
 #: the least value of each bounded integer option
-MINIMUMS = {"t1_default": 1, "t2_day": 1, "t3_day": 1, "n_strata": 2, "kmeans_k": 1}
+MINIMUMS = {"seed": 0, "t1_default": 1, "t2_day": 1, "t3_day": 1, "n_strata": 2, "kmeans_k": 1}
 
 
 @dataclass
@@ -73,7 +73,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         return cls.from_text(path.read_text())
 

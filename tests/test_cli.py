@@ -363,6 +363,7 @@ def test_refinement_keeps_configured_strata_count(tmp_path):
 @pytest.mark.parametrize(
     "line, message",
     [
+        ("seed = -1", "seed must be at least 0, got -1"),
         ("n_strata = 0", "n_strata must be at least 2, got 0"),
         ("n_strata = 1", "n_strata must be at least 2, got 1"),
         ("t_test_variant = welsh", "t_test_variant must be one of ('welch', 'student'), got 'welsh'"),
@@ -387,6 +388,19 @@ def test_bad_config_value_is_config_error(fixture_dirs, tmp_path, capsys, line, 
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "trace.csv").exists()
     assert not (tmp_path / "out" / "stratified_tests.csv").exists()
+
+
+def test_config_path_naming_a_directory_is_config_error(tmp_path, capsys):
+    assert main(["run-all", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config file not found: {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["file", "under-a-file"])
+def test_output_path_naming_a_file_is_config_error(fixture_dirs, tmp_path, capsys, out):
+    _, config = fixture_dirs
+    (tmp_path / "file").write_text("")
+    assert main(["run-all", "--config", str(config), "--out", str(tmp_path / out)]) == 2
+    assert f"cannot create output directory {tmp_path / out}: " in capsys.readouterr().err
 
 
 def _corrupt_cell(cells):
