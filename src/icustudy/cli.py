@@ -293,7 +293,8 @@ def stage_ml(run: Run) -> None:
     adjusters = [group.col(i) for i in outcome_mod.HEALTH_CONDITION_INDICES]
 
     if "kmeans" in parts:
-        km = evoml.kmeans_cluster(evoml.standardize_columns(np.column_stack(adjusters)), config.kmeans_k, config.seed)
+        points = evoml.standardize_columns(np.column_stack(adjusters))
+        km = evoml.kmeans_cluster(points, config.kmeans_k, seed=config.seed)
         write_table(
             run.out / "clusters.csv",
             [*KEY_COLUMNS, "cluster"],
