@@ -138,12 +138,15 @@ def stage_synth(run: Run) -> None:
 
 def stage_cohort(run: Run) -> None:
     extracts = _require_dir(run.config.extracts_dir)
+    trace_out = run.flags.get("trace_out")
+    if trace_out and not Path(trace_out).parent.is_dir():
+        raise ConfigError(f"--trace-out directory not found: {Path(trace_out).parent}")
     pipeline = run.flags.get("pipeline")
     if pipeline and not Path(pipeline).is_file():
         raise DataError(f"pipeline file not found: {pipeline}")
     steps = cohort_mod.parse_pipeline(Path(pipeline).read_text() if pipeline else cohort_mod.DEFAULT_PIPELINE)
     survivors, trace = cohort_mod.run_filter_pipeline(cohort_mod.load_extracts(extracts), steps)
-    for path in (run.out / "trace.csv", run.flags.get("trace_out")):
+    for path in (run.out / "trace.csv", trace_out):
         if path:
             cohort_mod.write_trace_csv(trace, path)
     write_table(run.out / "survivors.csv", KEY_COLUMNS, zip(*survivors.idents()))

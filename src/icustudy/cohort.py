@@ -12,11 +12,11 @@ percentages of the original set and of the previous step.
 from __future__ import annotations
 
 import csv
+import functools
 import inspect
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -90,6 +90,11 @@ def _mentions_drug(text: str, lexicon: DrugLexicon) -> bool:
     return lexicon.pattern.search(text.lower()) is not None
 
 
+@functools.lru_cache(maxsize=None)
+def _heading_pattern(heading: str) -> re.Pattern:
+    return re.compile(re.escape(heading), re.IGNORECASE)
+
+
 def detect_naive(
     summary: str,
     lexicon: DrugLexicon | None = None,
@@ -108,19 +113,13 @@ def detect_naive(
     lexicon = lexicon or DEFAULT_LEXICON
     headings = tuple(headings) if headings is not None else DEFAULT_PREADMISSION_HEADINGS
 
-    upper = summary.upper()
+    # headings are found on the summary itself: str.upper() can lengthen
+    # the text ("ß" -> "SS"), so positions in it need not be positions here
     sections = []
     for heading in headings:
-        start = 0
-        while True:
-            pos = upper.find(heading.upper(), start)
-            if pos < 0:
-                break
-            body_start = pos + len(heading)
-            nxt = _HEADING_RE.search(summary, body_start)
-            body_end = nxt.start() if nxt else len(summary)
-            sections.append(summary[body_start:body_end])
-            start = body_start
+        for found in _heading_pattern(heading).finditer(summary):
+            nxt = _HEADING_RE.search(summary, found.end())
+            sections.append(summary[found.end() : nxt.start() if nxt else len(summary)])
     if not sections:
         return not _mentions_drug(summary, lexicon)
     return not any(_mentions_drug(section, lexicon) for section in sections)
@@ -313,7 +312,7 @@ def _p_naive(c: Cohort) -> np.ndarray:
 
 
 def _p_has_mandatory(c: Cohort) -> np.ndarray:
-    return np.logical_and.reduce([c.extracts[n].hit for n, s in EXTRACT_SCHEMAS.items() if s.mandatory])
+    return np.logical_and.reduce([c.extracts[n].hit for n, s in EXTRACT_SCHEMAS.items() if s.study_column])
 
 
 def _p_always_true(c: Cohort) -> np.ndarray:
@@ -454,25 +453,31 @@ ELIX_BINARY_FIELDS = (
 class ExtractSchema(NamedTuple):
     key: str  # the id component the file is keyed and sorted by
     columns: tuple  # payload columns
-    mandatory: bool = False  # joining no row fails the has_mandatory step
+    #: the x index its first payload column fills (a timeline: its block's
+    #: first); joining no row of such an extract fails has_mandatory
+    study_column: int | None = None
     study: bool = True  # the study row uses it, so `varprep run` reads it
     text: bool = False  # the payload is kept as text, not read as floats
 
 
 #: every extract joined onto the id triples of ids.csv, in join order
 EXTRACT_SCHEMAS = {
-    "demographics": ExtractSchema("icustay_id", ("age", "gender"), True),
-    **{name: ExtractSchema("hadm_id", ("value",), True) for name in ("race", "elixhauser")},
-    "elixhauser_binary": ExtractSchema("hadm_id", ELIX_BINARY_FIELDS, True),
-    **{
-        name: ExtractSchema("icustay_id", ("value",), True)
-        for name in ("vasopressors", "ventilation", "mortality", "los")
-    },
+    "demographics": ExtractSchema("icustay_id", ("age", "gender"), 2),
+    "race": ExtractSchema("hadm_id", ("value",), 4),
+    "elixhauser": ExtractSchema("hadm_id", ("value",), 15),
+    "elixhauser_binary": ExtractSchema("hadm_id", ELIX_BINARY_FIELDS, 16),
+    "vasopressors": ExtractSchema("icustay_id", ("value",), 45),
+    "ventilation": ExtractSchema("icustay_id", ("value",), 46),
+    "mortality": ExtractSchema("icustay_id", ("value",), 57),
+    "los": ExtractSchema("icustay_id", ("value",), 58),
     "diuretics": ExtractSchema("icustay_id", ("first_dose_hours",)),
     "summaries": ExtractSchema("hadm_id", ("text",), study=False, text=True),
     "sepsis": ExtractSchema("icustay_id", (), study=False),
     "cmo": ExtractSchema("icustay_id", (), study=False),
-    **{name: ExtractSchema("icustay_id", ("offset_hours", "value"), True) for name in TIMELINE_EXTRACTS},
+    **{
+        name: ExtractSchema("icustay_id", ("offset_hours", "value"), start)
+        for name, start in zip(TIMELINE_EXTRACTS, (5, 10, 25, 47, 52, 30, 35), strict=True)
+    },
 }
 
 
@@ -495,20 +500,13 @@ def _read_extract(path: Path, at: Sequence[int]) -> list:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        cells = [[] for _ in at]
-        # in chunks of fewer rows than CPython's young-generation threshold
-        # (700 allocations), so that the row lists die before a collection
-        # promotes them and later full collections rescan them
-        for chunk in iter(lambda: list(islice(reader, 512)), []):
-            rows = list(filter(None, chunk))  # blank lines are skipped
-            if min(map(len, rows), default=width) < width:
-                fh.seek(0)
-                reader = csv.reader(fh)
-                line = next(reader.line_num for row in reader if 0 < len(row) < width)
-                raise DataError(f"{path}: line {line} is short of cells")
-            for column, i in zip(cells, at):
-                column += [row[i] for row in rows]
-    return cells
+        rows = list(filter(None, reader))  # blank lines are skipped
+        if min(map(len, rows), default=width) < width:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            line = next(reader.line_num for row in reader if 0 < len(row) < width)
+            raise DataError(f"{path}: line {line} is short of cells")
+    return [[row[i] for row in rows] for i in at]
 
 
 def _cell_error(path: Path, at: Sequence[int], parse: Callable) -> DataError:

@@ -35,9 +35,6 @@ BINARY_INDICES = frozenset({1, 3, 4, 16, 17, 18, 19, 20, 21, 22, 23, 24, 45, 46,
 #: the 55 covariates considered for propensity modeling and balance checks
 COVARIATE_INDICES = tuple(range(2, 57))
 
-#: variables whose value depends on the per-patient decision day T1
-T1_DEPENDENT_INDICES = frozenset({5, 7, 10, 12, 25, 27, 30, 32, 35, 37, 40, 42, 47, 49, 52, 54})
-
 TREATMENT_INDEX = 1
 MORTALITY_INDEX = 57
 LOS_INDEX = 58

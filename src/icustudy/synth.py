@@ -37,7 +37,8 @@ import numpy as np
 
 from .cohort import EXTRACT_SCHEMAS, TIMELINE_EXTRACTS
 from .errors import InvalidSpec
-from .group import KEY_COLUMNS, N_VARIABLES, StudyGroup, T1_DEPENDENT_INDICES, write_table
+from .group import KEY_COLUMNS, N_VARIABLES, StudyGroup, write_table
+from .varprep import BLOCK_COLUMNS, MEDIAN_SERIES, T1_DEPENDENT_INDICES, VALUE_COLUMNS
 
 DAYS = 6
 
@@ -195,21 +196,18 @@ _DAILY = (
     (1.4, 0.05, -0.1, 0.3, 0.0),
 )
 
-#: the 0-based first study column of each timeline's five-slot block, in
-#: TIMELINE_EXTRACTS order and then fluid balance
-_BLOCKS = np.array([5, 10, 25, 47, 52, 30, 35, 40]) - 1
-
-
 def _fill_timelines(x: np.ndarray, daily: np.ndarray, t1: np.ndarray) -> None:
     """Write each block of x: mean of days 1..T1, day 1, day T1, day T2 = 3, day T3 = 4."""
-    series = np.concatenate([daily, daily[:, 5:6] - daily[:, 6:7]], axis=1)
-    x[:, _BLOCKS + 1] = series[:, :, 0]
-    x[:, _BLOCKS + 2] = series[np.arange(len(x)), :, t1 - 1]
-    x[:, _BLOCKS + 3] = series[:, :, 2]
-    x[:, _BLOCKS + 4] = series[:, :, 3]
+    fluids = daily[:, MEDIAN_SERIES:]  # inputs and outputs
+    series = np.concatenate([daily, fluids[:, :1] - fluids[:, 1:]], axis=1)
+    mean, day_1, day_t1, day_t2, day_t3 = BLOCK_COLUMNS.reshape(-1, 5).T
+    x[:, day_1] = series[:, :, 0]
+    x[:, day_t1] = series[np.arange(len(x)), :, t1 - 1]
+    x[:, day_t2] = series[:, :, 2]
+    x[:, day_t3] = series[:, :, 3]
     for day in range(1, DAYS + 1):
         rows = t1 == day
-        x[np.ix_(rows, _BLOCKS)] = series[rows, :, :day].mean(axis=2)
+        x[np.ix_(rows, mean)] = series[rows, :, :day].mean(axis=2)
 
 
 class _Planted(NamedTuple):
@@ -316,14 +314,8 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> SynthManifest:
     everyone = np.ones(n, dtype=bool)
     summaries = np.where(kind == "not_naive", NOT_NAIVE_SUMMARY, NAIVE_SUMMARY)
     payload = {  # extract -> (which rows it has, their payload cells)
-        "demographics": (everyone, x[:, 1:3]),
-        "race": (has_hadm, x[:, 3:4]),
-        "elixhauser": (has_hadm, x[:, 14:15]),
-        "elixhauser_binary": (has_hadm, x[:, 15:24]),
-        "vasopressors": (everyone, x[:, 44:45]),
-        "ventilation": (everyone, x[:, 45:46]),
-        "mortality": (everyone, x[:, 56:57]),
-        "los": (everyone, x[:, 57:58]),
+        **{name: (has_hadm if EXTRACT_SCHEMAS[name].key == "hadm_id" else everyone, x[:, at])
+           for name, at in VALUE_COLUMNS.items()},
         "diuretics": (x[:, 0] > 0, 24.0 * (p.t1[:, None] - 1) + 6.0),
         "summaries": (has_hadm & (kind != "no_summary"), summaries[:, None]),
         "sepsis": (kind != "no_sepsis", x[:, :0]),
@@ -337,7 +329,7 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> SynthManifest:
     split = p.daily.copy()
     for s, name in enumerate(TIMELINE_EXTRACTS):
         v = p.daily[:, s, :, None]
-        if name.startswith("fluids"):  # a daily total in three parts, read back as their float sum
+        if s >= MEDIAN_SERIES:  # a daily total in three parts, read back as their float sum
             samples = v * (0.2, 0.3, 0.5)
             split[:, s] = samples.sum(axis=2)
         else:  # three samples whose median is the daily value

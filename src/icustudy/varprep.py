@@ -22,19 +22,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .group import KEY_COLUMNS, N_VARIABLES, StudyGroup
-from .cohort import ELIX_BINARY_FIELDS, TIMELINE_EXTRACTS
+from .group import KEY_COLUMNS, N_VARIABLES, TREATMENT_INDEX, StudyGroup
+from .cohort import ELIX_BINARY_FIELDS, EXTRACT_SCHEMAS, TIMELINE_EXTRACTS
 
 HOURS_PER_DAY = 24.0
 
-#: timelines regularized to daily medians; the rest (fluids) to daily sums
-MEDIAN_SERIES = 5
-#: first x index of each series' five-slot block: the medians, then fluid
-#: inputs, outputs and balance over the shared fluid-day grid
-BLOCK_START = (5, 10, 25, 47, 52, 30, 35, 40)
+#: the timelines from this one on, fluid inputs and outputs, are regularized
+#: to daily sums; the ones before it to daily medians
+MEDIAN_SERIES = TIMELINE_EXTRACTS.index("fluids_in")
+#: first x index of each five-slot block: the timelines', then fluid
+#: balance's over the shared fluid-day grid
+BLOCK_START = (*(EXTRACT_SCHEMAS[name].study_column for name in TIMELINE_EXTRACTS), 40)
 BLOCK_COLUMNS = np.array([start - 1 + slot for start in BLOCK_START for slot in range(5)])
+#: the slots of every block that depend on the decision day T1: the mean
+#: over days 1..T1 and day T1
+T1_DEPENDENT_INDICES = frozenset(start + slot for start in BLOCK_START for slot in (0, 2))
+#: value extract -> the 0-based x columns its payload columns fill
+VALUE_COLUMNS = {name: s.study_column - 1 + np.arange(len(s.columns))
+                 for name, s in EXTRACT_SCHEMAS.items() if s.study_column and name not in TIMELINE_EXTRACTS}
 #: the x column of each value _scalars returns, in order
-SCALAR_COLUMNS = np.array([1, 2, 3, 4, 15, *range(16, 25), 45, 46, 57, 58]) - 1
+SCALAR_COLUMNS = np.concatenate([[TREATMENT_INDEX - 1], *VALUE_COLUMNS.values()])
 #: timeline samples assembled at once; a block holds at least one record
 SAMPLE_BLOCK = 1 << 15
 
@@ -144,10 +151,6 @@ def _scalars(cohort, options: AssemblyOptions, fault: np.ndarray, fault_reason: 
     first faulty timeline sample (len(TIMELINE_EXTRACTS) for none), and
     `fault_reason` holds its reason."""
 
-    def column(name, at=0):
-        joined = cohort.extracts[name]
-        return joined.first(at), joined.hit
-
     def finite(name, value, have):
         return have & ~np.isfinite(value), lambda r: f"{name} must be finite, got {value[r]}"
 
@@ -156,10 +159,10 @@ def _scalars(cohort, options: AssemblyOptions, fault: np.ndarray, fault_reason: 
 
     n = len(cohort)
     dose, treated, first_dose_day = _first_dose(cohort)
-    age, gender, race, elixhauser = column("demographics"), column("demographics", 1), column("race"), column("elixhauser")
-    elix = [column("elixhauser_binary", i) for i in range(len(ELIX_BINARY_FIELDS))]
-    binaries = {name: column(name) for name in ("vasopressors", "ventilation", "mortality")}
-    los, has_los = column("los")
+    # each value extract's (values, presence) pair per payload column
+    read = {name: [(cohort.extracts[name].first(i), cohort.extracts[name].hit) for i in range(len(at))]
+            for name, at in VALUE_COLUMNS.items()}
+    (age, gender), [(los, has_los)] = read["demographics"], read["los"]
     checks = [
         finite("first dose hours", dose, treated),
         (treated & (first_dose_day >= 2.0**63), lambda r: f"first dose day must be < 2**63, got {first_dose_day[r]}"),
@@ -167,12 +170,12 @@ def _scalars(cohort, options: AssemblyOptions, fault: np.ndarray, fault_reason: 
         (treated & (first_dose_day < 1), lambda r: "first dose day must be >= 1"),
         finite("age", *age),
         binary("gender", *gender),
-        binary("race", *race),
+        binary("race", *read["race"][0]),
         (fault < MEDIAN_SERIES, fault_reason.get),
-        finite("Elixhauser score", *elixhauser),
-        *(binary(name, *values) for name, values in zip(ELIX_BINARY_FIELDS, elix, strict=True)),
+        finite("Elixhauser score", *read["elixhauser"][0]),
+        *(binary(name, *values) for name, values in zip(ELIX_BINARY_FIELDS, read["elixhauser_binary"], strict=True)),
         (fault < len(TIMELINE_EXTRACTS), fault_reason.get),  # in a fluid timeline
-        *(binary(name, *values) for name, values in binaries.items()),
+        *(binary(name, *read[name][0]) for name in ("vasopressors", "ventilation", "mortality")),
         finite("length of stay", los, has_los),
         (has_los & (los < 0), lambda r: f"length of stay must be >= 0, got {los[r]}"),
     ]
@@ -180,8 +183,7 @@ def _scalars(cohort, options: AssemblyOptions, fault: np.ndarray, fault_reason: 
     for failing, reason in checks:
         for r in np.flatnonzero(failing).tolist():
             reasons[r] = reasons[r] or reason(r)
-    scalars = [(np.where(treated, 1.0, -1.0), np.ones(n, bool)), age, gender, race, elixhauser,
-               *elix, *binaries.values(), (los, has_los)]
+    scalars = [(np.where(treated, 1.0, -1.0), np.ones(n, bool)), *(pair for pairs in read.values() for pair in pairs)]
     return *(np.column_stack(a) for a in zip(*scalars)), reasons
 
 

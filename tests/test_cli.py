@@ -179,6 +179,17 @@ def test_cohort_run_with_trace_out(fixture_dirs, tmp_path):
     assert len(rows) == 17
 
 
+def test_trace_out_in_a_missing_directory_is_config_error(fixture_dirs, tmp_path, monkeypatch, capsys):
+    # rejected before any extract is read
+    _, config = fixture_dirs
+    monkeypatch.setattr(cli.cohort_mod, "load_extracts", lambda *a, **k: pytest.fail("extracts were read"))
+    trace_path = tmp_path / "missing" / "trace.csv"
+    argv = ["cohort", "run", "--config", str(config), "--out", str(tmp_path / "out"), "--trace-out", str(trace_path)]
+    assert main(argv) == 2
+    assert f"--trace-out directory not found: {tmp_path / 'missing'}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
 def test_outcome_subcommand_from_files(fixture_dirs, tmp_path):
     root, config = fixture_dirs
     rc = main(
@@ -376,6 +387,12 @@ def test_refinement_keeps_configured_strata_count(tmp_path):
         ("gp_population_size = 1", "GP options: population_size must be >= 2, got 1"),
         ("gp_p_mutation = 2", "GP options: p_mutation must be in [0, 1], got 2.0"),
         ("gp_init_depth = 18", "GP options: init_depth cannot exceed max_depth, got 18 > 17"),
+        ("p_enter = nan", "p_enter must be in (0, 1], got nan"),
+        ("p_enter = 0", "p_enter must be in (0, 1], got 0.0"),
+        ("p_enter = 1.5", "p_enter must be in (0, 1], got 1.5"),
+        ("refine_fraction = nan", "refine_fraction must be in (0, 1], got nan"),
+        ("refine_fraction = inf", "refine_fraction must be in (0, 1], got inf"),
+        ("refine_fraction = -0.25", "refine_fraction must be in (0, 1], got -0.25"),
     ],
 )
 def test_bad_config_value_is_config_error(fixture_dirs, tmp_path, capsys, line, message):

@@ -123,6 +123,14 @@ def test_naive_case_insensitive():
     assert detect_naive(text.lower()) is False
 
 
+@pytest.mark.parametrize("prefix", ["straße " * 8, "ﬁle " * 8], ids=["sharp-s", "fi-ligature"])
+def test_naive_heading_found_after_text_whose_upper_case_is_longer(prefix):
+    # "ß".upper() is "SS" and "ﬁ".upper() is "FI": positions found in the
+    # upper-cased text run ahead of the summary's own
+    assert detect_naive(prefix + "DRUGS ON ADMISSION: lasix 40mg\nPLAN: rest") is False
+    assert detect_naive(prefix + "DRUGS ON ADMISSION: aspirin\nPLAN: lasix") is True
+
+
 def test_naive_word_boundaries():
     # "lasixol" must not match "lasix"
     assert detect_naive("ON ADMISSION: lasixol 5mg") is True

@@ -9,7 +9,8 @@ from oracles import synth_generate_oracle, synth_study_group_oracle
 
 from icustudy.cohort import DEFAULT_PIPELINE, load_extracts, parse_pipeline, run_filter_pipeline
 from icustudy.errors import InvalidSpec
-from icustudy.group import COVARIATE_INDICES, T1_DEPENDENT_INDICES
+from icustudy.group import COVARIATE_INDICES
+from icustudy.varprep import T1_DEPENDENT_INDICES
 from icustudy.synth import (
     ATTRITION_KINDS,
     LosModel,

@@ -340,6 +340,16 @@ def test_assembly_treated_t1_from_first_dose(tmp_path):
     assert group.col(9)[0] == 40.0  # T3 = day 4
 
 
+def test_decision_day_moves_exactly_the_t1_dependent_columns(tmp_path):
+    # an untreated record's T1 is the default; every timeline (and so the
+    # fluid balance) takes another value each day
+    rec = _full_record()
+    for step, name in enumerate(TIMELINE_EXTRACTS, 1):
+        rec[name] = [(offset, level + step * d) for d, (offset, level) in enumerate(rec[name])]
+    rows = [_assemble(tmp_path / f"t1-{t1}", [rec], AssemblyOptions(t1_default=t1))[0].x[0] for t1 in (2, 4)]
+    assert set(np.flatnonzero(rows[0] != rows[1]) + 1) == varprep.T1_DEPENDENT_INDICES
+
+
 def test_assembly_sorted_by_key(tmp_path):
     records = [_full_record(i) for i in (5, 2, 9, 1)]
     group, _ = _assemble(tmp_path, records)
