@@ -12,11 +12,10 @@ percentages of the original set and of the previous step.
 from __future__ import annotations
 
 import csv
-import functools
 import inspect
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -64,65 +63,34 @@ DEFAULT_PREADMISSION_HEADINGS = (
 # a heading-like line: run of capitals/digits/spaces followed by a colon
 _HEADING_RE = re.compile(r"^[ \t]*[A-Z][A-Z0-9 /\-]{2,}:", re.MULTILINE)
 
+#: any pre-admission heading, in any case
+_PREADMISSION_RE = re.compile("|".join(map(re.escape, DEFAULT_PREADMISSION_HEADINGS)), re.IGNORECASE)
 
-@dataclass(frozen=True)
-class DrugLexicon:
-    entries: frozenset
-    #: any entry with no letter or digit (``str.isalnum``) on either side;
-    #: ``[^\W_]`` is exactly the characters ``isalnum`` accepts
-    pattern: re.Pattern = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.entries:
-            raise DataError("drug lexicon must not be empty")
-        for entry in self.entries:
-            if entry != entry.strip() or entry != entry.lower():
-                raise DataError(f"lexicon entries must be trimmed lowercase: {entry!r}")
-        alternatives = "|".join(map(re.escape, sorted(self.entries)))
-        pattern = re.compile(rf"(?<![^\W_])(?:{alternatives})(?![^\W_])")
-        object.__setattr__(self, "pattern", pattern)
+#: any lexicon entry with no letter or digit (``str.isalnum``) on either
+#: side; ``[^\W_]`` is exactly the characters ``isalnum`` accepts
+_LEXICON_RE = re.compile(rf"(?<![^\W_])(?:{'|'.join(map(re.escape, sorted(DEFAULT_DIURETIC_LEXICON)))})(?![^\W_])")
 
 
-DEFAULT_LEXICON = DrugLexicon(DEFAULT_DIURETIC_LEXICON)
+def _mentions_drug(text: str) -> bool:
+    return _LEXICON_RE.search(text.lower()) is not None
 
 
-def _mentions_drug(text: str, lexicon: DrugLexicon) -> bool:
-    return lexicon.pattern.search(text.lower()) is not None
-
-
-@functools.lru_cache(maxsize=None)
-def _heading_pattern(heading: str) -> re.Pattern:
-    return re.compile(re.escape(heading), re.IGNORECASE)
-
-
-def detect_naive(
-    summary: str,
-    lexicon: DrugLexicon | None = None,
-    headings: Sequence[str] | None = None,
-) -> bool:
+def detect_naive(summary: str) -> bool:
     """True when no lexicon drug is mentioned in the pre-admission context.
 
-    The configured headings locate pre-admission sections; each section
-    runs to the next heading-like line or the end of the document.  When no
-    heading matches, the whole document is searched (conservative).
-    Matching is case-insensitive on word boundaries, so "lasixol" does not
-    count as "lasix".
+    The pre-admission headings locate sections; each section runs to the
+    next heading-like line or the end of the document.  When no heading
+    matches, the whole document is searched (conservative).  Matching is
+    case-insensitive on word boundaries, so "lasixol" does not count as
+    "lasix".
     """
-    if not summary:
-        return True
-    lexicon = lexicon or DEFAULT_LEXICON
-    headings = tuple(headings) if headings is not None else DEFAULT_PREADMISSION_HEADINGS
-
     # headings are found on the summary itself: str.upper() can lengthen
     # the text ("ß" -> "SS"), so positions in it need not be positions here
     sections = []
-    for heading in headings:
-        for found in _heading_pattern(heading).finditer(summary):
-            nxt = _HEADING_RE.search(summary, found.end())
-            sections.append(summary[found.end() : nxt.start() if nxt else len(summary)])
-    if not sections:
-        return not _mentions_drug(summary, lexicon)
-    return not any(_mentions_drug(section, lexicon) for section in sections)
+    for found in _PREADMISSION_RE.finditer(summary):
+        nxt = _HEADING_RE.search(summary, found.end())
+        sections.append(summary[found.end() : nxt.start() if nxt else len(summary)])
+    return not any(map(_mentions_drug, sections or [summary]))
 
 
 # --- sorted merge join --------------------------------------------------------

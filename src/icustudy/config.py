@@ -15,7 +15,8 @@ from .stats import T_TEST_VARIANTS
 GP_OPTIONS = ("population_size", "generations", "max_depth", "init_depth",
               "tournament_size", "p_reproduction", "p_crossover", "p_mutation")
 #: the least value of each bounded integer option
-MINIMUMS = {"seed": 0, "t1_default": 1, "t2_day": 1, "t3_day": 1, "n_strata": 2, "kmeans_k": 1}
+MINIMUMS = {"seed": 0, "t1_default": 1, "t2_day": 1, "t3_day": 1, "refine_passes": 0, "n_strata": 2,
+            "kmeans_k": 1, "synth_n": 0}
 #: the options that must lie in (0, 1]
 FRACTIONS = ("p_enter", "refine_fraction")
 
@@ -90,6 +91,8 @@ class RunConfig:
             raise ConfigError(f"{key} must be at least {MINIMUMS[key]}, got {parsed}")
         if key in FRACTIONS and not 0.0 < parsed <= 1.0:  # NaN fails too
             raise ConfigError(f"{key} must be in (0, 1], got {parsed}")
+        if key == "synth_prevalence" and not 0.0 < parsed < 1.0:
+            raise ConfigError(f"synth_prevalence must be in (0, 1), got {parsed}")
         if key == "t_test_variant" and parsed not in T_TEST_VARIANTS:
             raise ConfigError(f"t_test_variant must be one of {T_TEST_VARIANTS}, got {parsed!r}")
         setattr(self, key, parsed)

@@ -20,6 +20,7 @@ day T2, day T3); fluids blocks hold daily sums rather than medians.
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -66,16 +67,17 @@ class StudyGroup:
         check_ids(self.ids)
         if len(np.unique(self.ids, axis=0)) != len(self.ids):
             raise DataError("duplicate patient keys in study group")
-        # NaN marks a value a non-default mandatory list left optional
+        bad = np.argwhere(~np.isfinite(self.x))
+        if len(bad):
+            r, c = bad[0]
+            raise DataError(f"x{c + 1} must be finite, got {self.x[r, c]}")
         for i in sorted(BINARY_INDICES):
             col = self.col(i)
-            bad = ~np.isin(col, (-1.0, 1.0)) & ~np.isnan(col)
+            bad = ~np.isin(col, (-1.0, 1.0))
             if bad.any():
-                raise DataError(f"x{i} contains non-binary value {col[bad][0]!r}")
+                raise DataError(f"x{i} contains non-binary value {col[bad][0]}")
         if (self.col(LOS_INDEX) < 0).any():
             raise DataError("x58 (length of stay) must be non-negative")
-        if np.isinf(self.x).any():
-            raise DataError("study matrix contains infinite values")
 
     # --- access ------------------------------------------------------------
 
@@ -193,6 +195,7 @@ def match_keys(wanted: np.ndarray, held: np.ndarray) -> np.ndarray:
 
 _STUDYGROUP_HEADER = list(KEY_COLUMNS) + [f"x{i}" for i in range(1, N_VARIABLES + 1)]
 _STUDYGROUP_ROW = np.dtype([("key", np.int64, (3,)), ("x", float, (N_VARIABLES,))])
+_NON_SPACE = re.compile(rb"\S")  # a byte that bytes.strip() keeps
 
 
 def write_studygroup_csv(group: StudyGroup, path: str | Path) -> None:
@@ -212,15 +215,15 @@ def read_numeric_csv(path: str | Path, dtype: np.dtype, usecols: Sequence[int] |
     which gives the same values or the DataError naming the line.
     """
     data = Path(path).read_bytes()
-    body = data.partition(b"\n")[2]
-    if b'"' in data or not body.strip():
+    start = data.find(b"\n") + 1 or len(data)  # the rows, checked at offsets rather than copied
+    if b'"' in data or _NON_SPACE.search(data, start) is None:
         return None
     try:
         rows = np.loadtxt(path, dtype, delimiter=",", skiprows=1, usecols=usecols, comments=None, ndmin=1)
     except ValueError:
         return None
     if usecols is None:  # csv.reader reads a blank line as a short row and a lone \r as a line end
-        lines = body.count(b"\n") + (not body.endswith(b"\n"))
+        lines = data.count(b"\n", start) + (not data.endswith(b"\n"))
         if len(rows) != lines or data.count(b"\r") != data.count(b"\r\n"):
             return None
     return rows
@@ -258,7 +261,10 @@ def read_studygroup_csv(path: str | Path) -> StudyGroup:
                 raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not len(ids):
         raise DataError(f"{path}: the study group is empty")
-    return StudyGroup(ids, x)
+    try:
+        return StudyGroup(ids, x)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_strata_csv(group: StudyGroup, scores, assignment, path: str | Path) -> None:

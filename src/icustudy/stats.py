@@ -24,6 +24,7 @@ from .errors import (
     AllCellsEmptyForTreatment,
     EmptyInput,
     InvalidDof,
+    NumericError,
     ZeroMarginal,
     ZeroVariance,
 )
@@ -105,6 +106,8 @@ def evidence_band(p: float) -> str:
     >0.1 absence; (0.05,0.1] weak; (0.01,0.05] moderate; [0.001,0.01] strong;
     <0.001 very strong evidence against the null hypothesis.
     """
+    if not np.isfinite(p):  # NaN would fall through every comparison to "very strong"
+        raise NumericError(f"p-value must be finite, got {p}")
     if p > 0.1:
         return "absence"
     if p > 0.05:
@@ -276,11 +279,9 @@ def two_way_anova_2xk(values, treatment, subclass) -> AnovaResult:
 # --- classical tests ----------------------------------------------------------
 
 
-def chi_squared_2x2(counts, yates: bool = False) -> TestResult:
-    """Pearson chi-squared test of homogeneity on a 2x2 count table.
-
-    No continuity correction unless `yates` is set.
-    """
+def chi_squared_2x2(counts) -> TestResult:
+    """Pearson chi-squared test of homogeneity on a 2x2 count table, without
+    continuity correction."""
     o = np.asarray(counts, dtype=float)
     if o.shape != (2, 2) or (o < 0).any():
         raise EmptyInput("chi_squared_2x2 needs a 2x2 table of non-negative counts")
@@ -290,10 +291,7 @@ def chi_squared_2x2(counts, yates: bool = False) -> TestResult:
     if (rows <= 0).any() or (cols <= 0).any():
         raise ZeroMarginal("chi-squared table has a zero marginal")
     e = np.outer(rows, cols) / n
-    diff = np.abs(o - e)
-    if yates:
-        diff = np.maximum(diff - 0.5, 0.0)
-    stat = float((diff**2 / e).sum())
+    stat = float(((o - e) ** 2 / e).sum())
     return TestResult(stat, chi2_tail(stat, 1), (1,))
 
 

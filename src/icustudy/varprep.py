@@ -133,7 +133,6 @@ class AssemblyOptions:
     t1_default: int = 4
     t2: int = 3
     t3: int = 4
-    mandatory: tuple = tuple(range(1, N_VARIABLES + 1))
 
 
 def _first_dose(cohort) -> tuple:
@@ -262,7 +261,7 @@ def assemble_study_group(cohort, options: AssemblyOptions | None = None):
     binaries, fluid inputs and outputs, the other binaries, length of
     stay), so a record with several
     faults is always rejected for the same one; a record that passes is
-    rejected for the first mandatory variable left without a value.
+    rejected for the first variable left without a value.
     Rejections are returned as data, not raised.  Output rows are sorted
     by patient key.  Timelines are assembled in blocks of consecutive
     records holding at most SAMPLE_BLOCK samples (one record alone where
@@ -288,13 +287,11 @@ def assemble_study_group(cohort, options: AssemblyOptions | None = None):
         for r, (i, reason) in first.items():
             fault[block.start + r], fault_reason[block.start + r] = segment[i] % k, reason
         values, have[block, BLOCK_COLUMNS] = _blocks(segment[~faulty], samples[~faulty], t1[block], options)
-        x[block, BLOCK_COLUMNS] = np.where(have[block, BLOCK_COLUMNS], values, np.nan)
+        x[block, BLOCK_COLUMNS] = values
     x[:, SCALAR_COLUMNS], have[:, SCALAR_COLUMNS], reasons = _scalars(cohort, options, fault, fault_reason)
 
-    mandatory = sorted(options.mandatory)
-    lacking = ~have[:, np.array(mandatory, dtype=int) - 1]
-    for r in np.flatnonzero(lacking.any(axis=1)):
-        reasons[r] = reasons[r] or f"x{mandatory[np.argmax(lacking[r])]} missing"
+    for r in np.flatnonzero(~have.all(axis=1)):  # every variable is mandatory
+        reasons[r] = reasons[r] or f"x{np.argmin(have[r]) + 1} missing"
     rejections = [Rejection(key, reason) for key, reason in zip(map(tuple, cohort.ids.tolist()), reasons) if reason]
     kept = np.flatnonzero([reason is None for reason in reasons])
     kept = kept[np.lexsort(cohort.ids[kept].T[::-1])]  # by key triple

@@ -355,11 +355,13 @@ def nested_loop_join(ids, values):
 # --- lexicon search -----------------------------------------------------------------
 
 
-def mentions_drug_oracle(text, lexicon):
-    """One regex search per lexicon entry, each hit checked for a
+def mentions_drug_oracle(text):
+    """One regex search per diuretic lexicon entry, each hit checked for a
     non-alphanumeric character (or the text's edge) on both sides."""
+    from icustudy.cohort import DEFAULT_DIURETIC_LEXICON
+
     lowered = text.lower()
-    for entry in lexicon.entries:
+    for entry in DEFAULT_DIURETIC_LEXICON:
         for m in re.finditer(re.escape(entry), lowered):
             before = lowered[m.start() - 1] if m.start() > 0 else " "
             after = lowered[m.end()] if m.end() < len(lowered) else " "
@@ -801,7 +803,6 @@ def assemble_study_group_oracle(records, options=None):
     from icustudy.varprep import AssemblyOptions, Rejection
 
     options = options or AssemblyOptions()
-    mandatory = sorted(options.mandatory)
     rows = []
     rejections = []
     for rec in records:
@@ -811,13 +812,12 @@ def assemble_study_group_oracle(records, options=None):
         except DataError as exc:
             rejections.append(Rejection(key, str(exc)))
             continue
-        missing = next((i for i in mandatory if values[i - 1] is None), None)
+        missing = next((i for i in range(1, N_VARIABLES + 1) if values[i - 1] is None), None)
         if missing is not None:
             rejections.append(Rejection(key, f"x{missing} missing"))
             continue
         rows.append((key, values))
     rows.sort(key=lambda row: row[0])
-    # a None left by a non-default mandatory list becomes NaN
     x = np.array([values for _, values in rows], dtype=float) if rows else np.empty((0, N_VARIABLES))
     return StudyGroup([key for key, _ in rows], x), rejections
 
@@ -941,7 +941,10 @@ def read_studygroup_csv_oracle(path):
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: the study group is empty")
-    return StudyGroup(keys, np.array(rows, dtype=float))
+    try:
+        return StudyGroup(keys, np.array(rows, dtype=float))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def read_strata_csv_oracle(path, group):

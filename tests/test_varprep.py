@@ -160,9 +160,9 @@ def test_assembly_constant_series_all_timepoints_equal(tmp_path):
 
 def test_assembly_fluids_balance_example(tmp_path):
     rec = _full_record()
-    rec["fluids_in"] = [(0.0, 2.0), (72.5, 1.0)]  # days 1 and 4
-    rec["fluids_out"] = [(0.0, 1.0), (72.5, 1.0)]
-    group, rejections = _assemble(tmp_path, [rec], AssemblyOptions(mandatory=(1, 2, 3, 57, 58)))
+    rec["fluids_in"] = [(0.0, 2.0), (24.0, 1.0), (48.0, 1.0), (72.5, 1.0)]  # days 1 to 4
+    rec["fluids_out"] = [(0.0, 1.0), (24.0, 1.0), (48.0, 1.0), (72.5, 1.0)]
+    group, rejections = _assemble(tmp_path, [rec])
     assert not rejections
     # x41 = day-1 balance, x42 = balance at T1 (day 4 for untreated)
     assert group.col(41)[0] == pytest.approx(1.0)
@@ -218,15 +218,6 @@ def test_assembly_rejects_first_missing_variable(tmp_path):
     assert group.n == 0
     assert len(rejections) == 1
     assert rejections[0].reason == "x25 missing"
-
-
-def test_assembly_mandatory_list_is_configuration(tmp_path):
-    rec = _full_record()
-    rec["creatinine"] = []
-    options = AssemblyOptions(mandatory=tuple(i for i in range(1, 59) if not 25 <= i <= 29))
-    group, rejections = _assemble(tmp_path, [rec], options)
-    assert group.n == 1
-    assert not rejections
 
 
 def test_assembly_binary_encoding_enforced(tmp_path):
@@ -433,11 +424,12 @@ def _assert_same_assembly(cohort, options):
     return got, got_rejections
 
 
-_T3_SLOTS = (9, 14, 29, 34, 39, 44, 51, 56)
-#: the defaults, and a late T3 left optional, so that absent days become NaN cells
+#: the defaults, other decision days that the synthetic timelines reach,
+#: and a T3 that none reaches, so that every record is rejected
 _ORACLE_OPTIONS = [
     AssemblyOptions(),
-    AssemblyOptions(t1_default=2, t2=2, t3=9, mandatory=tuple(i for i in range(1, 59) if i not in _T3_SLOTS)),
+    AssemblyOptions(t1_default=2, t2=2, t3=6),
+    AssemblyOptions(t1_default=2, t2=2, t3=9),
 ]
 
 
@@ -462,12 +454,16 @@ def test_assembly_matches_per_record_oracle(tmp_path, monkeypatch, seed, sample_
         assert blocks == ([len(injected)] if seed == 0 else [1] * len(injected))
     else:
         assert sum(blocks) == len(injected) and 5 < len(blocks) < len(injected) / 4
-    for options in _ORACLE_OPTIONS:
+    *reached, late_t3 = _ORACLE_OPTIONS
+    for options in reached:
         group, _ = _assert_same_assembly(loaded, options)
         assert group.n > 100
         group, rejections = _assert_same_assembly(injected, options)
         assert group.n > 10 and len(rejections) > 50
-        assert np.isnan(group.x).any() == (options.mandatory != _ORACLE_OPTIONS[0].mandatory)
+    for cohort in (loaded, injected):
+        group, rejections = _assert_same_assembly(cohort, late_t3)
+        assert group.n == 0 and sum(r.reason == "x9 missing" for r in rejections) > 20
+    for options in _ORACLE_OPTIONS:
         group, rejections = _assert_same_assembly(empty, options)
         assert group.n == 0 and not rejections
 
