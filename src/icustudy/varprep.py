@@ -261,7 +261,9 @@ def assemble_study_group(cohort, options: AssemblyOptions | None = None):
     binaries, fluid inputs and outputs, the other binaries, length of
     stay), so a record with several
     faults is always rejected for the same one; a record that passes is
-    rejected for the first variable left without a value.
+    rejected for the first cell that its finite samples made non-finite
+    (a day's sum or median, a mean, a balance), else for the first
+    variable left without a value.
     Rejections are returned as data, not raised.  Output rows are sorted
     by patient key.  Timelines are assembled in blocks of consecutive
     records holding at most SAMPLE_BLOCK samples (one record alone where
@@ -290,6 +292,10 @@ def assemble_study_group(cohort, options: AssemblyOptions | None = None):
         x[block, BLOCK_COLUMNS] = values
     x[:, SCALAR_COLUMNS], have[:, SCALAR_COLUMNS], reasons = _scalars(cohort, options, fault, fault_reason)
 
+    overflow = have & ~np.isfinite(x)  # a day's sum or median, a mean or a balance of finite samples
+    for r in np.flatnonzero(overflow.any(axis=1)):
+        c = np.argmax(overflow[r])
+        reasons[r] = reasons[r] or f"x{c + 1} must be finite, got {x[r, c]}"
     for r in np.flatnonzero(~have.all(axis=1)):  # every variable is mandatory
         reasons[r] = reasons[r] or f"x{np.argmin(have[r]) + 1} missing"
     rejections = [Rejection(key, reason) for key, reason in zip(map(tuple, cohort.ids.tolist()), reasons) if reason]

@@ -808,9 +808,14 @@ def assemble_study_group_oracle(records, options=None):
     for rec in records:
         key = rec.key()
         try:
-            values = build_row_values(rec, options)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+                values = build_row_values(rec, options)
         except DataError as exc:
             rejections.append(Rejection(key, str(exc)))
+            continue
+        overflow = next((i for i, v in enumerate(values, 1) if v is not None and not math.isfinite(v)), None)
+        if overflow is not None:
+            rejections.append(Rejection(key, f"x{overflow} must be finite, got {values[overflow - 1]}"))
             continue
         missing = next((i for i in range(1, N_VARIABLES + 1) if values[i - 1] is None), None)
         if missing is not None:

@@ -266,6 +266,35 @@ def test_assembly_rejects_non_finite_scalar(tmp_path, name, value, reason):
     assert [(r.key[0], r.reason) for r in rejections] == [(2, reason)]
 
 
+def _huge_on(days, level, huge=1e308):
+    """One sample a day over six days: `huge` on `days`, `level` on the others."""
+    return [(24.0 * (d - 1) + 6.0, huge if d in days else level) for d in range(1, 7)]
+
+
+@pytest.mark.parametrize(
+    "values, reason",
+    [
+        # a day's sum: 2e308 overflows
+        ({"fluids_in": [(1.0, 1e308), (2.0, 1e308), (3.0, 1e308)]}, "x30 must be finite, got inf"),
+        # the median of two huge values: (a + b) / 2
+        ({"saps": _huge_on({2}, 15.0) + [(31.0, 1e308)]}, "x5 must be finite, got inf"),
+        # the mean over days 1..T1 of finite daily values
+        ({"sofa": _huge_on({1, 2}, 8.0)}, "x10 must be finite, got inf"),
+        # the balance, inputs minus outputs
+        ({"fluids_in": _huge_on({3}, 2.0), "fluids_out": _huge_on({3}, 1.0, huge=-1e308)},
+         "x40 must be finite, got inf"),
+    ],
+)
+def test_assembly_rejects_non_finite_derived_cell(tmp_path, values, reason):
+    # finite samples whose daily value, mean or balance overflows reject
+    # their record alone, naming the first such column
+    records = [_full_record(1), _full_record(2)]
+    records[1].update(values)
+    group, rejections = _assemble(tmp_path, records)
+    assert [k.subject_id for k in group.keys] == [1]
+    assert [(r.key[0], r.reason) for r in rejections] == [(2, reason)]
+
+
 def test_assembly_checks_gender_before_timelines(tmp_path):
     rec = _full_record()
     rec["gender"] = 0.0
@@ -302,6 +331,8 @@ def test_assembly_check_order_is_fixed(tmp_path):
         ("mortality", 0.25),
         ("los", float("-inf")),
         ("los", -1.0),
+        ("fluids_in", [(1.0, 1e308), (2.0, 1e308)]),
+        ("creatinine", []),
     ]
     reasons = []
     for name, value in faults:
@@ -389,7 +420,7 @@ def _inject_faults(rng, rec):
         if attrs.get(name) is not None:
             attrs[name] = _crowd(rng, np.asarray(attrs[name]))
     for _ in range(int(rng.integers(0, 5))):
-        kind = int(rng.integers(0, 8))
+        kind = int(rng.integers(0, 9))
         name = str(rng.choice(TIMELINE_EXTRACTS))
         if kind == 0:  # one faulty sample among the others
             samples = np.asarray(attrs.get(name) if attrs.get(name) is not None else np.empty((0, 2)))
@@ -410,8 +441,12 @@ def _inject_faults(rng, rec):
             attrs["first_dose_hours"] = float(rng.choice([-rng.uniform(1.0, 30.0), np.nan, np.inf, -np.inf]))
         elif kind == 6:
             attrs[str(rng.choice(["age", "elixhauser", "los", "first_dose_hours"]))] = None
-        else:  # a NaN or infinite scalar
+        elif kind == 7:  # a NaN or infinite scalar
             attrs[str(rng.choice(["age", "elixhauser", "los"]))] = float(rng.choice([np.nan, np.inf, -np.inf]))
+        else:  # two finite samples whose day's sum or median overflows
+            samples = np.asarray(attrs.get(name) if attrs.get(name) is not None else np.empty((0, 2)))
+            day = float(rng.integers(0, 6)) * 24.0
+            attrs[name] = np.concatenate([samples, [[day + 1.0, 1e308], [day + 2.0, 1e308]]])
     return dict(zip(KEY_COLUMNS, rec.ident), **attrs)
 
 
