@@ -273,9 +273,9 @@ def stage_outcome(run: Run) -> None:
     if subset_rows:
         write_table(run.out / "outcome_errors.csv", ["model", "error"], zip(*subset_rows))
 
-    test_rows, variant = [], run.config.t_test_variant
+    test_rows = []
     for kind in ("mortality", "los"):
-        for qt in outcome_mod.stratified_outcome_tests(group, strat, kind, t_variant=variant):
+        for qt in outcome_mod.stratified_outcome_tests(group, strat, kind):
             if qt.testable:
                 stat, p = qt.result.statistic, qt.result.p_value
                 test_rows.append([kind, qt.quintile, 1, stat, p, evidence_band(p), ""])
@@ -293,10 +293,9 @@ def stage_ml(run: Run) -> None:
     config = run.config
     parts = ML_SUBCOMMANDS[run.flags.get("subcommand", "run")]
     group = _input(run, "group")
-    adjusters = [group.col(i) for i in outcome_mod.HEALTH_CONDITION_INDICES]
 
     if "kmeans" in parts:
-        points = evoml.standardize_columns(np.column_stack(adjusters))
+        points = evoml.standardize_columns(outcome_mod.health_condition(group))
         km = evoml.kmeans_cluster(points, config.kmeans_k, seed=config.seed)
         write_table(
             run.out / "clusters.csv",
@@ -308,14 +307,11 @@ def stage_ml(run: Run) -> None:
     if not tasks:
         return
     scores = _input(run, "strata").scores
-
-    def features(x1) -> np.ndarray:
-        """The GP's columns for treatment x1: x1, the health-condition
-        adjusters, the propensity score and x1 * SAPS."""
-        x1 = np.broadcast_to(x1, (group.n,))
-        return np.column_stack([x1, *adjusters, scores, x1 * group.col(outcome_mod.SAPS_INDEX)])
-
-    observed = features(group.col(1))
+    # the Step 3 columns with x1 coded -1/+1: as observed, and with every
+    # patient treated and untreated
+    observed, treated, untreated = (
+        outcome_mod.model_columns(group, scores, x1)[0] for x1 in (group.col(1), 1.0, -1.0)
+    )
     gp_config = config.gp_config()
     train_idx, test_idx = evoml.split_train_test(group.n, config.seed)
 
@@ -332,7 +328,7 @@ def stage_ml(run: Run) -> None:
             else:
                 metric_rows.append([task, split_name, "mae", evoml.fitness(gp_run.best, rows_x, labels, task)])
         if "simulate" in parts:
-            cf = evoml.simulate_counterfactual(gp_run.best, features(1.0), features(-1.0), task)
+            cf = evoml.simulate_counterfactual(gp_run.best, treated, untreated, task)
             metric_rows.append([task, "full", "counterfactual_rate_treated", cf.rate_treated])
             metric_rows.append([task, "full", "counterfactual_rate_untreated", cf.rate_untreated])
             cf_rows += [

@@ -9,7 +9,6 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError
 from .evoml import GpConfig
-from .stats import T_TEST_VARIANTS
 
 #: the GpConfig fields set by the options named gp_<field>
 GP_OPTIONS = ("population_size", "generations", "max_depth", "init_depth",
@@ -35,8 +34,6 @@ class RunConfig:
     refine_passes: int = 1
     refine_fraction: float = 0.25
     n_strata: int = 5
-    # outcome analysis
-    t_test_variant: str = "welch"
     # ML layer
     kmeans_k: int = 4
     gp_population_size: int = 100
@@ -93,8 +90,6 @@ class RunConfig:
             raise ConfigError(f"{key} must be in (0, 1], got {parsed}")
         if key == "synth_prevalence" and not 0.0 < parsed < 1.0:
             raise ConfigError(f"synth_prevalence must be in (0, 1), got {parsed}")
-        if key == "t_test_variant" and parsed not in T_TEST_VARIANTS:
-            raise ConfigError(f"t_test_variant must be one of {T_TEST_VARIANTS}, got {parsed!r}")
         setattr(self, key, parsed)
 
     def gp_config(self) -> GpConfig:

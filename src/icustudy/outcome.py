@@ -11,8 +11,8 @@ Elixhauser) and the propensity score:
 The treatment enters these model matrices as a 0/1 indicator so reported
 coefficients read as treated-versus-untreated effects; the cross term is
 the raw, uncentered product of the indicator with SAPS.  A final
-stratified pass runs per-quintile chi-squared (mortality) or t (length of
-stay) tests.
+stratified pass runs per-quintile chi-squared (mortality) or Welch t
+(length of stay) tests.
 """
 
 from __future__ import annotations
@@ -86,41 +86,45 @@ class QuintileTest:
         return self.result is not None
 
 
+def health_condition(group: StudyGroup) -> np.ndarray:
+    """The health-condition adjusters x2, x3, x5, x10, x15 as an (n, 5)
+    matrix: the k-means points, and the adjusters of every Step 3 model."""
+    return group.x[:, [i - 1 for i in HEALTH_CONDITION_INDICES]]
+
+
+def model_columns(group: StudyGroup, scores: np.ndarray, x1) -> tuple:
+    """The Step 3 columns for treatment `x1` (a column, or one value for
+    every row) and their names: x1, the health-condition adjusters, the
+    propensity score V1 and the raw product x1*x5 with SAPS."""
+    x1 = np.broadcast_to(np.asarray(x1, dtype=float), (group.n,))
+    columns = np.column_stack([x1, health_condition(group), scores, x1 * group.col(SAPS_INDEX)])
+    return columns, ["x1", *(f"x{i}" for i in HEALTH_CONDITION_INDICES), "V1", f"x1*x{SAPS_INDEX}"]
+
+
 def _design(group: StudyGroup, scores: np.ndarray, cross: bool):
-    """Model matrix: intercept, treated indicator, health condition, score.
-
-    Term order matches the reports: 1, x1, x2, x3, x5, x10, x15, V1 and,
-    when `cross` is set, x1*x5.
-    """
-    treated01 = (group.col(1) > 0).astype(float)
-    cols = [np.ones(group.n), treated01]
-    names = ["1", "x1"]
-    for idx in HEALTH_CONDITION_INDICES:
-        cols.append(group.col(idx))
-        names.append(f"x{idx}")
-    cols.append(np.asarray(scores, dtype=float))
-    names.append("V1")
-    if cross:
-        cols.append(treated01 * group.col(SAPS_INDEX))
-        names.append("x1*x5")
-    return np.column_stack(cols), names
+    """Model matrix: the intercept, then the Step 3 columns with x1 coded
+    0/1, the cross term x1*x5 only when `cross` is set."""
+    columns, names = model_columns(group, scores, (group.col(1) > 0).astype(float))
+    width = len(names) if cross else len(names) - 1
+    return np.column_stack([np.ones(group.n), columns[:, :width]]), ["1", *names[:width]]
 
 
-def _report(model_id, fit, names, flag_term, flag_name) -> OutcomeModelReport:
-    pvals = coefficient_p_values(fit)
+def _fit(model_id: str, group: StudyGroup, scores: np.ndarray, cross: bool, los: bool = False) -> OutcomeModelReport:
+    """Design, fit and report of every Step 3 model: logistic on mortality,
+    or linear on LOS when `los` is set.  The one flag is the 0.05 rule on
+    the cross term when `cross` is set, else on the treatment term."""
+    design, names = _design(group, scores, cross)
+    if los:
+        fit = fit_linear_design(design, group.col(LOS_INDEX), names)
+    else:
+        fit = fit_logistic_design(design, (group.col(MORTALITY_INDEX) > 0).astype(float), names)
     terms = [
         TermReport(name, float(coef), float(se), r.p_value, evidence_band(r.p_value))
-        for name, coef, se, r in zip(names, fit.coefficients, fit.standard_errors, pvals)
+        for name, coef, se, r in zip(names, fit.coefficients, fit.standard_errors, coefficient_p_values(fit))
     ]
-    report = OutcomeModelReport(
-        model_id=model_id,
-        terms=terms,
-        flags={},
-        log_likelihood=fit.log_likelihood,
-        n_obs=fit.n_obs,
-    )
-    report.flags[flag_name] = report.p_value(flag_term) < SIGNIFICANCE
-    return report
+    term, flag = (names[-1], "cross_effect_significant") if cross else ("x1", "treatment_significant")
+    flags = {flag: terms[names.index(term)].p_value < SIGNIFICANCE}
+    return OutcomeModelReport(model_id, terms, flags, fit.log_likelihood, fit.n_obs)
 
 
 def fit_model_a(group: StudyGroup, scores: np.ndarray):
@@ -129,21 +133,12 @@ def fit_model_a(group: StudyGroup, scores: np.ndarray):
     Returns the (mortality, length-of-stay) report pair; each carries a
     `treatment_significant` flag for the 0.05 rule on the treatment term.
     """
-    design, names = _design(group, scores, cross=False)
-    mortality01 = (group.col(MORTALITY_INDEX) > 0).astype(float)
-    fit_m = fit_logistic_design(design, mortality01, names)
-    rep_m = _report("A.Mortality", fit_m, names, "x1", "treatment_significant")
-    fit_l = fit_linear_design(design, group.col(LOS_INDEX), names)
-    rep_l = _report("A.LOS", fit_l, names, "x1", "treatment_significant")
-    return rep_m, rep_l
+    return _fit("A.Mortality", group, scores, cross=False), _fit("A.LOS", group, scores, cross=False, los=True)
 
 
 def fit_model_b(group: StudyGroup, scores: np.ndarray) -> OutcomeModelReport:
     """Step B: mortality model with the treatment x SAPS cross term added."""
-    design, names = _design(group, scores, cross=True)
-    mortality01 = (group.col(MORTALITY_INDEX) > 0).astype(float)
-    fit = fit_logistic_design(design, mortality01, names)
-    return _report("B", fit, names, "x1*x5", "cross_effect_significant")
+    return _fit("B", group, scores, cross=True)
 
 
 def split_by_median(group: StudyGroup, variable: int, scores: np.ndarray) -> SubsetSplit:
@@ -173,26 +168,17 @@ def fit_model_c(split: SubsetSplit):
         ("C.Sicker", split.sicker, split.scores_sicker),
     ):
         try:
-            design, names = _design(subgroup, scores, cross=True)
-            mortality01 = (subgroup.col(MORTALITY_INDEX) > 0).astype(float)
-            fit = fit_logistic_design(design, mortality01, names)
-            report = _report(label, fit, names, "x1*x5", "cross_effect_significant")
-            results.append(SubsetModelResult(label, report, None))
+            results.append(SubsetModelResult(label, _fit(label, subgroup, scores, cross=True), None))
         except (IcuStudyError, np.linalg.LinAlgError) as exc:
             results.append(SubsetModelResult(label, None, f"{type(exc).__name__}: {exc}"))
     return results
 
 
-def stratified_outcome_tests(
-    group: StudyGroup,
-    strat: Stratification,
-    outcome: str,
-    t_variant: str = "welch",
-) -> list:
+def stratified_outcome_tests(group: StudyGroup, strat: Stratification, outcome: str) -> list:
     """Per-quintile treated-versus-untreated tests.
 
     Mortality uses the 2x2 chi-squared on (arm x dead/alive); length of
-    stay uses the two-sample t test.  Quintiles where a test cannot run
+    stay uses Welch's two-sample t test.  Quintiles where a test cannot run
     (empty arm, zero marginal, too few values) are reported untestable.
     """
     if outcome not in ("mortality", "los"):
@@ -216,7 +202,7 @@ def stratified_outcome_tests(
                 ]
                 result = chi_squared_2x2(table)
             else:
-                result = t_test_two_sample(los[t_mask], los[u_mask], variant=t_variant)
+                result = t_test_two_sample(los[t_mask], los[u_mask])
         except (ZeroMarginal, ZeroVariance, EmptyInput) as exc:
             tests.append(QuintileTest(q, None, str(exc)))
             continue

@@ -295,31 +295,18 @@ def chi_squared_2x2(counts) -> TestResult:
     return TestResult(stat, chi2_tail(stat, 1), (1,))
 
 
-T_TEST_VARIANTS = ("welch", "student")
-
-
-def t_test_two_sample(a, b, variant: str = "welch") -> TestResult:
-    """Two-sided two-sample t test; `variant` in T_TEST_VARIANTS."""
+def t_test_two_sample(a, b) -> TestResult:
+    """Welch's two-sided two-sample t test: no equal-variance assumption,
+    Welch-Satterthwaite degrees of freedom."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise EmptyInput("t test needs at least two observations per group")
-    va = a.var(ddof=1)
-    vb = b.var(ddof=1)
-    if variant == "welch":
-        denom2 = va / a.size + vb / b.size
-        if denom2 <= 0:
-            raise ZeroVariance("both groups have zero variance")
-        stat = (a.mean() - b.mean()) / np.sqrt(denom2)
-        df = denom2**2 / (
-            (va / a.size) ** 2 / (a.size - 1) + (vb / b.size) ** 2 / (b.size - 1)
-        )
-    elif variant == "student":
-        pooled = ((a.size - 1) * va + (b.size - 1) * vb) / (a.size + b.size - 2)
-        if pooled <= 0:
-            raise ZeroVariance("pooled variance is zero")
-        stat = (a.mean() - b.mean()) / np.sqrt(pooled * (1 / a.size + 1 / b.size))
-        df = a.size + b.size - 2
-    else:
-        raise EmptyInput(f"unknown t-test variant {variant!r}")
+    va = a.var(ddof=1) / a.size
+    vb = b.var(ddof=1) / b.size
+    denom2 = va + vb
+    if denom2 <= 0:
+        raise ZeroVariance("both groups have zero variance")
+    stat = (a.mean() - b.mean()) / np.sqrt(denom2)
+    df = denom2**2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
     return TestResult(float(stat), t_tail_two_sided(stat, df), (float(df),))

@@ -296,16 +296,6 @@ def welch_t_oracle(a, b):
     return t, df
 
 
-def student_t_oracle(a, b):
-    ma = sum(a) / len(a)
-    mb = sum(b) / len(b)
-    va = sum((v - ma) ** 2 for v in a) / (len(a) - 1)
-    vb = sum((v - mb) ** 2 for v in b) / (len(b) - 1)
-    pooled = ((len(a) - 1) * va + (len(b) - 1) * vb) / (len(a) + len(b) - 2)
-    t = (ma - mb) / math.sqrt(pooled * (1 / len(a) + 1 / len(b)))
-    return t, len(a) + len(b) - 2
-
-
 # --- tail probabilities by adaptive quadrature ------------------------------------------
 
 
