@@ -109,13 +109,15 @@ INPUTS = {
 
 def _input(run: Run, name: str, required: bool = True):
     """The value an earlier stage left in `run`, else read from its file;
-    a missing file is a data error (or None when not `required`)."""
+    a missing file is a data error, or None when not `required` and no
+    flag names it."""
     value = getattr(run, name)
     if value is None:
         filename, reader = INPUTS[name]
-        path = Path(run.flags.get(name) or run.out / filename)
+        flagged = run.flags.get(name)
+        path = Path(flagged or run.out / filename)
         if not path.is_file():
-            if not required:
+            if not required and not flagged:
                 return None
             raise DataError(f"{name} file not found: {path}")
         value = reader(run, path)
@@ -229,8 +231,9 @@ def propensity_balance(run: Run, name: str = "balance") -> None:
 
 def propensity_refine(run: Run) -> None:
     """Refine the model, then rewrite strata.csv and quintile_table.csv
-    for the refined stratification.  Without a strata file, refinement
-    starts from the model's own stratification."""
+    for the refined stratification.  Without --strata or strata.csv in the
+    output directory, refinement starts from the model's own
+    stratification."""
     config = run.config
     refined_spec, refined_strat, log_entries = prop_mod.refine_model(
         _input(run, "group"), _input(run, "model"), _input(run, "strata", required=False),
@@ -315,7 +318,7 @@ def stage_ml(run: Run) -> None:
     gp_config = config.gp_config()
     train_idx, test_idx = evoml.split_train_test(group.n, config.seed)
 
-    run_rows, metric_rows, cf_rows = [], [], []
+    run_rows, metric_rows, cf_columns = [], [], []  # cf_columns: (task, treated, untreated) per task
     for task in tasks:
         target = group.col(MORTALITY_INDEX) if task == "classify" else group.col(LOS_INDEX)
         gp_run = evoml.gp_evolve(gp_config, observed[train_idx], target[train_idx], task)
@@ -331,10 +334,7 @@ def stage_ml(run: Run) -> None:
             cf = evoml.simulate_counterfactual(gp_run.best, treated, untreated, task)
             metric_rows.append([task, "full", "counterfactual_rate_treated", cf.rate_treated])
             metric_rows.append([task, "full", "counterfactual_rate_untreated", cf.rate_untreated])
-            cf_rows += [
-                [*key, task, plus, minus]
-                for key, plus, minus in zip(group.ids.tolist(), cf.outcome_treated, cf.outcome_untreated)
-            ]
+            cf_columns.append((np.full(group.n, task), cf.outcome_treated, cf.outcome_untreated))
 
     write_table(run.out / "gp_run.csv", ["task", "generation", "best_fitness"], zip(*run_rows))
     write_table(run.out / "gp_metrics.csv", ["task", "split", "metric", "value"], zip(*metric_rows))
@@ -342,7 +342,7 @@ def stage_ml(run: Run) -> None:
         write_table(
             run.out / "counterfactual.csv",
             [*KEY_COLUMNS, "task", "outcome_treated", "outcome_untreated"],
-            zip(*cf_rows),
+            [*np.tile(group.ids, (len(cf_columns), 1)).T, *map(np.concatenate, zip(*cf_columns))],
         )
 
 

@@ -92,6 +92,7 @@ FUNCTIONS = BINARY_OPS + UNARY_OPS
 ARITY = {op: 2 for op in BINARY_OPS} | {op: 1 for op in UNARY_OPS}
 
 DIV_EPS = 1e-9
+SUBTREE_CACHE_BYTES = 4 << 20  # function-subtree values one gp_evolve call keeps
 
 
 def _subtree_end(prog: tuple, i: int) -> int:
@@ -113,39 +114,63 @@ def _depths(prog: tuple) -> list:
     return depths
 
 
-def _sanitize(values: np.ndarray) -> np.ndarray:
-    return np.where(np.isfinite(values), values, 1.0)
+def _apply(op: str, a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """A new array of op(a[, b]) under total protection."""
+    if op == "log2":
+        nonpositive = a <= 0.0
+        out = np.log2(np.where(nonpositive, 1.0, a))
+        out[nonpositive] = 0.0
+    elif op == "sqrt":
+        out = np.sqrt(np.abs(a))
+    elif op == "+":
+        out = a + b
+    elif op == "-":
+        out = a - b
+    elif op == "*":
+        out = a * b
+    elif op == "/":
+        tiny = np.abs(b) < DIV_EPS
+        out = a / np.where(tiny, 1.0, b)
+        out[tiny] = 1.0
+    else:
+        raise DataError(f"unknown operator {op!r}")
+    np.copyto(out, 1.0, where=~np.isfinite(out))
+    return out
 
 
-def eval_tree_batch(prog: tuple, x: np.ndarray) -> np.ndarray:
+def eval_tree_batch(prog: tuple, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
     """Evaluate a program on a (rows, features) matrix with total protection:
     a/b = 1 when |b| < 1e-9, log2 of a non-positive is 0, sqrt uses the
-    absolute value, and any non-finite function output becomes 1."""
-    stack = []  # operand values; the top is a node's first argument
+    absolute value, and any non-finite function output becomes 1.
+
+    `cache`, kept by one caller for one `x`, maps function subtrees to their
+    values: a subtree found there is not evaluated again, and one evaluated
+    is added, read-only, the oldest entries leaving once the values pass
+    SUBTREE_CACHE_BYTES."""
+    x = np.asarray(x, dtype=float)
+
+    def value(i: int) -> tuple:
+        """The values of the subtree rooted at prog[i], and the index just past it."""
+        op, var, const = prog[i]
+        if op is None:
+            return (x[:, var] if var is not None else np.full(x.shape[0], float(const))), i + 1
+        if cache is not None:
+            key = prog[i : _subtree_end(prog, i)]
+            if key in cache:
+                return cache[key], i + len(key)
+        a, end = value(i + 1)
+        b, end = value(end) if ARITY[op] == 2 else (None, end)
+        out = _apply(op, a, b)
+        if cache is not None:
+            out.flags.writeable = False
+            cache[key] = out
+            while len(cache) * out.nbytes > SUBTREE_CACHE_BYTES:
+                del cache[next(iter(cache))]
+        return out, end
+
     with np.errstate(all="ignore"):
-        for op, var, const in reversed(prog):
-            if op is None:
-                stack.append(x[:, var].astype(float) if var is not None else np.full(x.shape[0], float(const)))
-                continue
-            a = stack.pop()
-            if op == "log2":
-                out = np.where(a <= 0.0, 0.0, np.log2(np.where(a <= 0.0, 1.0, a)))
-            elif op == "sqrt":
-                out = np.sqrt(np.abs(a))
-            else:
-                b = stack.pop()
-                if op == "+":
-                    out = a + b
-                elif op == "-":
-                    out = a - b
-                elif op == "*":
-                    out = a * b
-                elif op == "/":
-                    out = np.where(np.abs(b) < DIV_EPS, 1.0, a / np.where(np.abs(b) < DIV_EPS, 1.0, b))
-                else:
-                    raise DataError(f"unknown operator {op!r}")
-            stack.append(_sanitize(out))
-    return stack.pop()
+        out = value(0)[0]
+    return out.copy() if prog[0][0] is None else out
 
 
 # --- configuration and initialization ------------------------------------------------
@@ -241,10 +266,10 @@ class GpRun:
     task: str
 
 
-def predict(prog: tuple, x: np.ndarray, task: str) -> np.ndarray:
+def predict(prog: tuple, x: np.ndarray, task: str, cache: dict | None = None) -> np.ndarray:
     """The program's prediction for each row: for "classify" the sign of
     its output as +-1 (threshold 0 counts as +1), for "regress" the output."""
-    out = eval_tree_batch(prog, x)
+    out = eval_tree_batch(prog, x, cache)
     if task == "classify":
         return np.where(out >= 0.0, 1.0, -1.0)
     if task == "regress":
@@ -252,9 +277,9 @@ def predict(prog: tuple, x: np.ndarray, task: str) -> np.ndarray:
     raise DataError(f"unknown GP task {task!r}")
 
 
-def fitness(prog: tuple, x: np.ndarray, y: np.ndarray, task: str) -> float:
+def fitness(prog: tuple, x: np.ndarray, y: np.ndarray, task: str, cache: dict | None = None) -> float:
     """Misclassified rows for "classify", mean absolute error for "regress"."""
-    predicted = predict(prog, x, task)
+    predicted = predict(prog, x, task, cache)
     if task == "classify":
         return float((predicted != y).sum())
     return float(np.mean(np.abs(predicted - y)))
@@ -281,7 +306,8 @@ def gp_evolve(config: GpConfig, x: np.ndarray, y: np.ndarray, task: str) -> GpRu
     probabilities renormalized.  Offspring deeper than max_depth are
     rejected and the parents retained; the single best individual survives
     unchanged (elitism of 1), so the best-so-far trace never increases.
-    Each distinct program is scored once per call.
+    Each distinct program is scored once per call, and each function
+    subtree evaluated once while it stays in the call's subtree cache.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -290,11 +316,12 @@ def gp_evolve(config: GpConfig, x: np.ndarray, y: np.ndarray, task: str) -> GpRu
     rng = random.Random(config.seed)
     n_features = x.shape[1]
     scores = {}  # program -> fitness, a pure function of it for this x, y and task
+    cache = {}  # function subtree -> its values on x
 
     def score(population: list) -> list:
         for prog in population:
             if prog not in scores:
-                scores[prog] = fitness(prog, x, y, task)
+                scores[prog] = fitness(prog, x, y, task, cache)
         return [scores[prog] for prog in population]
 
     def fits(prog: tuple) -> bool:

@@ -143,10 +143,10 @@ _BLOCK_ROWS = 1024
 
 
 def _write_rows(path: str | Path, header: Sequence[str], columns, codes: Sequence[str]) -> None:
-    """A CSV of numeric columns, 1-D numpy arrays, with one %-code each:
-    %d, %.12g (fnum) or %r (repr).  The header goes through csv.writer and
-    each block of rows through one format string; the bytes are those
-    csv.writer gives, since a number never needs quoting."""
+    """A CSV of 1-D numpy columns with one %-code each: %d, %.12g (fnum),
+    %r (repr) or %s (text that csv.writer would not quote).  The header
+    goes through csv.writer and each block of rows through one format
+    string; the bytes are those csv.writer gives."""
     rows, width = min(map(len, columns)), len(columns)
     line = ",".join(codes) + "\r\n"
     with open(path, "w", newline="") as fh:
@@ -159,14 +159,32 @@ def _write_rows(path: str | Path, header: Sequence[str], columns, codes: Sequenc
             fh.write(line * (stop - start) % tuple(cells))
 
 
+_QUOTED = re.compile(r'[,"\r\n]')  # a cell holding one of these is quoted by csv.writer
+
+
+def _block_code(column) -> str | None:
+    """The %-code `_write_rows` writes a column with, or None where only
+    csv.writer writes it as write_table must: a column that is not a 1-D
+    numpy array of numbers or text, or text with an empty cell (csv.writer
+    writes a lone one as "") or a cell it would quote."""
+    if not isinstance(column, np.ndarray) or column.ndim != 1:
+        return None
+    if column.dtype.kind == "U":
+        cells = column.tolist()
+        return "%s" if all(cells) and not _QUOTED.search("".join(cells)) else None
+    return {"b": "%d", "i": "%d", "u": "%d", "f": "%.12g"}.get(column.dtype.kind)
+
+
 def write_table(path: str | Path, header: Sequence[str], columns) -> None:
     """A report or extract CSV from its columns: floats through fnum,
     booleans as 0/1, None as empty.  A caller holding rows passes zip(*rows).
-    A table of int, bool and float arrays goes through _write_rows; one
-    holding text, None or Python objects through csv.writer, cell by cell."""
+    A table of numpy number and plain text columns goes through
+    _write_rows; one holding other text, None or Python objects through
+    csv.writer, cell by cell."""
     columns = list(columns)
-    if columns and all(isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "biuf" for c in columns):
-        _write_rows(path, header, columns, ["%.12g" if c.dtype.kind == "f" else "%d" for c in columns])
+    codes = [_block_code(c) for c in columns]
+    if columns and None not in codes:
+        _write_rows(path, header, columns, codes)
         return
     cells = [[_cell(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
     with open(path, "w", newline="") as fh:

@@ -329,23 +329,23 @@ def _rank_deficient(z, norms, sigma, p, cols):
     return resid * sigma[cols] <= RANK_TOL * np.maximum(norms[:p].max(), norms[cols])
 
 
-def _trial_score(zt, y, p, cols, mu):
-    """Score of each design [z[:, :p], z[:, c]] at its row of fitted
+def _trial_score(zt, y, p, zc, mu):
+    """Score of each design [z[:, :p], zc[i]] at its row of fitted
     probabilities `mu`, and the candidate parts of its information: the
     products with the base columns and the diagonal.  `mu` is overwritten
     with the weights mu (1 - mu)."""
-    k = cols.size
+    k = zc.shape[0]
     grad, cross, diag = np.empty((k, p + 1)), np.empty((k, p)), np.empty(k)
     zb = zt[:p].T
     for b in _row_blocks(k, y.size):
-        zc, w = zt[cols[b]], mu[b]
+        zcb, w = zc[b], mu[b]
         resid = y - w
         grad[b, :p] = resid @ zb
-        grad[b, p] = np.einsum("ij,ij->i", resid, zc)
+        grad[b, p] = np.einsum("ij,ij->i", resid, zcb)
         np.clip(np.multiply(w, 1.0 - w, out=w), 1e-12, None, out=w)
-        wz = zc * w
+        wz = zcb * w
         cross[b] = wz @ zb
-        diag[b] = np.einsum("ij,ij->i", wz, zc)
+        diag[b] = np.einsum("ij,ij->i", wz, zcb)
     return grad, cross, diag
 
 
@@ -372,21 +372,25 @@ def _trial_information(zt, p, w, cross, diag):
     return info
 
 
-def _trial_steps(zt, y, p, cols, step, eta, mu, ll):
+def _trial_steps(zt, y, p, zc, step, eta, mu, ll):
     """Step-halving along each design's direction d = Z step: the first
     trial eta + s d, s = 1, 1/2, ..., whose log-likelihood is within 1e-12
     of `ll`, or else the 40th, replaces the rows of `eta`, `mu` and `ll`;
     returns each s and `ll`.  A row's `_log_likelihood` is summed along
     that row alone, so no value depends on the other candidates."""
-    scale = np.ones(cols.size)
-    for b in _row_blocks(cols.size, y.size):
+    k = zc.shape[0]
+    scale = np.ones(k)
+    for b in _row_blocks(k, y.size):
         d = step[b, :p] @ zt[:p]
-        d += step[b, p, None] * zt[cols[b]]
-        rows, trial = np.arange(cols.size)[b], eta[b] + d
+        d += step[b, p, None] * zc[b]
+        rows, trial = np.arange(k)[b], eta[b] + d
         for attempt in range(40):
             m = _expit_inplace(trial.copy())
             ll_new = _log_likelihood(y, m)
             ok = (ll_new >= ll[rows] - 1e-12) | (attempt == 39)
+            if attempt == 0 and ok.all():  # the common case: rows is the slice b
+                eta[b], mu[b], ll[b] = trial, m, ll_new
+                break
             eta[rows[ok]], mu[rows[ok]], ll[rows[ok]] = trial[ok], m[ok], ll_new[ok]
             rows, d = rows[~ok], d[~ok]
             if not rows.size:
@@ -410,38 +414,40 @@ def _keep_rows(a, keep):
 def _trial_fits(z, y, p, cols):
     """Newton (IRLS) maximum-likelihood logistic fits of the designs
     [z[:, :p], z[:, c]] for all columns c of `cols` at once.  Each starts
-    at zero coefficients and carries its linear predictor and fitted
-    probabilities (rows of `eta` and `mu`) from step to step; step-halving,
-    convergence and the separation bound (a coefficient past +-30) are
-    masks over the designs.  Returns each design's standardized
-    coefficients, log-likelihood, whether it converged, whether it was
-    separated and its number of Newton steps."""
+    at zero coefficients and carries its candidate column, linear predictor
+    and fitted probabilities (rows of `zc`, `eta` and `mu`) from step to
+    step; step-halving, convergence and the separation bound (a coefficient
+    past +-30) are masks over the designs.  Returns each design's
+    standardized coefficients, log-likelihood, whether it converged,
+    whether it was separated and its number of Newton steps."""
     zt, k, n = z.T, cols.size, y.size
-    beta, eta, mu = np.zeros((k, p + 1)), np.zeros((k, n)), np.full((k, n), 0.5)
+    zc, eta, mu = zt[cols], np.zeros((k, n)), np.full((k, n), 0.5)
+    beta = np.zeros((k, p + 1))
     ll = np.full(k, _log_likelihood(y, mu[0]))
     converged, separated = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
     steps = np.zeros(k, dtype=int)
-    live = np.arange(k)  # neither converged nor separated: the rows of eta and mu
+    live = np.arange(k)  # neither converged nor separated: the rows of zc, eta and mu
     for iteration in range(MAX_ITER + 1):
-        grad, cross, diag = _trial_score(zt, y, p, cols[live], mu)
+        grad, cross, diag = _trial_score(zt, y, p, zc, mu)
         done = np.abs(grad).max(axis=1) < GRADIENT_TOL
         converged[live[done]] = True
         if done.all() or iteration == MAX_ITER:  # the limit: a last score check
             break
         keep = ~done
         live, grad, cross, diag = live[keep], grad[keep], cross[keep], diag[keep]
-        eta, mu = _keep_rows(eta, keep), _keep_rows(mu, keep)
+        zc, eta, mu = (_keep_rows(a, keep) for a in (zc, eta, mu))
         info = _trial_information(zt, p, mu, cross, diag)
         try:
             step = np.linalg.solve(info, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
             step = np.array([np.linalg.lstsq(h, g, rcond=None)[0] for h, g in zip(info, grad)])
-        scale, ll[live] = _trial_steps(zt, y, p, cols[live], step, eta, mu, ll[live])
+        scale, ll[live] = _trial_steps(zt, y, p, zc, step, eta, mu, ll[live])
         beta[live] += scale[:, None] * step
         steps[live] += 1
         keep = ~(np.abs(beta[live]).max(axis=1) > SEPARATION_BOUND)
         separated[live[~keep]] = True
-        live, eta, mu = live[keep], _keep_rows(eta, keep), _keep_rows(mu, keep)
+        live = live[keep]
+        zc, eta, mu = (_keep_rows(a, keep) for a in (zc, eta, mu))
         if not live.size:
             break
     return beta, ll, converged, separated, steps

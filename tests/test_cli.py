@@ -505,6 +505,19 @@ def test_refinement_from_strata_of_another_count_is_data_error(fixture_dirs, tmp
     assert not (tmp_path / "refinement_log.csv").exists()
 
 
+def test_refinement_from_a_missing_strata_flag_is_data_error(fixture_dirs, tmp_path, capsys):
+    """refine --strata /no/such.csv used to exit 0, refining from the model's
+    own stratification as if the flag were absent."""
+    root, config = fixture_dirs
+    for name in ("studygroup.csv", "model.txt"):
+        (tmp_path / name).write_bytes((root / "out" / name).read_bytes())
+    missing = tmp_path / "no" / "such.csv"
+    argv = ["propensity", "refine", "--config", str(config), "--out", str(tmp_path), "--strata", str(missing)]
+    assert main(argv) == 3
+    assert f"error: strata file not found: {missing}\n" == capsys.readouterr().err
+    assert not (tmp_path / "refinement_log.csv").exists()
+
+
 def test_negative_max_passes_is_config_error(fixture_dirs, tmp_path, capsys):
     """--max-passes -1 used to exit 0 with a header-only refinement_log.csv."""
     root, config = fixture_dirs

@@ -342,6 +342,47 @@ def test_evolve_scores_each_program_once(monkeypatch):
     assert run.best in scored
 
 
+def _offspring(progs: list, n_features: int, config: GpConfig, seed: int) -> list:
+    """Crossover and mutation children of neighbouring programs, which copy
+    whole subtrees of their parents as a GP run's offspring do."""
+    rng, children = random.Random(seed), []
+    for a, b in zip(progs, progs[1:]):
+        children += [*crossover(a, b, rng), mutate(a, n_features, config, rng)]
+    return children
+
+
+@pytest.mark.parametrize("entries", [1, 7, None], ids=["one-entry", "seven-entries", "whole-budget"])
+def test_subtree_cache_gives_the_node_engine_bytes(monkeypatch, entries):
+    x = _evolve_data("regress", 5)[0]  # zero and -1e200 columns: protection and overflow
+    if entries is not None:
+        monkeypatch.setattr(evoml, "SUBTREE_CACHE_BYTES", entries * x.shape[0] * 8)
+    config = GpConfig(population_size=40, seed=5)
+    progs = gp_init_population(config, x.shape[1], random.Random(5))
+    progs += _offspring(progs, x.shape[1], config, 6)
+    cache = {}
+    for prog in progs + progs[::-1]:  # a second pass finds some subtrees, evicted or not
+        want = oracles.eval_tree_batch(oracles.tree(prog), x)
+        assert eval_tree_batch(prog, x, cache).tobytes() == want.tobytes()
+        assert eval_tree_batch(prog, x).tobytes() == want.tobytes()
+    subtrees = {p[i : evoml._subtree_end(p, i)] for p in progs for i in range(len(p)) if p[i][0] is not None}
+    assert len(cache) == (entries or len(subtrees))  # full at one or seven; at 4 MiB nothing left
+
+
+def test_cached_subtree_values_are_read_only():
+    x = _evolve_data("regress", 2)[0]
+    prog = _apply("+", _apply("*", _var(0), _var(1)), _const(2.0))
+    cache = {}
+    out = eval_tree_batch(prog, x, cache)
+    assert set(cache) == {prog, prog[1:4]}
+    for values in cache.values():
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+    assert eval_tree_batch(prog, x, cache) is out  # found, not evaluated again
+    leaf = eval_tree_batch(_var(0), x, cache)  # a single leaf is a fresh array, not a view of x
+    leaf[0] = 7.0
+    assert x[0, 0] != 7.0 and len(cache) == 2
+
+
 _SAMPLE = st.one_of(
     st.floats(-1e6, 1e6),
     st.sampled_from([0.0, -0.0, -1.0, 1e-12, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308]),
@@ -362,18 +403,25 @@ def test_variation_and_evaluation_match_node_engine(seed, n_features, max_depth,
     progs = gp_init_population(config, n_features, random.Random(seed))
     assert progs == [oracles.prefix(t) for t in trees]
     x = np.array(rows)[:, :n_features]
-    for t, p in zip(trees, progs):
-        assert eval_tree_batch(p, x).tobytes() == oracles.eval_tree_batch(t, x).tobytes()
+    cache = {}  # shared by the population and its offspring, two entries at most
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evoml, "SUBTREE_CACHE_BYTES", 2 * x.nbytes // n_features)
+        for t, p in zip(trees, progs):
+            want = oracles.eval_tree_batch(t, x).tobytes()
+            assert eval_tree_batch(p, x).tobytes() == want
+            assert eval_tree_batch(p, x, cache).tobytes() == want
 
-    mine, theirs = random.Random(seed + 1), random.Random(seed + 1)
-    for (ta, tb), (pa, pb) in zip(zip(trees, trees[1:]), zip(progs, progs[1:])):
-        want = oracles.crossover(ta, tb, theirs)
-        assert crossover(pa, pb, mine) == tuple(map(oracles.prefix, want))
-        assert mine.getstate() == theirs.getstate()
-        want = oracles.mutate(ta, n_features, config, theirs)
-        got = mutate(pa, n_features, config, mine)
-        assert got == oracles.prefix(want) and mine.getstate() == theirs.getstate()
-        assert eval_tree_batch(got, x).tobytes() == oracles.eval_tree_batch(want, x).tobytes()
+        mine, theirs = random.Random(seed + 1), random.Random(seed + 1)
+        for (ta, tb), (pa, pb) in zip(zip(trees, trees[1:]), zip(progs, progs[1:])):
+            want = oracles.crossover(ta, tb, theirs)
+            assert crossover(pa, pb, mine) == tuple(map(oracles.prefix, want))
+            assert mine.getstate() == theirs.getstate()
+            want = oracles.mutate(ta, n_features, config, theirs)
+            got = mutate(pa, n_features, config, mine)
+            assert got == oracles.prefix(want) and mine.getstate() == theirs.getstate()
+            assert eval_tree_batch(got, x).tobytes() == oracles.eval_tree_batch(want, x).tobytes()
+            assert eval_tree_batch(got, x, cache).tobytes() == oracles.eval_tree_batch(want, x).tobytes()
+    assert len(cache) <= 2
 
 
 def test_split_train_test_sizes():

@@ -184,6 +184,8 @@ def test_handoff_readers_match_csv_reader_oracles(tmp_path_factory, data):
 _FLOATS = np.array([0.1, 1 / 3, np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 123456789012.5, 2.0**70])
 _LONG = group_module._BLOCK_ROWS + 1
 _TEXTS = np.array(["plain", "a, b", 'say "hi"', "two\nlines", "", "x", "é", " ", "\r\n", "1.5", ","])
+#: text that csv.writer writes as it is: spaces, a number's look, a % code, no delimiter, quote or line end
+_PLAIN = np.array(["classify", "regress", "é", " lead", "trail ", "1.5", "%s", "x;y", "tab\there", "'", "-"])
 
 _TABLES = {
     "float64 arrays": [np.arange(11), _FLOATS, -_FLOATS[::-1]],
@@ -210,6 +212,22 @@ def test_write_table_matches_per_cell_writer(tmp_path, columns):
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     assert b"True" not in got and b"False" not in got
+
+
+@pytest.mark.parametrize(
+    "cell, block",
+    [("plain", True), ("a, b", False), ('say "hi"', False), ("two\nlines", False), ("cr\r", False), ("", False)],
+    ids=["plain", "comma", "quote", "newline", "carriage-return", "empty"],
+)
+def test_text_column_takes_the_block_writer_only_where_csv_writer_would_not_quote(tmp_path, monkeypatch, cell, block):
+    blocks, real = [], group_module._write_rows
+    monkeypatch.setattr(group_module, "_write_rows", lambda *args: blocks.append(args) or real(*args))
+    text = np.resize(np.append(_PLAIN, cell), _LONG)
+    columns = [np.arange(_LONG), text, np.resize(_FLOATS, _LONG)]
+    write_table(tmp_path / "got.csv", ["i", "text", "value"], columns)
+    oracles.write_table_oracle(tmp_path / "want.csv", ["i", "text", "value"], zip(*columns))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert bool(blocks) == block
 
 
 @given(arrays(np.float64, st.integers(0, 20)), arrays(np.int64, 20), st.booleans())

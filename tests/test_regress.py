@@ -15,6 +15,9 @@ from icustudy.regress import (
     _rank_deficient,
     _standardize,
     _trial_fits,
+    _trial_information,
+    _trial_score,
+    _trial_steps,
     _unstandardize,
     coefficient_p_values,
     fit_linear_design,
@@ -249,8 +252,10 @@ def test_fit_matches_single_design_oracle(oracle_designs, case):
     assert fit.standard_errors == pytest.approx(expected.standard_errors, rel=1e-10)
 
 
-@pytest.mark.parametrize("single", [True, False])
-def test_forty_rejected_halvings_take_the_last_trial_and_its_likelihood(monkeypatch, single):
+@pytest.mark.parametrize(
+    "entry", ["single", "trial fits", "trial steps"], ids=["True", "False", "trial steps"]  # True: a single fit
+)
+def test_forty_rejected_halvings_take_the_last_trial_and_its_likelihood(monkeypatch, entry):
     # a start value read 1e6 too high fails all 40 trials of the first
     # step: the step taken is the 40th trial's, 0.5**39 of the Newton step,
     # and the log-likelihood kept is that trial's own
@@ -261,16 +266,28 @@ def test_forty_rejected_halvings_take_the_last_trial_and_its_likelihood(monkeypa
     x = rng.normal(size=(n, 3))
     y = (rng.random(n) < _sigmoid(-0.5 + x @ [0.8, -0.5, 0.3])).astype(float)
     design = np.column_stack([np.ones(n), x])
-    if single:
+    z = _standardize(design)[0]
+    if entry == "single":
         def fit():
             f = fit_logistic_design(design, y, ["1", "a", "b", "c"])
             return f.coefficients, f.log_likelihood, f.iterations
-    else:
-        z = _standardize(design)[0]
-
+    elif entry == "trial fits":
         def fit():
             beta, ll, _, _, steps = _trial_fits(z, y, 1, np.arange(1, 4))
             return beta, ll, steps
+    else:
+        zt = z.T
+        zc = zt[1:4]  # the gathered candidate columns, one row per design
+
+        def fit():  # the first Newton step from zero, as _trial_fits takes it
+            eta, mu = np.zeros((3, n)), np.full((3, n), 0.5)
+            ll = np.full(3, regress._log_likelihood(y, mu[0]))
+            weights = mu.copy()  # _trial_score leaves mu (1 - mu) here
+            grad, cross, diag = _trial_score(zt, y, 1, zc, weights)
+            step = np.linalg.solve(_trial_information(zt, 1, weights, cross, diag), grad[..., None])[..., 0]
+            scale, ll = _trial_steps(zt, y, 1, zc, step, eta, mu, ll)
+            assert np.array_equal(eta, scale[:, None] * (step[:, :1] @ zt[:1] + step[:, 1:] * zc))
+            return scale[:, None] * step, ll, np.ones(3, dtype=int)
 
     monkeypatch.setattr(regress, "MAX_ITER", 1)
     one_step = fit()[0]
