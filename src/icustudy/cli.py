@@ -135,7 +135,8 @@ def stage_synth(run: Run) -> None:
         prevalence_target=run.config.synth_prevalence,
         attrition={kind: 2 for kind in synth_mod.ATTRITION_KINDS},
     )
-    synth_mod.synth_generate(spec, run.out)
+    # the extracts go where `cohort run` reads them, unless --out names a place
+    synth_mod.synth_generate(spec, run.out if run.flags.get("out_dir") else Path(run.config.extracts_dir))
 
 
 def stage_cohort(run: Run) -> None:

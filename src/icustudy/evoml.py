@@ -104,14 +104,21 @@ def _subtree_end(prog: tuple, i: int) -> int:
     return i
 
 
-def _depths(prog: tuple) -> list:
-    """Each node's depth (the root is 1), in prefix order."""
-    depths, slots = [], []  # slots: a parent's depth per child still to come
-    for op, _, _ in prog:
-        depth = slots.pop() + 1 if slots else 1
-        depths.append(depth)
-        slots.extend([depth] * ARITY.get(op, 0))
-    return depths
+def _depth(prog: tuple, index: int | None = None) -> int:
+    """The program's depth, its deepest node's (the root is 1), or with an
+    index the depth of node `index`."""
+    deepest, slots = 1, [1]  # the depth of each child still to come
+    pop, push = slots.pop, slots.append
+    for op, _, _ in prog if index is None else prog[:index]:
+        depth = pop()
+        if op is None:  # a terminal
+            if depth > deepest:
+                deepest = depth
+        else:
+            push(depth + 1)
+            if ARITY[op] == 2:
+                push(depth + 1)
+    return deepest if index is None else slots[-1]
 
 
 def _apply(op: str, a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
@@ -250,7 +257,7 @@ def mutate(prog: tuple, n_features: int, config: GpConfig, rng: random.Random) -
     """Replace a random subtree with a freshly grown one whose depth budget
     keeps the whole program within max_depth."""
     index = rng.randrange(len(prog))
-    budget = max(1, config.max_depth - _depths(prog)[index] + 1)
+    budget = max(1, config.max_depth - _depth(prog, index) + 1)
     replacement = _grow(min(budget, config.init_depth), n_features, config, rng)
     return prog[:index] + replacement + prog[_subtree_end(prog, index):]
 
@@ -325,7 +332,7 @@ def gp_evolve(config: GpConfig, x: np.ndarray, y: np.ndarray, task: str) -> GpRu
         return [scores[prog] for prog in population]
 
     def fits(prog: tuple) -> bool:
-        return max(_depths(prog)) <= config.max_depth
+        return _depth(prog) <= config.max_depth
 
     population = gp_init_population(config, n_features, rng)
     fitnesses = score(population)

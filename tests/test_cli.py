@@ -601,6 +601,16 @@ def test_nan_in_a_study_column_is_data_error_naming_it(fixture_dirs, tmp_path, c
     assert not {"propensity_fit.csv", "quintile_table.csv", "outcome_models.csv"} & {p.name for p in tmp_path.iterdir()}
 
 
+def test_synth_then_cohort_from_one_config(tmp_path):
+    # without --out, synth writes where the same config sends cohort run
+    config = tmp_path / "run.cfg"
+    config.write_text(f"extracts_dir = {tmp_path}/extracts\nout_dir = {tmp_path}/out\nseed = 1\nsynth_n = 30\n")
+    assert main(["synth", "--config", str(config)]) == 0
+    assert (tmp_path / "extracts" / "manifest.json").is_file()
+    assert main(["cohort", "run", "--config", str(config)]) == 0
+    assert (tmp_path / "out" / "survivors.csv").is_file()
+
+
 @pytest.mark.parametrize(
     "name, column, cell",
     [("saps.csv", "value", "abc"), ("los.csv", "icustay_id", "x12"), ("ids.csv", "hadm_id", "x12")],

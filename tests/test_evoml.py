@@ -211,6 +211,21 @@ def test_init_ramped_depths_span():
     assert all(_valid(t) for t in population)
 
 
+def test_depth_matches_tree_oracle():
+    # the program's depth and one node's depth, both without a depth list
+    rng = random.Random(12)
+    config = GpConfig(seed=12)
+    programs = gp_init_population(config, 4, rng)
+    for _ in range(200):
+        a, b = rng.sample(programs, 2)
+        programs += [*crossover(a, b, rng), mutate(a, 4, config, rng)]
+    for prog in programs:
+        tree = oracles.tree(prog)
+        assert evoml._depth(prog) == tree.depth()
+        for i in {0, len(prog) - 1, rng.randrange(len(prog))}:
+            assert evoml._depth(prog, i) == oracles._node_depth_at(tree, i)
+
+
 def test_init_max_depth_one_all_terminals():
     rng = random.Random(10)
     config = GpConfig(population_size=50, max_depth=1, init_depth=1, seed=10)

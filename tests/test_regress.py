@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from icustudy.regress import (
     ModelSpec,
     _candidate_order,
     _check_rank,
+    _expit_inplace,
+    _likelihood_bounds,
     _rank_deficient,
     _standardize,
     _trial_fits,
@@ -559,6 +562,63 @@ def test_trial_fits_do_not_depend_on_the_batch(seed):
     assert ok.all()
 
 
+def _bound_case(rng, n, pinned, kinds):
+    """A standardized design [1, x, candidates...], its outcome and a base
+    fit's linear predictor, as a stepwise step sees them.  On the first
+    `pinned` rows the predictor is set to 40 where the outcome is 1 and to
+    -800 where it is 0, as a fit separated there takes them: fitted
+    probabilities of exactly 1.0 and 0.0."""
+    latent = rng.normal(size=n)
+    y = (rng.random(n) < _sigmoid(-1.0 + 1.5 * latent)).astype(float)
+    y[:2] = (0.0, 1.0)  # both outcomes occur
+    sign = 2.0 * y - 1.0
+    x = latent + rng.normal(size=n)
+    columns = {
+        "normal": lambda: latent + rng.normal(size=n),
+        "heavy": lambda: rng.standard_t(1.5, n) * rng.standard_t(1.5, n) + latent,
+        "product": lambda: x * (latent + rng.normal(size=n)),
+        "separated": lambda: sign * rng.uniform(1.0, 2.0, n),
+        "near_separated": lambda: sign * rng.uniform(1.0, 2.0, n) * np.where(rng.random(n) < 0.02, -1.0, 1.0),
+        "binary": lambda: rng.choice([-1.0, 1.0], n),
+    }
+    z = _standardize(np.column_stack([np.ones(n), x] + [columns[k]() for k in kinds]))[0]
+    eta = z[:, :2] @ _trial_fits(z, y, 1, np.array([1]))[0][0]
+    eta[:pinned] = np.where(y[:pinned] == 1.0, 40.0, -800.0)
+    return z, y, eta
+
+
+_BOUND_KINDS = ("normal", "heavy", "product", "separated", "near_separated", "binary")
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(30, 600),
+    pinned=st.sampled_from([0, 1, 5, 20]),
+    kinds=st.lists(st.sampled_from(_BOUND_KINDS), min_size=1, max_size=6),
+)
+@settings(max_examples=80, deadline=None)
+def test_likelihood_bound_covers_every_converged_fit(seed, n, pinned, kinds):
+    z, y, eta = _bound_case(np.random.default_rng(seed), n, pinned, kinds)
+    cols = np.arange(2, z.shape[1])
+    bounds = _likelihood_bounds(z.T, y, 2, cols, eta)
+    ll, ok = _trial_fits(z, y, 2, cols)[1:3]
+    assert not np.isnan(bounds).any()
+    assert (ll[ok] <= bounds[ok] + 1e-9 * np.maximum(1.0, np.abs(ll[ok]))).all()
+
+
+def test_likelihood_bound_found_where_the_base_fit_reaches_zero_and_one():
+    # those rows have weight zero, and alpha must be allowed to stay at 0.0
+    # and 1.0: an open-interval check finds no bound at all
+    z, y, eta = _bound_case(np.random.default_rng(21), 3000, 60, ["normal"] * 4 + ["heavy", "product"])
+    mu = _expit_inplace(eta.copy())
+    assert ((mu == 0.0) | (mu == 1.0)).sum() == 60
+    cols = np.arange(2, z.shape[1])
+    bounds = _likelihood_bounds(z.T, y, 2, cols, eta)
+    ll, ok = _trial_fits(z, y, 2, cols)[1:3]
+    assert np.isfinite(bounds).all() and ok.all()
+    assert (ll <= bounds + 1e-9 * np.maximum(1.0, np.abs(ll))).all()
+
+
 @pytest.mark.parametrize("n, seed", [(300, s) for s in range(10)] + [(1000, 5)])
 def test_stepwise_matches_per_candidate_oracle(n, seed):
     from icustudy.synth import SynthSpec, synth_study_group
@@ -571,21 +631,61 @@ def test_stepwise_matches_per_candidate_oracle(n, seed):
 
 @pytest.mark.parametrize(
     "setting, value",
-    [("MAX_ITER", 6), ("MAX_ITER", 7), ("CANDIDATE_BLOCK", 7), ("BLOCK_ELEMENTS", 500)],
+    [
+        ("MAX_ITER", 6), ("MAX_ITER", 7), ("CANDIDATE_BLOCK", 7), ("CANDIDATE_BLOCK", 1), ("BLOCK_ELEMENTS", 500),
+        ("p_enter", 1.0), ("p_enter", 1e-6),
+    ],
 )
 def test_stepwise_matches_oracle_at_small_limits(monkeypatch, setting, value):
     # fits stopped by the iteration limit, several candidate blocks per
-    # step and many row blocks per evaluation must not change a selection
+    # step, a bound check after every fit, many row blocks per evaluation
+    # and the extremes of p_enter (every gain enters; only a gain of about
+    # 12 does) must not change a selection.  At p_enter = 1 the oracle's
+    # cost grows with the square of the pool, so that case offers 8 mains.
     from icustudy import regress
     from icustudy.synth import SynthSpec, synth_study_group
 
-    monkeypatch.setattr(regress, setting, value)
+    p_enter, candidates = 0.05, list(COVARIATE_INDICES)
+    if setting == "p_enter":
+        p_enter = value
+        candidates = candidates[-8:] if value == 1.0 else candidates
+    else:
+        monkeypatch.setattr(regress, setting, value)
     for seed in (1, 2):
         group = synth_study_group(SynthSpec(n=300, seed=seed, prevalence_target=0.12))
         y = (group.col(1) > 0).astype(float)
-        spec = stepwise_select(group, list(COVARIATE_INDICES), y)
+        spec = stepwise_select(group, candidates, y, p_enter)
         assert len(spec) > 1
-        assert spec.to_text() == stepwise_oracle(group, list(COVARIATE_INDICES), y).to_text()
+        assert spec.to_text() == stepwise_oracle(group, candidates, y, p_enter).to_text()
+
+
+def test_stepwise_fits_fewer_designs_than_it_offers(monkeypatch, caplog):
+    # the bound leaves most trial designs unfitted on the planted group, and
+    # the selection stays the per-candidate oracle's; the per-step DEBUG
+    # counts agree with the designs that reach the kernel
+    from icustudy import regress
+    from icustudy.synth import SynthSpec, synth_study_group
+
+    group = synth_study_group(SynthSpec(n=1000, seed=5, prevalence_target=0.12))
+    y = (group.col(1) > 0).astype(float)
+    kernel = []
+    fits = regress._trial_fits
+
+    def counted(z, y, p, cols):
+        kernel.append(cols.size)
+        return fits(z, y, p, cols)
+
+    monkeypatch.setattr(regress, "_trial_fits", counted)
+    with caplog.at_level(logging.DEBUG, logger="icustudy.regress"):
+        spec = stepwise_select(group, list(COVARIATE_INDICES), y)
+    steps = [re.match(r"stepwise: step (\d+): fitted (\d+) of (\d+) candidates, (\d+) pruned by the likelihood "
+                      r"bound, (\d+) without a bound$", r.getMessage()) for r in caplog.records]
+    counts = np.array([[int(g) for g in m.groups()] for m in steps if m])
+    fitted, offered = counts[:, 1].sum(), counts[:, 2].sum()
+    assert (counts[:, 1] + counts[:, 3] == counts[:, 2]).all()
+    assert sum(kernel) == fitted + 2  # and one single fit of each pass's starting model
+    assert fitted < offered / 2
+    assert spec.to_text() == stepwise_oracle(group, list(COVARIATE_INDICES), y).to_text()
 
 
 @pytest.mark.parametrize("first, second", [(30, 35), (35, 30)])
